@@ -186,20 +186,45 @@ void BM_Optics(benchmark::State& state) {
 }
 BENCHMARK(BM_Optics)->Arg(25)->Arg(50)->Arg(100);
 
-void BM_DendrogramAndFosc(benchmark::State& state) {
-  Dataset data = BenchData(static_cast<size_t>(state.range(0)), 5, 16);
+// The dendrogram build and the FOSC extraction timed apart, each on a
+// prebuilt input, so the extraction's scaling in n and |C| shows on its
+// own. Arg: objects per cluster (5 clusters); the constraints are all
+// pairs among 20 % of each class.
+OpticsResult BenchPlot(const Dataset& data) {
   OpticsConfig config;
   config.min_pts = 5;
   auto optics = RunOptics(data.points(), config);
   CVCP_CHECK(optics.ok());
+  return std::move(optics).value();
+}
+
+void BM_DendrogramBuild(benchmark::State& state) {
+  Dataset data = BenchData(static_cast<size_t>(state.range(0)), 5, 16);
+  const OpticsResult optics = BenchPlot(data);
+  for (auto _ : state) {
+    Dendrogram dg = Dendrogram::FromReachability(optics);
+    benchmark::DoNotOptimize(dg);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_DendrogramBuild)
+    ->Arg(25)->Arg(50)->Arg(100)->Arg(200)->Arg(400)->Arg(800);
+
+void BM_FoscExtract(benchmark::State& state) {
+  Dataset data = BenchData(static_cast<size_t>(state.range(0)), 5, 16);
+  const Dendrogram dg = Dendrogram::FromReachability(BenchPlot(data));
   ConstraintSet constraints = BenchConstraints(data, 0.2);
   for (auto _ : state) {
-    Dendrogram dg = Dendrogram::FromReachability(optics.value());
     auto fosc = ExtractClusters(dg, constraints, FoscConfig{});
     benchmark::DoNotOptimize(fosc);
   }
+  state.counters["constraints"] = static_cast<double>(constraints.size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(constraints.size()));
 }
-BENCHMARK(BM_DendrogramAndFosc)->Arg(25)->Arg(50)->Arg(100);
+BENCHMARK(BM_FoscExtract)
+    ->Arg(25)->Arg(50)->Arg(100)->Arg(200)->Arg(400)->Arg(800);
 
 void BM_KMeans(benchmark::State& state) {
   Dataset data = BenchData(static_cast<size_t>(state.range(0)), 5, 16);

@@ -1,7 +1,9 @@
 #include "cluster/fosc.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/strings.h"
@@ -11,6 +13,56 @@ namespace cvcp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// O(1) lowest common ancestor of two leaves, from a sparse table over
+/// the split positions built in O(n log n).
+///
+/// Internal node v splits its span between positions s(v) - 1 and s(v),
+/// s(v) = begin of its right child, and the n - 1 internal nodes own the
+/// split positions 1..n-1 one each. For leaf positions pa < pb, LCA(pa,
+/// pb) splits inside (pa, pb], and every other node splitting there lies
+/// in its subtree, so the LCA is the shallowest of them. (OPTICSDend is
+/// the Cartesian tree of the reachability plot, so that is also the
+/// leftmost maximum height; depth needs no tie rule.)
+class LeafLca {
+ public:
+  explicit LeafLca(const Dendrogram& dg)
+      : width_(dg.num_objects() < 2 ? 0 : dg.num_objects() - 1) {
+    const size_t n = dg.num_objects();
+    // Level k, entry i: min over splits i+1 .. i+2^k of (depth << 32 | id).
+    // Only one node of a range (its LCA) has the least depth, so the min
+    // key names it.
+    table_.resize(static_cast<size_t>(std::bit_width(width_)) * width_);
+    std::vector<uint64_t> depth(width_);  // by internal id - n
+    for (size_t id = n; id < dg.num_nodes(); ++id) {
+      const DendrogramNode& nd = dg.node(static_cast<int>(id));
+      const uint64_t d =
+          nd.parent < 0 ? 0 : depth[static_cast<size_t>(nd.parent) - n] + 1;
+      depth[id - n] = d;
+      table_[dg.node(nd.right).begin - 1] = (d << 32) | id;
+    }
+    for (size_t k = 1, half = 1; 2 * half <= width_; ++k, half *= 2) {
+      const uint64_t* prev = &table_[(k - 1) * width_];
+      uint64_t* cur = &table_[k * width_];
+      for (size_t i = 0; i + 2 * half <= width_; ++i) {
+        cur[i] = std::min(prev[i], prev[i + half]);
+      }
+    }
+  }
+
+  /// Id of the smallest node covering both leaf positions pa < pb.
+  size_t operator()(size_t pa, size_t pb) const {
+    CVCP_DCHECK_LT(pa, pb);
+    const size_t k = static_cast<size_t>(std::bit_width(pb - pa)) - 1;
+    const uint64_t* level = &table_[k * width_];
+    return static_cast<size_t>(
+        std::min(level[pa], level[pb - (size_t{1} << k)]) & 0xFFFFFFFFu);
+  }
+
+ private:
+  size_t width_;  ///< number of split positions, n - 1
+  std::vector<uint64_t> table_;
+};
 
 /// Replaces infinite merge heights (component boundaries in the
 /// reachability plot) by a finite cap so lifetime stability stays finite.
@@ -48,39 +100,38 @@ Result<FoscResult> ExtractClusters(const Dendrogram& dendrogram,
     pos_of[obj] = leaf;
   }
 
-  // --- Constraint objective J per node, via path accumulation. ---
+  // --- Constraint objective J per node, from marks and a subtree sum. ---
+  // A node holds both endpoints of (a, b) iff its subtree holds
+  // LCA(a, b), and exactly one iff it is on the path from an endpoint
+  // leaf up to, not including, the LCA. So a must-link marks +1 at the
+  // LCA; a cannot-link marks +1/2 at each endpoint leaf and -1 at the
+  // LCA; J(v) is the sum of the marks in v's subtree. Every term is a
+  // multiple of 1/2, so each sum is exact in double in any order.
   std::vector<double> j_value(num_nodes, 0.0);
-  auto contains = [&](int id, size_t pos) {
-    const DendrogramNode& nd = dendrogram.node(id);
-    return nd.begin <= pos && pos < nd.end;
-  };
-  for (const Constraint& c : constraints.all()) {
-    if (c.a >= n || c.b >= n) {
-      return Status::InvalidArgument(
-          Format("constraint %s outside dendrogram of %zu objects",
-                 ConstraintToString(c).c_str(), n));
+  if (!constraints.empty()) {
+    const LeafLca lca(dendrogram);
+    for (const Constraint& c : constraints.all()) {
+      if (c.a >= n || c.b >= n) {
+        return Status::InvalidArgument(
+            Format("constraint %s outside dendrogram of %zu objects",
+                   ConstraintToString(c).c_str(), n));
+      }
+      const size_t pa = pos_of[c.a];
+      const size_t pb = pos_of[c.b];
+      const size_t top = lca(std::min(pa, pb), std::max(pa, pb));
+      if (c.type == ConstraintType::kMustLink) {
+        j_value[top] += 1.0;
+      } else {
+        j_value[pa] += 0.5;
+        j_value[pb] += 0.5;
+        j_value[top] -= 1.0;
+      }
     }
-    const size_t pa = pos_of[c.a];
-    const size_t pb = pos_of[c.b];
-    if (c.type == ConstraintType::kMustLink) {
-      // +1 on every node containing both endpoints: the path from the
-      // smallest common node up to the root.
-      int id = static_cast<int>(pa);
-      while (!contains(id, pb)) id = dendrogram.node(id).parent;
-      for (; id >= 0; id = dendrogram.node(id).parent) j_value[id] += 1.0;
-    } else {
-      // +1/2 on every node containing exactly one endpoint: the two paths
-      // from each leaf up to (excluding) the smallest common node.
-      int id = static_cast<int>(pa);
-      while (!contains(id, pb)) {
-        j_value[id] += 0.5;
-        id = dendrogram.node(id).parent;
-      }
-      id = static_cast<int>(pb);
-      while (!contains(id, pa)) {
-        j_value[id] += 0.5;
-        id = dendrogram.node(id).parent;
-      }
+    // Children before parents: internal children have larger ids.
+    for (size_t id = num_nodes; id-- > n;) {
+      const DendrogramNode& nd = dendrogram.node(static_cast<int>(id));
+      j_value[id] += j_value[static_cast<size_t>(nd.left)] +
+                     j_value[static_cast<size_t>(nd.right)];
     }
   }
 

@@ -22,6 +22,12 @@
 /// The unsupervised objective is the classic lifetime stability
 /// |C| * (h(parent) - h(C)); `alpha` blends the two (1.0 = pure
 /// semi-supervised, the paper's setting).
+///
+/// Cost: O(n log n + |C|) per extraction for n objects and |C|
+/// constraints. The constraint objective of every node comes from marks at
+/// the constraint endpoints and their lowest common ancestor, which a
+/// sparse table built per call answers in O(1), plus one bottom-up subtree
+/// sum; it is a sum of halves and ones, so it is exact in double.
 
 #include <vector>
 

@@ -116,6 +116,16 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
     }
   }
 
+  // Training supervision, derived once per fold and shared read-only by
+  // the fold's cells (label derivation is O(L^2) in the labeled objects).
+  std::vector<Supervision> train;
+  train.reserve(n_folds);
+  for (const FoldSplit& fold : folds) {
+    train.push_back(kind == SupervisionKind::kLabels
+                        ? Supervision::FromLabelArray(fold.train_labels)
+                        : Supervision::FromConstraints(fold.train_constraints));
+  }
+
   std::vector<CvCellResult> results(n_cells);
   // Any error discards all scores, so cells above the lowest failure are
   // skipped (see FirstErrorTracker for why that preserves which error the
@@ -136,14 +146,10 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
     const CvCell& cell = cells[c];
     const FoldSplit& fold = folds[cell.fold];
     const auto start = std::chrono::steady_clock::now();
-    // Training supervision for this fold.
-    Supervision train =
-        kind == SupervisionKind::kLabels
-            ? Supervision::FromLabelArray(fold.train_labels)
-            : Supervision::FromConstraints(fold.train_constraints);
     Rng cell_rng = cell.rng;
-    Result<Clustering> clustering = clusterer.Cluster(
-        data, train, cell.param, &cell_rng, ClusterContext{cache, exec});
+    Result<Clustering> clustering =
+        clusterer.Cluster(data, train[cell.fold], cell.param, &cell_rng,
+                          ClusterContext{cache, exec});
     CvCellResult& out = results[c];
     if (clustering.ok()) {
       out.score =

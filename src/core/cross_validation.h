@@ -106,10 +106,12 @@ struct CvScore {
 /// scores are reduced in (grid-order, fold-order) sequence with
 /// first-error-wins Status propagation. Returned scores are bit-identical
 /// to scoring each param serially, for every thread count and execution
-/// order. When `cache` is non-null every cell clusters through the
-/// per-dataset compute cache (supervision-independent stages — distance
-/// matrix, OPTICS models — are built once and shared across the G×F
-/// cells; results stay byte-identical, see core/dataset_cache.h). When
+/// order. Each fold's training supervision is derived once, before the
+/// fan-out, and shared read-only by the fold's cells. When `cache` is
+/// non-null every cell clusters through the per-dataset compute cache
+/// (supervision-independent stages — distance matrix, OPTICS models — are
+/// built once and shared across the G×F cells; results stay
+/// byte-identical, see core/dataset_cache.h). When
 /// `timings` is non-null it is filled with one entry per cell in
 /// (grid-order, fold-order).
 Result<std::vector<CvScore>> ScoreGridOnFolds(

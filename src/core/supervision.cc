@@ -8,6 +8,9 @@ Supervision Supervision::FromLabels(const Dataset& data,
                                     std::vector<size_t> labeled_objects) {
   CVCP_CHECK(data.has_labels());
   std::sort(labeled_objects.begin(), labeled_objects.end());
+  labeled_objects.erase(
+      std::unique(labeled_objects.begin(), labeled_objects.end()),
+      labeled_objects.end());
   Supervision s;
   s.kind_ = SupervisionKind::kLabels;
   s.sparse_labels_.assign(data.size(), -1);

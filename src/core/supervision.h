@@ -26,7 +26,8 @@ enum class SupervisionKind {
 /// Value type holding one trial's supervision.
 class Supervision {
  public:
-  /// Scenario I from a labeled dataset and the chosen object subset.
+  /// Scenario I from a labeled dataset and the chosen object subset (any
+  /// order; a repeated id counts once).
   static Supervision FromLabels(const Dataset& data,
                                 std::vector<size_t> labeled_objects);
 

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "data/generators.h"
+#include "data/iris.h"
 
 namespace cvcp {
 namespace {
@@ -65,6 +66,13 @@ TEST(SupervisionTest, UnsortedLabeledObjectsAreSorted) {
   Dataset data = TinyData();
   Supervision s = Supervision::FromLabels(data, {4, 0, 2});
   EXPECT_EQ(s.involved_objects(), (std::vector<size_t>{0, 2, 4}));
+}
+
+TEST(SupervisionTest, RepeatedLabeledObjectCountsOnce) {
+  Supervision s = Supervision::FromLabels(MakeIris(), {4, 1, 4});
+  EXPECT_EQ(s.involved_objects(), (std::vector<size_t>{1, 4}));
+  ASSERT_EQ(s.constraints().size(), 1u);
+  EXPECT_EQ(s.constraints().Lookup(1, 4), ConstraintType::kMustLink);
 }
 
 }  // namespace
