@@ -34,8 +34,6 @@ int main(int argc, char** argv) {
     spec.n_folds = n_folds;
     spec.grid = DefaultMinPtsGrid();
     spec.exec.threads = options.threads;
-    spec.trial_threads = options.trial_threads;
-    spec.nesting = options.nesting;
     spec.use_cache = options.cache;
     spec.cache_pool = ctx.cache_pool.get();
 

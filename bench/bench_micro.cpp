@@ -3,27 +3,20 @@
 // extraction, distance kernels and the constraint F-measure. These track
 // the cost model behind the paper-scale benches. Before the
 // google-benchmark suites run, main() prints the scaling tables for the
-// parallel execution engine: CVCP serial-vs-parallel (with cost-model
-// cell ordering), the trial-level fan-out on a wide outer loop,
-// nested-width vs split-budget scheduling on the narrow-outer/wide-inner
-// scenario, and the per-dataset compute cache on the FOSC scenario
-// (cache-on vs cache-off with hit counts and per-stage wall time) —
-// plus the distance-matrix build table (kernel x tiling x storage, with
-// the >= 2x acceptance row) and the f32-vs-f64 CVCP selection-agreement
-// ablation, both mirrored into BENCH_distance.json.
+// parallel execution engine: CVCP serial-vs-parallel (cells run
+// longest-first by the size estimate), the trial-level fan-out on a wide
+// outer loop, and the per-dataset compute cache on the FOSC scenario
+// (cache-on vs cache-off with hit counts and per-stage wall time) — plus
+// the distance-matrix build table (kernel x tiling, with the >= 2x
+// acceptance row), mirrored into BENCH_distance.json.
 //
 // Unlike the paper benches, this binary takes google-benchmark flags; the
-// few engine options it supports (--threads N, --timings-file PATH,
-// --cache-table-only, --store DIR, --json PATH, --distance-json PATH)
-// are stripped from argv before benchmark::Initialize. --timings-file makes the CVCP scaling
-// table save its measured cell timings and, when the file already exists,
-// drives the "file timings" cost-model row from it — the measured
-// schedule persisting across process restarts. --store DIR adds
-// store-cold / store-warm rows to the cache table (the warm row must
-// serve every OPTICS model from disk) and persists the cell timings as a
-// store artifact. Every table row is mirrored into a machine-readable
-// JSON report (--json PATH, default BENCH_micro.json; pass '' to
-// disable).
+// few engine options it supports (--threads N, --cache-table-only,
+// --store DIR, --json PATH, --distance-json PATH) are stripped from argv
+// before benchmark::Initialize. --store DIR adds store-cold / store-warm
+// rows to the cache table (the warm row must serve every OPTICS model
+// from disk). Every table row is mirrored into a machine-readable JSON
+// report (--json PATH, default BENCH_micro.json; pass '' to disable).
 
 #include <benchmark/benchmark.h>
 
@@ -60,7 +53,6 @@
 #include "core/fmeasure.h"
 #include "data/generators.h"
 #include "harness/experiment.h"
-#include "harness/options.h"
 
 namespace {
 
@@ -84,9 +76,9 @@ std::vector<std::string> g_json_rows;
 
 void AddJsonRow(std::string row) { g_json_rows.push_back(std::move(row)); }
 
-// Rows of the distance-build and f32-ablation tables, mirrored into the
-// standalone BENCH_distance.json (--distance-json PATH) on top of the
-// regular BENCH_micro.json rows.
+// Rows of the distance-build table, mirrored into the standalone
+// BENCH_distance.json (--distance-json PATH) on top of the regular
+// BENCH_micro.json rows.
 std::vector<std::string> g_distance_rows;
 
 void AddDistanceRow(const std::string& row) {
@@ -301,17 +293,8 @@ BENCHMARK(BM_ConstraintFMeasure)->Arg(25)->Arg(50)->Arg(100);
 // Serial-vs-parallel CVCP wall time on the engine's target workload: a
 // 10-fold × 8-value MPCKMeans grid (80 clustering cells per run). Also
 // cross-checks that every configuration selects the same parameter with
-// the same score — the engine's determinism guarantee. The final rows
-// feed measured cell_timings back into the cost model
-// (CellCostModel::prior_timings): the "prior timings" row uses this
-// process's first parallel run, the "file timings" row (only with
-// --timings-file and an existing file) uses a *previous invocation's*
-// timings, and with --timings-file the measured timings are saved so the
-// next invocation starts measured-longest-first. With --store the same
-// persistence runs through the artifact store instead of a flat file
-// (the "store timings" row), exercising the cell-timings artifact kind.
-void PrintCvcpScalingTable(const std::string& timings_file,
-                           const std::string& store_dir) {
+// the same score — the engine's determinism guarantee.
+void PrintCvcpScalingTable() {
   Dataset data = BenchData(/*per_cluster=*/40, /*k=*/5, /*dims=*/16);
   Rng rng(23);
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
@@ -322,7 +305,6 @@ void PrintCvcpScalingTable(const std::string& timings_file,
   CvcpConfig config;
   config.cv.n_folds = 10;
   config.param_grid = {2, 3, 4, 5, 6, 7, 8, 9};
-  config.collect_timings = true;
 
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
@@ -341,7 +323,6 @@ void PrintCvcpScalingTable(const std::string& timings_file,
   double serial_ms = 0.0;
   int serial_best = 0;
   double serial_score = 0.0;
-  std::vector<CvCellTiming> measured;
   auto run_row = [&](const char* label, int threads) {
     config.cv.exec.threads = threads;
     Rng run_rng(29);
@@ -351,9 +332,6 @@ void PrintCvcpScalingTable(const std::string& timings_file,
                           std::chrono::steady_clock::now() - start)
                           .count();
     CVCP_CHECK(report.ok());
-    // The first row's measured timings feed the cost-model rows and the
-    // timings file (the serial baseline on single-core machines).
-    if (measured.empty()) measured = report->cell_timings;
     if (threads == 1) {
       serial_ms = ms;
       serial_best = report->best_param;
@@ -380,50 +358,6 @@ void PrintCvcpScalingTable(const std::string& timings_file,
   };
   for (int threads : thread_counts) {
     run_row(threads == 1 ? "(serial)" : "size estimate", threads);
-  }
-  if (hw >= 2) {
-    // Re-run at full width with the measured timings as the cost model.
-    config.cv.cost.prior_timings = measured;
-    run_row("prior timings", hw);
-    config.cv.cost.prior_timings.clear();
-  }
-  if (!timings_file.empty()) {
-    // Cost model persisted across invocations: drive a row from the
-    // previous process's measured timings, then save this run's.
-    auto loaded = cvcp::bench::LoadCellTimings(timings_file);
-    if (loaded.ok() && hw >= 2) {
-      config.cv.cost.prior_timings = std::move(loaded).value();
-      run_row("file timings", hw);
-      config.cv.cost.prior_timings.clear();
-    }
-    const Status saved = cvcp::bench::SaveCellTimings(timings_file, measured);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-    } else {
-      std::printf("saved %zu cell timings to %s\n", measured.size(),
-                  timings_file.c_str());
-    }
-  }
-  if (!store_dir.empty()) {
-    // Same persistence through the artifact store: a previous
-    // invocation's timings (if any) drive a row, then this run's measured
-    // timings are saved under the dataset's content hash.
-    ArtifactStore store(store_dir);
-    const uint64_t key = HashMatrixContent(data.points());
-    auto prior = store.LoadCellTimings(key, "bench_micro_cvcp");
-    if (prior.ok() && hw >= 2) {
-      config.cv.cost.prior_timings = std::move(prior).value();
-      run_row("store timings", hw);
-      config.cv.cost.prior_timings.clear();
-    }
-    const Status saved = store.SaveCellTimings(key, "bench_micro_cvcp",
-                                               measured);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-    } else {
-      std::printf("persisted %zu cell timings to store %s\n",
-                  measured.size(), store_dir.c_str());
-    }
   }
   std::printf("\n");
 }
@@ -602,12 +536,9 @@ void RunExperimentScalingRow(const Dataset& data,
                              const MpckMeansClusterer& clusterer,
                              cvcp::bench::TrialSpec spec, int trials,
                              const char* table, const char* label,
-                             int threads, int trial_threads,
-                             cvcp::NestingPolicy nesting,
+                             int threads,
                              ExperimentScalingBaseline* baseline) {
   spec.exec.threads = threads;
-  spec.trial_threads = trial_threads;
-  spec.nesting = nesting;
   const auto start = std::chrono::steady_clock::now();
   const cvcp::bench::CellAggregate agg =
       cvcp::bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/31);
@@ -641,10 +572,9 @@ void RunExperimentScalingRow(const Dataset& data,
 }
 
 // Serial-vs-parallel wall time for the *trial-level* fan-out in
-// RunExperiment on a wide outer loop (many trials): fully serial, inner
-// (CVCP grid×fold) parallelism only (`trial_threads = 1`, the
-// pre-trial-parallel engine), the all-or-nothing budget split, and the
-// nested-width scheduler.
+// RunExperiment on a wide outer loop (many trials): fully serial, then the
+// nested-width budget (PlanBudget: trial lanes × CVCP cell width ≈
+// budget, help-while-waiting balancing).
 void PrintTrialScalingTable() {
   Dataset data = BenchData(/*per_cluster=*/25, /*k=*/4, /*dims=*/8);
   MpckMeansClusterer clusterer;
@@ -668,77 +598,22 @@ void PrintTrialScalingTable() {
 
   ExperimentScalingBaseline baseline;
   RunExperimentScalingRow(data, clusterer, spec, trials, "trial_scaling",
-                          "serial", 1, 1, NestingPolicy::kSplit, &baseline);
+                          "serial", 1, &baseline);
   if (hw >= 2) {
     RunExperimentScalingRow(data, clusterer, spec, trials, "trial_scaling",
-                            "CVCP-level", hw, 1, NestingPolicy::kSplit,
-                            &baseline);
-    RunExperimentScalingRow(data, clusterer, spec, trials, "trial_scaling",
-                            "trial-level", hw, 0, NestingPolicy::kSplit,
-                            &baseline);
-    RunExperimentScalingRow(data, clusterer, spec, trials, "trial_scaling",
-                            "nested", hw, 0, NestingPolicy::kNested,
-                            &baseline);
+                            "nested", hw, &baseline);
   }
   std::printf("\n");
 }
 
-// The nested scheduler's target scenario: a *narrow* outer loop (few
-// trials) with a wide inner loop (big grid × folds). The all-or-nothing
-// split can only spend the budget at one level — serial trials with
-// parallel cells — so each trial's fold-build/final-clustering sections
-// and cell tails leave the budget idle. The nested-width mode runs trial
-// lanes and their CVCP cells concurrently (lanes × inner width ≈ budget)
-// and help-while-waiting keeps every thread busy until the last cell, so
-// its throughput should be >= the split row's. Uses an explicit 4-thread
-// budget (not hw) so the comparison also exercises queueing on small
-// machines; the determinism column shows results never depend on any of
-// this.
-void PrintNestedVsSplitTable() {
-  Dataset data = BenchData(/*per_cluster=*/30, /*k=*/4, /*dims=*/8);
-  MpckMeansClusterer clusterer;
-
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  const int budget = std::max(4, hw);
-  cvcp::bench::TrialSpec spec;
-  spec.scenario = cvcp::bench::Scenario::kLabels;
-  spec.level = 0.20;
-  spec.n_folds = 5;
-  spec.grid = {2, 3, 4, 5, 6, 7, 8, 9};
-  const int trials = 2;
-
-  std::printf(
-      "=== Nested-width vs split-budget scheduler, few-trials x large-grid "
-      "(MPCKMeans, %d trials, %d-fold x %zu-value grid = %zu cells/trial, "
-      "n=%zu, budget %d, %d hardware threads) ===\n",
-      trials, spec.n_folds, spec.grid.size(),
-      spec.grid.size() * static_cast<size_t>(spec.n_folds), data.size(),
-      budget, hw);
-  std::printf("%-14s %8s %12s %10s %10s %s\n", "mode", "threads", "wall_ms",
-              "speedup", "efficiency", "matches serial");
-
-  ExperimentScalingBaseline baseline;
-  RunExperimentScalingRow(data, clusterer, spec, trials, "nested_vs_split",
-                          "serial", 1, 1, NestingPolicy::kSplit, &baseline);
-  RunExperimentScalingRow(data, clusterer, spec, trials, "nested_vs_split",
-                          "split-budget", budget, 0, NestingPolicy::kSplit,
-                          &baseline);
-  RunExperimentScalingRow(data, clusterer, spec, trials, "nested_vs_split",
-                          "nested-width", budget, 0, NestingPolicy::kNested,
-                          &baseline);
-  std::printf("\n");
-}
-
-// Distance-matrix build across the kernel × tiling × storage space on a
+// Distance-matrix build across the kernel × tiling space on a
 // 64-dimensional blob set. The untiled scalar-legacy row is the pre-SIMD
 // baseline; the tiled fixed-lane row is today's default configuration and
 // its speedup column is the headline number (the CI acceptance bar is
 // >= 2x on this >= 32-dim dataset). Value checks ride along: the tiled
 // build must reproduce the untiled build bit for bit *per kernel policy*
-// and for any thread count, and the f32 row must hold exactly
-// float(f64_value) in every slot. Any check failure flips the process
-// exit code via g_determinism_ok, like the other tables.
+// and for any thread count. Any check failure flips the process exit code
+// via g_determinism_ok, like the other tables.
 void PrintDistanceKernelTable() {
   Rng rng(53);
   Dataset data = MakeBlobs("kernel-bench", /*k=*/8, /*per_cluster=*/64,
@@ -752,7 +627,7 @@ void PrintDistanceKernelTable() {
   fixed.distance_kernel = DistanceKernelPolicy::kFixedLane;
 
   std::printf(
-      "=== Distance-matrix build: kernel x tiling x storage "
+      "=== Distance-matrix build: kernel x tiling "
       "(n=%zu, d=%zu, euclidean, arch=%s) ===\n",
       pts.rows(), pts.cols(), DistanceKernelArch());
   std::printf("%-24s %10s %9s  %s\n", "configuration", "wall_ms", "speedup",
@@ -784,7 +659,7 @@ void PrintDistanceKernelTable() {
   };
 
   std::optional<DistanceMatrix> untiled_legacy, untiled_fixed, tiled_legacy,
-      tiled_fixed, tiled_fixed_t8, tiled_f32;
+      tiled_fixed, tiled_fixed_t8;
   const double ms_untiled_legacy = time_best(
       [&] { return DistanceMatrix::ComputeUntiled(pts, metric, legacy); },
       &untiled_legacy);
@@ -802,61 +677,44 @@ void PrintDistanceKernelTable() {
   const double ms_tiled_fixed_t8 = time_best(
       [&] { return DistanceMatrix::Compute(pts, metric, fixed8); },
       &tiled_fixed_t8);
-  const double ms_tiled_f32 = time_best(
-      [&] {
-        return DistanceMatrix::Compute(pts, metric, fixed,
-                                       DistanceStorage::kF32);
-      },
-      &tiled_f32);
 
   const bool tiled_legacy_ok = same_f64(*tiled_legacy, *untiled_legacy);
   const bool tiled_fixed_ok = same_f64(*tiled_fixed, *untiled_fixed);
   const bool threads_ok = same_f64(*tiled_fixed_t8, *tiled_fixed);
-  bool f32_ok =
-      tiled_f32->condensed32().size() == tiled_fixed->condensed().size();
-  for (size_t i = 0; f32_ok && i < tiled_f32->condensed32().size(); ++i) {
-    f32_ok = std::bit_cast<uint32_t>(tiled_f32->condensed32()[i]) ==
-             std::bit_cast<uint32_t>(
-                 NarrowToF32(tiled_fixed->condensed()[i]));
-  }
-  if (!tiled_legacy_ok || !tiled_fixed_ok || !threads_ok || !f32_ok) {
+  if (!tiled_legacy_ok || !tiled_fixed_ok || !threads_ok) {
     g_determinism_ok = false;
   }
 
   auto emit = [&](const char* label, const char* kernel, bool tiled,
-                  const char* storage, int threads, double ms,
-                  const char* values, bool values_ok) {
+                  int threads, double ms, const char* values,
+                  bool values_ok) {
     const double speedup = ms_untiled_legacy / ms;
     std::printf("%-24s %10.2f %8.2fx  %s\n", label, ms, speedup, values);
     AddDistanceRow(Format(
         "{\"table\": \"distance_build\", \"config\": \"%s\", "
-        "\"kernel\": \"%s\", \"tiled\": %s, \"storage\": \"%s\", "
+        "\"kernel\": \"%s\", \"tiled\": %s, "
         "\"threads\": %d, \"n\": %zu, \"dims\": %zu, \"wall_ms\": %.4f, "
         "\"speedup\": %.3f, \"values_ok\": %s}",
-        label, kernel, tiled ? "true" : "false", storage, threads,
-        pts.rows(), pts.cols(), ms, speedup, values_ok ? "true" : "false"));
+        label, kernel, tiled ? "true" : "false", threads, pts.rows(),
+        pts.cols(), ms, speedup, values_ok ? "true" : "false"));
   };
-  emit("untiled-scalar-legacy", "scalar-legacy", false, "f64", 1,
+  emit("untiled-scalar-legacy", "scalar-legacy", false, 1,
        ms_untiled_legacy, "(baseline)", true);
-  emit("untiled-fixed-lane", "fixed-lane", false, "f64", 1, ms_untiled_fixed,
+  emit("untiled-fixed-lane", "fixed-lane", false, 1, ms_untiled_fixed,
        "(fixed-lane reference)", true);
-  emit("tiled-scalar-legacy", "scalar-legacy", true, "f64", 1,
+  emit("tiled-scalar-legacy", "scalar-legacy", true, 1,
        ms_tiled_legacy,
        tiled_legacy_ok ? "bitwise == untiled-scalar-legacy"
                        : "NO — TILING CHANGED VALUES",
        tiled_legacy_ok);
-  emit("tiled-fixed-lane", "fixed-lane", true, "f64", 1, ms_tiled_fixed,
+  emit("tiled-fixed-lane", "fixed-lane", true, 1, ms_tiled_fixed,
        tiled_fixed_ok ? "bitwise == untiled-fixed-lane"
                       : "NO — TILING CHANGED VALUES",
        tiled_fixed_ok);
-  emit("tiled-fixed-lane", "fixed-lane", true, "f64", 8, ms_tiled_fixed_t8,
+  emit("tiled-fixed-lane", "fixed-lane", true, 8, ms_tiled_fixed_t8,
        threads_ok ? "bitwise == 1-thread build"
                   : "NO — THREAD COUNT CHANGED VALUES",
        threads_ok);
-  emit("tiled-fixed-lane-f32", "fixed-lane", true, "f32", 1, ms_tiled_f32,
-       f32_ok ? "== float(f64 values) exactly"
-              : "NO — F32 NARROWING MISMATCH",
-       f32_ok);
   const double headline = ms_untiled_legacy / ms_tiled_fixed;
   std::printf("default (tiled fixed-lane) vs scalar-legacy baseline: "
               "%.2fx %s\n\n",
@@ -864,81 +722,16 @@ void PrintDistanceKernelTable() {
                                         : "(below the 2x bar)");
 }
 
-// Does float32 distance storage change what CVCP *selects*? Runs the
-// FOSC-OPTICSDend sweep (the algorithm whose entire pipeline sits on the
-// cached matrix) on several blob datasets, once with an f64-storage cache
-// and once with f32, and reports selection agreement plus the largest
-// best-score drift. Informational: rounding-induced drift here is
-// expected and bounded, not a determinism bug — within a storage mode
-// results stay bitwise-reproducible.
-void PrintStorageAblationTable() {
-  FoscOpticsDendClusterer clusterer;
-  CvcpConfig config;
-  config.cv.n_folds = 5;
-  config.param_grid = {3, 4, 5, 6, 7, 8};
-  constexpr int kDatasets = 5;
-
-  std::printf(
-      "=== f32 vs f64 distance storage: CVCP selection agreement "
-      "(FOSC-OPTICSDend, %d-fold x %zu-value MinPts grid, %d datasets) "
-      "===\n",
-      config.cv.n_folds, config.param_grid.size(), kDatasets);
-  std::printf("%-10s %10s %10s %8s %14s\n", "dataset", "pick(f64)",
-              "pick(f32)", "agree", "|score drift|");
-
-  int agreements = 0;
-  double max_drift = 0.0;
-  for (int d = 0; d < kDatasets; ++d) {
-    Rng rng(100 + d);
-    Dataset data = MakeBlobs(Format("abl%d", d), /*k=*/4, /*per_cluster=*/30,
-                             /*dims=*/16, 10.0, 1.0, &rng);
-    auto pool = BuildConstraintPool(data, 0.25, &rng);
-    CVCP_CHECK(pool.ok());
-    auto sampled = SampleConstraints(pool.value(), 0.5, &rng);
-    CVCP_CHECK(sampled.ok());
-    Supervision supervision =
-        Supervision::FromConstraints(std::move(sampled).value());
-    int best[2] = {0, 0};
-    double score[2] = {0.0, 0.0};
-    for (int s = 0; s < 2; ++s) {
-      DatasetCache cache(
-          data.points(),
-          DatasetCacheTiers{nullptr, nullptr,
-                            s == 0 ? DistanceStorage::kF64
-                                   : DistanceStorage::kF32});
-      Rng run_rng(71);
-      auto report = RunCvcp(data, supervision, clusterer, config, &run_rng,
-                            &cache);
-      CVCP_CHECK(report.ok());
-      best[s] = report->best_param;
-      score[s] = report->best_score;
-    }
-    const bool agree = best[0] == best[1];
-    agreements += agree ? 1 : 0;
-    const double drift = std::abs(score[0] - score[1]);
-    max_drift = std::max(max_drift, drift);
-    std::printf("%-10d %10d %10d %8s %14.3e\n", d, best[0], best[1],
-                agree ? "yes" : "no", drift);
-  }
-  std::printf("selection agreement: %d/%d, max |best-score drift| %.3e\n\n",
-              agreements, kDatasets, max_drift);
-  AddDistanceRow(Format(
-      "{\"table\": \"f32_ablation\", \"datasets\": %d, \"agreements\": %d, "
-      "\"max_best_score_drift\": %.6e}",
-      kDatasets, agreements, max_drift));
-}
-
 // This binary's own flags, stripped from argv before google-benchmark
 // sees the rest.
 struct MicroOptions {
   int threads = 0;           // 0 = all hardware threads (cache table width)
-  std::string timings_file;  // persist CVCP cell timings across invocations
   bool cache_table_only = false;  // print the cache table and exit (CI smoke)
-  std::string store_dir;  // artifact store dir: store-cold/warm rows + timings
+  std::string store_dir;  // artifact store dir: store-cold/warm rows
   std::string json_path = "BENCH_micro.json";  // "" (via --json '') disables
-  // Standalone report for the distance-build + f32-ablation rows
-  // (--distance-json PATH; '' disables). Skipped in --cache-table-only
-  // mode, which doesn't run those tables.
+  // Standalone report for the distance-build rows (--distance-json PATH;
+  // '' disables). Skipped in --cache-table-only mode, which doesn't run
+  // that table.
   std::string distance_json_path = "BENCH_distance.json";
 };
 
@@ -948,8 +741,6 @@ MicroOptions StripMicroOptions(int* argc, char** argv) {
   for (int i = 1; i < *argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < *argc) {
       o.threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--timings-file") == 0 && i + 1 < *argc) {
-      o.timings_file = argv[++i];
     } else if (std::strcmp(argv[i], "--cache-table-only") == 0) {
       o.cache_table_only = true;
     } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < *argc) {
@@ -983,10 +774,8 @@ int main(int argc, char** argv) {
     return g_determinism_ok ? 0 : 1;
   }
   PrintDistanceKernelTable();
-  PrintStorageAblationTable();
-  PrintCvcpScalingTable(options.timings_file, options.store_dir);
+  PrintCvcpScalingTable();
   PrintTrialScalingTable();
-  PrintNestedVsSplitTable();
   PrintFoscCacheTable(table_threads, options.store_dir);
   if (!options.json_path.empty()) WriteJsonReport(options.json_path);
   if (!options.distance_json_path.empty()) {

@@ -121,7 +121,6 @@ TrialResult RunTrial(const Dataset& data,
   CvcpConfig config;
   config.cv.n_folds = spec.n_folds;
   config.cv.exec = spec.exec;
-  config.cv.cost.prior_timings = spec.prior_timings;
   config.param_grid = spec.grid;
   Rng cvcp_rng = rng.Fork(2);
   auto report = RunCvcp(data, supervision, clusterer, config, &cvcp_rng,
@@ -237,8 +236,7 @@ CellAggregate RunExperiment(const Dataset& data,
   for (size_t t = 0; t < n_trials; ++t) {
     trial_seeds.push_back(master.Fork(static_cast<uint64_t>(t)).seed());
   }
-  const NestedBudget budget =
-      PlanBudget(spec.exec, n_trials, spec.trial_threads, spec.nesting);
+  const NestedBudget budget = PlanBudget(spec.exec, n_trials);
   TrialSpec trial_spec = spec;
   trial_spec.exec = budget.inner;
   // One compute cache for the dataset, shared by every trial lane: the
@@ -256,9 +254,7 @@ CellAggregate RunExperiment(const Dataset& data,
     if (spec.cache_pool != nullptr) {
       cache_ptr = spec.cache_pool->For(data.points());
     } else {
-      cache.emplace(data.points(),
-                    DatasetCacheTiers{nullptr, nullptr,
-                                      spec.distance_storage});
+      cache.emplace(data.points());
       cache_ptr = &*cache;
     }
   }
@@ -301,8 +297,7 @@ AloiAggregate RunAloiExperiment(const std::vector<Dataset>& collection,
   for (size_t d = 0; d < collection.size(); ++d) {
     dataset_seeds.push_back(master.Fork(d).seed());
   }
-  const NestedBudget budget = PlanBudget(spec.exec, collection.size(),
-                                         spec.trial_threads, spec.nesting);
+  const NestedBudget budget = PlanBudget(spec.exec, collection.size());
   TrialSpec cell_spec = spec;
   cell_spec.exec = budget.inner;
   out.per_dataset.resize(collection.size());

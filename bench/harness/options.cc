@@ -4,9 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/distance.h"
-#include "common/strings.h"
-
 namespace cvcp::bench {
 
 namespace {
@@ -19,12 +16,14 @@ long EnvLong(const char* name, long fallback) {
   return (end != nullptr && *end == '\0') ? parsed : fallback;
 }
 
-/// "nested" / "split" → policy; anything else keeps `fallback`.
-NestingPolicy ParseScheduler(const char* v, NestingPolicy fallback) {
-  if (v == nullptr) return fallback;
-  if (std::strcmp(v, "nested") == 0) return NestingPolicy::kNested;
-  if (std::strcmp(v, "split") == 0) return NestingPolicy::kSplit;
-  return fallback;
+/// Seeds are full 64-bit values: strtoull, not strtol, which would clamp
+/// every seed >= 2^63 to INT64_MAX.
+uint64_t EnvSeed(const char* name, uint64_t fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(v, &end, 10);
+  return (end != nullptr && *end == '\0') ? parsed : fallback;
 }
 
 /// "on"/"1" → true, "off"/"0" → false; anything else keeps `fallback`.
@@ -35,18 +34,24 @@ bool ParseOnOff(const char* v, bool fallback) {
   return fallback;
 }
 
-/// Policy / storage spellings via the library parsers; anything
-/// unrecognized keeps `fallback`.
+/// Policy spellings via the library parser; anything unrecognized keeps
+/// `fallback`.
 DistanceKernelPolicy ParseKernel(const char* v, DistanceKernelPolicy fallback) {
   DistanceKernelPolicy out = fallback;
   if (v != nullptr) ParseDistanceKernelPolicy(v, &out);
   return out;
 }
 
-DistanceStorage ParseStorage(const char* v, DistanceStorage fallback) {
-  DistanceStorage out = fallback;
-  if (v != nullptr) ParseDistanceStorage(v, &out);
-  return out;
+[[noreturn]] void UsageExit(const char* argv0, const char* flag) {
+  std::fprintf(stderr,
+               "%s: unknown flag '%s'\n"
+               "usage: %s [--paper] [--trials N] [--aloi N] [--folds N] "
+               "[--seed N]\n"
+               "       [--threads N] [--cache on|off] [--store DIR] "
+               "[--store-capacity-mb N]\n"
+               "       [--distance-kernel fixed|scalar-legacy|unrolled]\n",
+               argv0, flag, argv0);
+  std::exit(2);
 }
 
 }  // namespace
@@ -57,17 +62,9 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   o.aloi_datasets = static_cast<std::size_t>(
       EnvLong("CVCP_ALOI_DATASETS", static_cast<long>(o.aloi_datasets)));
   o.n_folds = static_cast<int>(EnvLong("CVCP_FOLDS", o.n_folds));
-  o.seed = static_cast<uint64_t>(EnvLong("CVCP_SEED",
-                                         static_cast<long>(o.seed)));
+  o.seed = EnvSeed("CVCP_SEED", o.seed);
   o.threads = static_cast<int>(EnvLong("CVCP_THREADS", o.threads));
-  o.trial_threads =
-      static_cast<int>(EnvLong("CVCP_TRIAL_THREADS", o.trial_threads));
-  o.nesting = ParseScheduler(std::getenv("CVCP_SCHEDULER"), o.nesting);
   o.cache = ParseOnOff(std::getenv("CVCP_CACHE"), o.cache);
-  if (const char* v = std::getenv("CVCP_TIMINGS_FILE");
-      v != nullptr && *v != '\0') {
-    o.timings_file = v;
-  }
   if (const char* v = std::getenv("CVCP_STORE"); v != nullptr && *v != '\0') {
     o.store_dir = v;
   }
@@ -75,8 +72,6 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
       EnvLong("CVCP_STORE_CAPACITY_MB", o.store_capacity_mb));
   o.distance_kernel =
       ParseKernel(std::getenv("CVCP_DISTANCE_KERNEL"), o.distance_kernel);
-  o.distance_storage =
-      ParseStorage(std::getenv("CVCP_DISTANCE_STORAGE"), o.distance_storage);
   for (int i = 1; i < argc; ++i) {
     auto next_long = [&](long fallback) {
       return i + 1 < argc ? std::strtol(argv[++i], nullptr, 10) : fallback;
@@ -93,17 +88,11 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--folds") == 0) {
       o.n_folds = static_cast<int>(next_long(o.n_folds));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      o.seed = static_cast<uint64_t>(next_long(static_cast<long>(o.seed)));
+      if (i + 1 < argc) o.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       o.threads = static_cast<int>(next_long(o.threads));
-    } else if (std::strcmp(argv[i], "--trial-threads") == 0) {
-      o.trial_threads = static_cast<int>(next_long(o.trial_threads));
-    } else if (std::strcmp(argv[i], "--scheduler") == 0) {
-      if (i + 1 < argc) o.nesting = ParseScheduler(argv[++i], o.nesting);
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       if (i + 1 < argc) o.cache = ParseOnOff(argv[++i], o.cache);
-    } else if (std::strcmp(argv[i], "--timings-file") == 0) {
-      if (i + 1 < argc) o.timings_file = argv[++i];
     } else if (std::strcmp(argv[i], "--store") == 0) {
       if (i + 1 < argc) o.store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--store-capacity-mb") == 0) {
@@ -111,16 +100,14 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--distance-kernel") == 0) {
       if (i + 1 < argc) o.distance_kernel = ParseKernel(argv[++i],
                                                         o.distance_kernel);
-    } else if (std::strcmp(argv[i], "--distance-storage") == 0) {
-      if (i + 1 < argc) o.distance_storage = ParseStorage(argv[++i],
-                                                          o.distance_storage);
+    } else {
+      UsageExit(argv[0], argv[i]);
     }
   }
   if (o.trials < 2) o.trials = 2;  // paired t-test needs >= 2
   if (o.n_folds < 2) o.n_folds = 2;
   if (o.aloi_datasets < 1) o.aloi_datasets = 1;
   if (o.threads < 0) o.threads = 0;  // 0 = all hardware threads
-  if (o.trial_threads < 0) o.trial_threads = 0;  // 0 = automatic split
   if (o.store_capacity_mb < 1) o.store_capacity_mb = 1;
   if (o.distance_kernel == DistanceKernelPolicy::kDefault) {
     o.distance_kernel = DefaultDistanceKernelPolicy();
@@ -143,75 +130,13 @@ void PrintBanner(const BenchOptions& options, const std::string& title,
   } else {
     std::snprintf(threads, sizeof(threads), "all hardware threads");
   }
-  char lanes[64];
-  if (options.trial_threads == 0) {
-    std::snprintf(lanes, sizeof(lanes), "auto trial lanes");
-  } else if (options.trial_threads == 1) {
-    std::snprintf(lanes, sizeof(lanes), "serial trials");
-  } else {
-    std::snprintf(lanes, sizeof(lanes), "%d trial lanes",
-                  options.trial_threads);
-  }
-  const char* scheduler =
-      options.nesting == NestingPolicy::kNested ? "nested" : "split";
   std::printf(
-      "scale: %d trials, %zu ALOI sets, %d-fold CV, seed %llu, %s, %s, "
-      "%s scheduler, cache %s, %s kernels, %s distances "
-      "(--paper for full scale)\n\n",
+      "scale: %d trials, %zu ALOI sets, %d-fold CV, seed %llu, %s, "
+      "cache %s, %s kernels (--paper for full scale)\n\n",
       options.trials, options.aloi_datasets, options.n_folds,
-      static_cast<unsigned long long>(options.seed), threads, lanes,
-      scheduler, options.cache ? "on" : "off",
-      DistanceKernelPolicyName(options.distance_kernel),
-      DistanceStorageName(options.distance_storage));
-}
-
-Result<std::vector<CvCellTiming>> LoadCellTimings(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) {
-    return Status::NotFound(Format("cannot open timings file %s",
-                                   path.c_str()));
-  }
-  std::vector<CvCellTiming> timings;
-  char line[256];
-  int line_no = 0;
-  while (std::fgets(line, sizeof(line), file) != nullptr) {
-    ++line_no;
-    // Skip blank lines and comments.
-    const char* p = line;
-    while (*p == ' ' || *p == '\t') ++p;
-    if (*p == '\0' || *p == '\n' || *p == '#') continue;
-    CvCellTiming timing;
-    if (std::sscanf(p, "%d,%d,%lf", &timing.param, &timing.fold,
-                    &timing.wall_ms) != 3) {
-      std::fclose(file);
-      return Status::InvalidArgument(
-          Format("malformed timings line %d in %s", line_no, path.c_str()));
-    }
-    timings.push_back(timing);
-  }
-  std::fclose(file);
-  return timings;
-}
-
-Status SaveCellTimings(const std::string& path,
-                       const std::vector<CvCellTiming>& timings) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::InvalidArgument(
-        Format("cannot write timings file %s", path.c_str()));
-  }
-  std::fprintf(file, "# param,fold,wall_ms (CvcpReport::cell_timings)\n");
-  for (const CvCellTiming& timing : timings) {
-    // %.17g round-trips doubles, so reload == save exactly.
-    std::fprintf(file, "%d,%d,%.17g\n", timing.param, timing.fold,
-                 timing.wall_ms);
-  }
-  const bool write_failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (write_failed) {
-    return Status::Internal(Format("short write to %s", path.c_str()));
-  }
-  return Status::OK();
+      static_cast<unsigned long long>(options.seed), threads,
+      options.cache ? "on" : "off",
+      DistanceKernelPolicyName(options.distance_kernel));
 }
 
 }  // namespace cvcp::bench

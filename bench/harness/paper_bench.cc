@@ -29,12 +29,8 @@ TrialSpec SpecFor(const PaperBenchContext& ctx, BenchAlgo algo,
   spec.with_silhouette = algo != BenchAlgo::kFosc;
   spec.exec.threads = ctx.options.threads;
   spec.exec.distance_kernel = ctx.options.distance_kernel;
-  spec.distance_storage = ctx.options.distance_storage;
-  spec.trial_threads = ctx.options.trial_threads;
-  spec.nesting = ctx.options.nesting;
   spec.use_cache = ctx.options.cache;
   spec.cache_pool = ctx.cache_pool.get();
-  spec.prior_timings = ctx.prior_timings;
   return spec;
 }
 
@@ -51,23 +47,12 @@ PaperBenchContext MakeContext(const BenchOptions& options) {
   ctx.options = options;
   ctx.aloi = MakeAloiK5Collection(options.seed, options.aloi_datasets);
   ctx.suite = MakePaperSuite(options.seed);
-  if (!options.timings_file.empty()) {
-    auto timings = LoadCellTimings(options.timings_file);
-    if (timings.ok()) {
-      ctx.prior_timings = std::move(timings).value();
-    } else if (timings.status().code() != StatusCode::kNotFound) {
-      // A missing file is normal on the first run; anything else (e.g. a
-      // corrupt file) deserves a loud note but must not kill the bench.
-      std::fprintf(stderr, "ignoring timings file: %s\n",
-                   timings.status().ToString().c_str());
-    }
-  }
   if (!options.store_dir.empty()) {
     ctx.store = std::make_unique<ArtifactStore>(options.store_dir);
   }
   ctx.cache_pool = std::make_unique<DatasetCachePool>(
       static_cast<size_t>(options.store_capacity_mb) * 1024 * 1024,
-      ctx.store.get(), options.distance_storage);
+      ctx.store.get());
   return ctx;
 }
 

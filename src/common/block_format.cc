@@ -70,13 +70,6 @@ void BlockBuilder::AppendDoubles(std::span<const double> values) {
   records_.push_back(std::move(record));
 }
 
-void BlockBuilder::AppendFloats(std::span<const float> values) {
-  std::string record;
-  record.reserve(values.size() * 4);
-  for (float v : values) PutU32(&record, std::bit_cast<uint32_t>(v));
-  records_.push_back(std::move(record));
-}
-
 void BlockBuilder::AppendSizes(std::span<const size_t> values) {
   std::string record;
   record.reserve(values.size() * 8);
@@ -215,20 +208,6 @@ Result<std::vector<double>> BlockReader::ReadDoubles() {
   std::vector<double> out(record.size() / 8);
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = std::bit_cast<double>(GetU64(record.subspan(i * 8)));
-  }
-  return out;
-}
-
-Result<std::vector<float>> BlockReader::ReadFloats() {
-  CVCP_ASSIGN_OR_RETURN(std::span<const std::byte> record, NextRecord(-1));
-  if (record.size() % 4 != 0) {
-    return Status::Corruption(
-        Format("float record of %zu bytes is not a multiple of 4",
-               record.size()));
-  }
-  std::vector<float> out(record.size() / 4);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = std::bit_cast<float>(GetU32(record.subspan(i * 4)));
   }
   return out;
 }

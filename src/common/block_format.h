@@ -59,10 +59,6 @@ class BlockBuilder {
   void AppendU32(uint32_t v);
   void AppendU64(uint64_t v);
   void AppendDoubles(std::span<const double> values);
-  /// f32 values as their IEEE-754 bit patterns (via u32) — the condensed
-  /// payload of float32-storage distance matrices. Bit-exact round trip,
-  /// NaNs included, same as AppendDoubles.
-  void AppendFloats(std::span<const float> values);
   void AppendSizes(std::span<const size_t> values);  ///< stored as u64s
   void AppendString(std::string_view s);
 
@@ -98,9 +94,6 @@ class BlockReader {
   /// The next record as a vector of doubles (record length must be a
   /// multiple of 8).
   Result<std::vector<double>> ReadDoubles();
-  /// The next record as a vector of floats (record length must be a
-  /// multiple of 4).
-  Result<std::vector<float>> ReadFloats();
   Result<std::vector<size_t>> ReadSizes();
   Result<std::string> ReadString();
 

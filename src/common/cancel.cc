@@ -46,11 +46,4 @@ void CancelSource::SetDeadlineAfterMs(uint64_t ms) {
                             std::memory_order_release);
 }
 
-bool CancelSource::DeadlineExpired() const {
-  const int64_t deadline =
-      state_->deadline_ns.load(std::memory_order_acquire);
-  return deadline != internal::CancelState::kNoDeadlineNs &&
-         internal::SteadyNowNs() >= deadline;
-}
-
 }  // namespace cvcp

@@ -102,8 +102,12 @@ class CancelSource {
   /// Sets the deadline `ms` milliseconds from now.
   void SetDeadlineAfterMs(uint64_t ms);
 
-  /// True when a deadline is set and has passed.
-  bool DeadlineExpired() const;
+  /// The deadline in internal::SteadyNowNs() nanoseconds, or
+  /// internal::CancelState::kNoDeadlineNs when none is set — which is also
+  /// what a deadline too far out to represent saturates to.
+  int64_t DeadlineNs() const {
+    return state_->deadline_ns.load(std::memory_order_acquire);
+  }
 
   CancelToken token() const { return CancelToken(state_); }
 

@@ -74,18 +74,7 @@ DistanceMatrix DistanceMatrix::FromCondensed(size_t n,
   CVCP_CHECK_EQ(data.size(), n < 2 ? 0 : n * (n - 1) / 2);
   DistanceMatrix dm;
   dm.n_ = n;
-  dm.storage_ = DistanceStorage::kF64;
   dm.data_ = std::move(data);
-  return dm;
-}
-
-DistanceMatrix DistanceMatrix::FromCondensed32(size_t n,
-                                               std::vector<float> data) {
-  CVCP_CHECK_EQ(data.size(), n < 2 ? 0 : n * (n - 1) / 2);
-  DistanceMatrix dm;
-  dm.n_ = n;
-  dm.storage_ = DistanceStorage::kF32;
-  dm.data32_ = std::move(data);
   return dm;
 }
 
@@ -134,8 +123,7 @@ size_t PanelRows(size_t dims) {
 }  // namespace
 
 DistanceMatrix DistanceMatrix::Compute(const Matrix& points, Metric metric,
-                                       const ExecutionContext& exec_in,
-                                       DistanceStorage storage) {
+                                       const ExecutionContext& exec_in) {
   // Artifact builds are all-or-nothing: the matrix may be published into
   // the shared DatasetCache / artifact store, where another (non-cancelled)
   // job would consume it, so a live cancel token must never skip tiles.
@@ -146,18 +134,9 @@ DistanceMatrix DistanceMatrix::Compute(const Matrix& points, Metric metric,
   DistanceMatrix dm;
   const size_t n = points.rows();
   dm.n_ = n;
-  dm.storage_ = storage;
   if (n < 2) return dm;
-  const size_t condensed_size = n * (n - 1) / 2;
-  double* out64 = nullptr;
-  float* out32 = nullptr;
-  if (storage == DistanceStorage::kF32) {
-    dm.data32_.resize(condensed_size);
-    out32 = dm.data32_.data();
-  } else {
-    dm.data_.resize(condensed_size);
-    out64 = dm.data_.data();
-  }
+  dm.data_.resize(n * (n - 1) / 2);
+  double* out = dm.data_.data();
 
   const MetricKernel kernel = SelectMetricKernel(metric, exec.distance_kernel);
   const size_t d = points.cols();
@@ -204,22 +183,14 @@ DistanceMatrix DistanceMatrix::Compute(const Matrix& points, Metric metric,
           kernel.batch4(row_i, col, d, d, values);
           for (double value : values) {
             if (kernel.sqrt_after) value = std::sqrt(value);
-            if (out32 != nullptr) {
-              out32[idx++] = NarrowToF32(value);
-            } else {
-              out64[idx++] = value;
-            }
+            out[idx++] = value;
           }
         }
       }
       for (; j < c1; ++j, col += d) {
         double value = kernel.fn(row_i, col, d);
         if (kernel.sqrt_after) value = std::sqrt(value);
-        if (out32 != nullptr) {
-          out32[idx++] = NarrowToF32(value);
-        } else {
-          out64[idx++] = value;
-        }
+        out[idx++] = value;
       }
     }
   });

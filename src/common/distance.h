@@ -12,7 +12,6 @@
 /// are bitwise-identical for any thread count, tiling, and hardware.
 
 #include <cstddef>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -68,32 +67,8 @@ void SetUnrolledDistanceKernels(bool enabled);
 /// DEPRECATED shim: whether the process-default policy is `kUnrolled`.
 bool UnrolledDistanceKernelsEnabled();
 
-/// Deterministic double→float narrowing for the f32 storage mode.
-/// `static_cast<float>` of a finite double beyond float range is
-/// undefined behavior ([conv.double]), so the overflow case is made
-/// explicit: finite values at or past the IEEE round-to-nearest-even
-/// overflow threshold (0x1.ffffffp+127, halfway between FLT_MAX and
-/// 2^128) saturate to ±infinity, and everything below it narrows with
-/// the ordinary correctly-rounded cast — bit-identical to what
-/// hardware conversion produces for every input, but defined for all
-/// of them. Every f32 narrowing site must go through this helper
-/// (pinned by tests/distance_test.cc's overflow cases and the
-/// float-cast-overflow sanitizer leg of the asan-ubsan CI job).
-inline float NarrowToF32(double value) {
-  constexpr double kOverflowThreshold = 0x1.ffffffp+127;
-  if (value >= kOverflowThreshold) {
-    return std::numeric_limits<float>::infinity();
-  }
-  if (value <= -kOverflowThreshold) {
-    return -std::numeric_limits<float>::infinity();
-  }
-  return static_cast<float>(value);
-}
-
 /// Precomputed symmetric pairwise distances, condensed upper-triangular
-/// storage: n*(n-1)/2 values. Diagonal is implicitly zero. Values are
-/// always computed in double precision; the storage mode optionally
-/// narrows them to float (DistanceStorage::kF32) for half the memory.
+/// storage: n*(n-1)/2 values. Diagonal is implicitly zero.
 class DistanceMatrix {
  public:
   DistanceMatrix() : n_(0) {}
@@ -106,58 +81,32 @@ class DistanceMatrix {
   /// its own condensed slot, so the result is bit-identical for any
   /// thread count and any tile shape (pinned against ComputeUntiled).
   static DistanceMatrix Compute(const Matrix& points, Metric metric,
-                                const ExecutionContext& exec = {},
-                                DistanceStorage storage =
-                                    DistanceStorage::kF64);
+                                const ExecutionContext& exec = {});
 
   /// The pre-tiling row sweep (one task per row), kept as the oracle the
-  /// tiled build is pinned against and as the bench baseline. f64 only.
+  /// tiled build is pinned against and as the bench baseline.
   static DistanceMatrix ComputeUntiled(const Matrix& points, Metric metric,
                                        const ExecutionContext& exec = {});
 
-  /// Rehydrates a matrix from condensed f64 storage (the artifact
-  /// store's deserialization path). `data` must hold exactly n*(n-1)/2
-  /// entries.
+  /// Rehydrates a matrix from condensed storage (the artifact store's
+  /// deserialization path). `data` must hold exactly n*(n-1)/2 entries.
   static DistanceMatrix FromCondensed(size_t n, std::vector<double> data);
-
-  /// Rehydrates a matrix from condensed f32 storage.
-  static DistanceMatrix FromCondensed32(size_t n, std::vector<float> data);
 
   size_t n() const { return n_; }
 
-  /// How the condensed values are stored (f64 unless Compute was asked
-  /// for f32).
-  DistanceStorage storage() const { return storage_; }
-
-  /// The raw condensed upper-triangular f64 storage, in CondensedIndex
-  /// order (the artifact store's serialization path). Only valid when
-  /// `storage() == kF64`.
-  const std::vector<double>& condensed() const {
-    CVCP_CHECK(storage_ == DistanceStorage::kF64);
-    return data_;
-  }
-
-  /// The raw condensed f32 storage. Only valid when `storage() == kF32`.
-  const std::vector<float>& condensed32() const {
-    CVCP_CHECK(storage_ == DistanceStorage::kF32);
-    return data32_;
-  }
+  /// The raw condensed upper-triangular storage, in CondensedIndex order
+  /// (the artifact store's serialization path).
+  const std::vector<double>& condensed() const { return data_; }
 
   /// Bytes held by the condensed storage (the memory-tier cache charge).
-  size_t MemoryBytes() const {
-    return data_.size() * sizeof(double) + data32_.size() * sizeof(float);
-  }
+  size_t MemoryBytes() const { return data_.size() * sizeof(double); }
 
-  /// Distance between objects i and j (order-insensitive). f32 storage
-  /// widens back to double on read.
+  /// Distance between objects i and j (order-insensitive).
   double operator()(size_t i, size_t j) const {
     CVCP_DCHECK_LT(i, n_);
     CVCP_DCHECK_LT(j, n_);
     if (i == j) return 0.0;
-    const size_t idx = CondensedIndex(i, j);
-    return storage_ == DistanceStorage::kF32
-               ? static_cast<double>(data32_[idx])
-               : data_[idx];
+    return data_[CondensedIndex(i, j)];
   }
 
   /// Index of the (i, j) pair (i != j, order-insensitive) in the condensed
@@ -173,9 +122,7 @@ class DistanceMatrix {
 
  private:
   size_t n_;
-  DistanceStorage storage_ = DistanceStorage::kF64;
   std::vector<double> data_;
-  std::vector<float> data32_;
 };
 
 }  // namespace cvcp

@@ -335,23 +335,6 @@ bool ParseDistanceKernelPolicy(const char* name, DistanceKernelPolicy* out) {
   return false;
 }
 
-const char* DistanceStorageName(DistanceStorage storage) {
-  return storage == DistanceStorage::kF32 ? "f32" : "f64";
-}
-
-bool ParseDistanceStorage(const char* name, DistanceStorage* out) {
-  if (name == nullptr) return false;
-  if (std::strcmp(name, "f64") == 0 || std::strcmp(name, "double") == 0) {
-    *out = DistanceStorage::kF64;
-    return true;
-  }
-  if (std::strcmp(name, "f32") == 0 || std::strcmp(name, "float") == 0) {
-    *out = DistanceStorage::kF32;
-    return true;
-  }
-  return false;
-}
-
 const DistanceKernels& GetDistanceKernels(DistanceKernelPolicy policy) {
   switch (ResolveDistanceKernelPolicy(policy)) {
     case DistanceKernelPolicy::kScalarLegacy:

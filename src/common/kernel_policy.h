@@ -61,23 +61,6 @@ const char* DistanceKernelPolicyName(DistanceKernelPolicy policy);
 /// unrecognized name.
 bool ParseDistanceKernelPolicy(const char* name, DistanceKernelPolicy* out);
 
-/// How a `DistanceMatrix` stores its condensed values. Distances are
-/// always *computed* in double precision; `kF32` narrows each value to
-/// float on store (half the memory and disk bytes, ~1e-7 relative
-/// rounding on read-back). Artifacts of the two modes are keyed apart
-/// and never satisfy each other.
-enum class DistanceStorage {
-  kF64 = 0,
-  kF32 = 1,
-};
-
-/// Stable display name: "f64" / "f32".
-const char* DistanceStorageName(DistanceStorage storage);
-
-/// Parses "f64" / "f32" (also "double" / "float"). Returns false and
-/// leaves `*out` untouched on an unrecognized name.
-bool ParseDistanceStorage(const char* name, DistanceStorage* out);
-
 }  // namespace cvcp
 
 #endif  // CVCP_COMMON_KERNEL_POLICY_H_

@@ -94,15 +94,15 @@ class CondVar {
     lock.release();
   }
 
-  /// Timed wait: like `Wait` but returns after at most `timeout_ms`
-  /// milliseconds. Returns false on timeout, true when notified. Same
-  /// contract otherwise — hold `*mu`, loop on the condition. Exists for
-  /// periodic scanners (the server's deadline watchdog) that must wake on
-  /// a schedule but still stop promptly when notified.
-  bool WaitFor(Mutex* mu, int64_t timeout_ms) REQUIRES(mu) {
+  /// Timed wait: like `Wait` but returns once `deadline` (monotonic)
+  /// passes. Returns false on timeout, true when notified. Same contract
+  /// otherwise — hold `*mu`, loop on the condition. Exists for the
+  /// server's deadline watchdog, which sleeps until the earliest queued
+  /// deadline but must still wake promptly when notified.
+  bool WaitUntil(Mutex* mu, std::chrono::steady_clock::time_point deadline)
+      REQUIRES(mu) {
     std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
-    const std::cv_status status =
-        cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms));
+    const std::cv_status status = cv_.wait_until(lock, deadline);
     lock.release();
     return status == std::cv_status::no_timeout;
   }

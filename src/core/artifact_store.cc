@@ -34,90 +34,39 @@ const char* MetricTag(Metric metric) {
   return "unknown";
 }
 
-/// "-f32" on every float32-family filename keeps the two storage modes in
-/// disjoint key spaces within one directory; f64 names are unchanged from
-/// earlier versions.
-const char* StorageSuffix(DistanceStorage storage) {
-  return storage == DistanceStorage::kF32 ? "-f32" : "";
+std::string DistanceFileName(uint64_t hash, Metric metric) {
+  return Format("%016llx-%s-dist.cvcp", static_cast<unsigned long long>(hash),
+                MetricTag(metric));
 }
 
-std::string DistanceFileName(uint64_t hash, Metric metric,
-                             DistanceStorage storage) {
-  return Format("%016llx-%s-dist%s.cvcp",
+std::string OpticsFileName(uint64_t hash, Metric metric, int min_pts) {
+  return Format("%016llx-%s-mp%03d-optics.cvcp",
                 static_cast<unsigned long long>(hash), MetricTag(metric),
-                StorageSuffix(storage));
+                min_pts);
 }
 
-std::string OpticsFileName(uint64_t hash, Metric metric, int min_pts,
-                           DistanceStorage storage) {
-  return Format("%016llx-%s-mp%03d-optics%s.cvcp",
-                static_cast<unsigned long long>(hash), MetricTag(metric),
-                min_pts, StorageSuffix(storage));
-}
-
-/// Trailing record of an f32-derived optics block; f64 blocks have no
-/// trailing record at all, so neither decodes as the other.
-constexpr uint32_t kOpticsF32Marker = 1;
-
-/// Tags come from callers (bench names); squash anything that is not
-/// filename-safe so a tag can never escape the store directory.
-std::string SanitizeTag(const std::string& tag) {
-  std::string out = tag;
-  for (char& c : out) {
-    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '_';
-    if (!safe) c = '_';
-  }
-  return out;
-}
-
-std::string TimingsFileName(uint64_t hash, const std::string& tag) {
-  return Format("%016llx-%s-timings.cvcp",
-                static_cast<unsigned long long>(hash),
-                SanitizeTag(tag).c_str());
-}
-
-/// Ints ride in u64 records with sign extension, so negative values (not
-/// expected, but legal in CvCellTiming) round-trip exactly.
-uint64_t EncodeInt(int v) {
-  return static_cast<uint64_t>(static_cast<int64_t>(v));
-}
-
-int DecodeInt(uint64_t v) {
-  return static_cast<int>(static_cast<int64_t>(v));
-}
-
-/// Fills `storage` + `decoded_key` of a listed file from its validated
-/// block records, and cross-checks the filename's "-f32" suffix against
-/// what the payload actually is — a renamed file surfaces as invalid here
-/// (`store_inspect verify` fails on it). Record-level read failures mean
-/// encoder/decoder schema drift and also mark the file invalid.
+/// Fills `decoded_key` of a listed file from its validated block records.
+/// A kind this build does not read (including the reserved legacy kinds)
+/// or a record-level read failure (encoder/decoder schema drift) marks
+/// the file invalid, so `store_inspect verify` fails on it.
 void DescribeArtifact(BlockReader* reader, ArtifactFileInfo* info) {
-  const bool name_f32 = info->filename.find("-f32.cvcp") != std::string::npos;
   auto fail = [&](std::string why) {
     info->valid = false;
     info->detail = std::move(why);
   };
   switch (static_cast<ArtifactKind>(info->kind)) {
-    case ArtifactKind::kDistanceMatrix:
-    case ArtifactKind::kDistanceMatrixF32: {
-      const bool f32 = static_cast<ArtifactKind>(info->kind) ==
-                       ArtifactKind::kDistanceMatrixF32;
+    case ArtifactKind::kDistanceMatrix: {
       Result<uint64_t> hash = reader->ReadU64();
       Result<uint32_t> metric = reader->ReadU32();
       Result<uint64_t> n = reader->ReadU64();
       if (!hash.ok() || !metric.ok() || !n.ok()) {
         return fail("undecodable distance key records");
       }
-      info->storage = f32 ? "f32" : "f64";
       info->decoded_key =
           Format("hash=%016llx metric=%s n=%llu",
                  static_cast<unsigned long long>(*hash),
                  MetricTag(static_cast<Metric>(*metric)),
                  static_cast<unsigned long long>(*n));
-      if (f32 != name_f32) {
-        fail("filename storage suffix disagrees with block kind");
-      }
       break;
     }
     case ArtifactKind::kOpticsModel: {
@@ -131,36 +80,15 @@ void DescribeArtifact(BlockReader* reader, ArtifactFileInfo* info) {
           !reach.ok() || !core.ok()) {
         return fail("undecodable optics records");
       }
-      bool f32 = false;
-      if (reader->remaining() > 0) {
-        Result<uint32_t> marker = reader->ReadU32();
-        if (!marker.ok() || *marker != kOpticsF32Marker) {
-          return fail("unrecognized optics trailing record");
-        }
-        f32 = true;
-      }
-      info->storage = f32 ? "f32" : "f64";
       info->decoded_key = Format(
           "hash=%016llx metric=%s mp=%03u n=%zu",
           static_cast<unsigned long long>(*hash),
           MetricTag(static_cast<Metric>(*metric)), *min_pts, order->size());
-      if (f32 != name_f32) {
-        fail("filename storage suffix disagrees with payload storage marker");
-      }
-      break;
-    }
-    case ArtifactKind::kCellTimings: {
-      Result<uint64_t> hash = reader->ReadU64();
-      Result<std::string> tag = reader->ReadString();
-      if (!hash.ok() || !tag.ok()) {
-        return fail("undecodable timings key records");
-      }
-      info->decoded_key =
-          Format("hash=%016llx tag=%s",
-                 static_cast<unsigned long long>(*hash), tag->c_str());
+      if (reader->remaining() > 0) fail("unexpected optics trailing records");
       break;
     }
     default:
+      fail(Format("unknown artifact kind %u", info->kind));
       break;
   }
 }
@@ -173,10 +101,6 @@ const char* ArtifactKindName(ArtifactKind kind) {
       return "distances";
     case ArtifactKind::kOpticsModel:
       return "optics";
-    case ArtifactKind::kCellTimings:
-      return "timings";
-    case ArtifactKind::kDistanceMatrixF32:
-      return "distances-f32";
   }
   return "unknown";
 }
@@ -227,48 +151,8 @@ Result<DistanceMatrix> DecodeDistanceMatrix(std::string bytes,
                                        std::move(condensed));
 }
 
-std::string EncodeDistanceMatrix32(uint64_t dataset_hash, Metric metric,
-                                   const DistanceMatrix& matrix) {
-  BlockBuilder builder(
-      static_cast<uint32_t>(ArtifactKind::kDistanceMatrixF32));
-  builder.AppendU64(dataset_hash);
-  builder.AppendU32(static_cast<uint32_t>(metric));
-  builder.AppendU64(matrix.n());
-  builder.AppendFloats(matrix.condensed32());
-  return builder.Finish();
-}
-
-Result<DistanceMatrix> DecodeDistanceMatrix32(std::string bytes,
-                                              uint64_t dataset_hash,
-                                              Metric metric) {
-  CVCP_ASSIGN_OR_RETURN(
-      BlockReader reader,
-      BlockReader::Open(
-          std::move(bytes),
-          static_cast<uint32_t>(ArtifactKind::kDistanceMatrixF32)));
-  CVCP_ASSIGN_OR_RETURN(uint64_t stored_hash, reader.ReadU64());
-  CVCP_ASSIGN_OR_RETURN(uint32_t stored_metric, reader.ReadU32());
-  if (stored_hash != dataset_hash ||
-      stored_metric != static_cast<uint32_t>(metric)) {
-    return Status::Corruption(
-        "f32 distance block is keyed to a different (dataset, metric)");
-  }
-  CVCP_ASSIGN_OR_RETURN(uint64_t n, reader.ReadU64());
-  CVCP_ASSIGN_OR_RETURN(std::vector<float> condensed, reader.ReadFloats());
-  const uint64_t expected = n < 2 ? 0 : n * (n - 1) / 2;
-  if (condensed.size() != expected) {
-    return Status::Corruption(
-        Format("f32 distance block for n=%llu has %zu entries, expected %llu",
-               static_cast<unsigned long long>(n), condensed.size(),
-               static_cast<unsigned long long>(expected)));
-  }
-  return DistanceMatrix::FromCondensed32(static_cast<size_t>(n),
-                                         std::move(condensed));
-}
-
 std::string EncodeOpticsModel(uint64_t dataset_hash, Metric metric,
-                              int min_pts, const OpticsResult& optics,
-                              DistanceStorage storage) {
+                              int min_pts, const OpticsResult& optics) {
   BlockBuilder builder(static_cast<uint32_t>(ArtifactKind::kOpticsModel));
   builder.AppendU64(dataset_hash);
   builder.AppendU32(static_cast<uint32_t>(metric));
@@ -276,13 +160,12 @@ std::string EncodeOpticsModel(uint64_t dataset_hash, Metric metric,
   builder.AppendSizes(optics.order);
   builder.AppendDoubles(optics.reachability);
   builder.AppendDoubles(optics.core_distance);
-  if (storage == DistanceStorage::kF32) builder.AppendU32(kOpticsF32Marker);
   return builder.Finish();
 }
 
 Result<OpticsResult> DecodeOpticsModel(std::string bytes,
                                        uint64_t dataset_hash, Metric metric,
-                                       int min_pts, DistanceStorage storage) {
+                                       int min_pts) {
   CVCP_ASSIGN_OR_RETURN(
       BlockReader reader,
       BlockReader::Open(std::move(bytes),
@@ -308,70 +191,10 @@ Result<OpticsResult> DecodeOpticsModel(std::string bytes,
                optics.order.size(), optics.reachability.size(),
                optics.core_distance.size()));
   }
-  if (storage == DistanceStorage::kF32) {
-    CVCP_ASSIGN_OR_RETURN(uint32_t marker, reader.ReadU32());
-    if (marker != kOpticsF32Marker) {
-      return Status::Corruption(
-          Format("optics block trailing marker is %u, expected the f32 "
-                 "marker %u",
-                 marker, kOpticsF32Marker));
-    }
-  } else if (reader.remaining() != 0) {
-    return Status::Corruption(
-        "f64 optics key resolved to a block with trailing records "
-        "(f32-derived model)");
+  if (reader.remaining() != 0) {
+    return Status::Corruption("optics block has unexpected trailing records");
   }
   return optics;
-}
-
-std::string EncodeCellTimings(uint64_t key_hash, const std::string& tag,
-                              const std::vector<CvCellTiming>& timings) {
-  BlockBuilder builder(static_cast<uint32_t>(ArtifactKind::kCellTimings));
-  builder.AppendU64(key_hash);
-  builder.AppendString(tag);
-  std::vector<size_t> params(timings.size());
-  std::vector<size_t> folds(timings.size());
-  std::vector<double> wall(timings.size());
-  for (size_t i = 0; i < timings.size(); ++i) {
-    params[i] = EncodeInt(timings[i].param);
-    folds[i] = EncodeInt(timings[i].fold);
-    wall[i] = timings[i].wall_ms;
-  }
-  builder.AppendSizes(params);
-  builder.AppendSizes(folds);
-  builder.AppendDoubles(wall);
-  return builder.Finish();
-}
-
-Result<std::vector<CvCellTiming>> DecodeCellTimings(std::string bytes,
-                                                    uint64_t key_hash,
-                                                    const std::string& tag) {
-  CVCP_ASSIGN_OR_RETURN(
-      BlockReader reader,
-      BlockReader::Open(std::move(bytes),
-                        static_cast<uint32_t>(ArtifactKind::kCellTimings)));
-  CVCP_ASSIGN_OR_RETURN(uint64_t stored_hash, reader.ReadU64());
-  CVCP_ASSIGN_OR_RETURN(std::string stored_tag, reader.ReadString());
-  if (stored_hash != key_hash || stored_tag != tag) {
-    return Status::Corruption(
-        "timings block is keyed to a different (hash, tag)");
-  }
-  CVCP_ASSIGN_OR_RETURN(std::vector<size_t> params, reader.ReadSizes());
-  CVCP_ASSIGN_OR_RETURN(std::vector<size_t> folds, reader.ReadSizes());
-  CVCP_ASSIGN_OR_RETURN(std::vector<double> wall, reader.ReadDoubles());
-  if (folds.size() != params.size() || wall.size() != params.size()) {
-    return Status::Corruption(
-        Format("timings block arrays disagree: %zu params, %zu folds, "
-               "%zu walls",
-               params.size(), folds.size(), wall.size()));
-  }
-  std::vector<CvCellTiming> out(params.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i].param = DecodeInt(params[i]);
-    out[i].fold = DecodeInt(folds[i]);
-    out[i].wall_ms = wall[i];
-  }
-  return out;
 }
 
 ArtifactStore::ArtifactStore(std::string directory)
@@ -420,17 +243,11 @@ Status ArtifactStore::WriteFileAtomic(const std::string& filename,
 }
 
 Result<DistanceMatrix> ArtifactStore::LoadDistances(uint64_t dataset_hash,
-                                                    Metric metric,
-                                                    DistanceStorage storage) {
-  Result<std::string> bytes =
-      ReadFile(DistanceFileName(dataset_hash, metric, storage));
+                                                    Metric metric) {
+  Result<std::string> bytes = ReadFile(DistanceFileName(dataset_hash, metric));
   if (!bytes.ok()) return ClassifyMiss(bytes.status());
   Result<DistanceMatrix> decoded =
-      storage == DistanceStorage::kF32
-          ? DecodeDistanceMatrix32(std::move(bytes).value(), dataset_hash,
-                                   metric)
-          : DecodeDistanceMatrix(std::move(bytes).value(), dataset_hash,
-                                 metric);
+      DecodeDistanceMatrix(std::move(bytes).value(), dataset_hash, metric);
   if (!decoded.ok()) return ClassifyMiss(decoded.status());
   disk_hits_.fetch_add(1, std::memory_order_relaxed);
   return decoded;
@@ -438,55 +255,29 @@ Result<DistanceMatrix> ArtifactStore::LoadDistances(uint64_t dataset_hash,
 
 Status ArtifactStore::SaveDistances(uint64_t dataset_hash, Metric metric,
                                     const DistanceMatrix& matrix) {
-  // The matrix's own storage mode picks the artifact family; encoder and
-  // filename always agree.
-  if (matrix.storage() == DistanceStorage::kF32) {
-    return WriteFileAtomic(
-        DistanceFileName(dataset_hash, metric, DistanceStorage::kF32),
-        EncodeDistanceMatrix32(dataset_hash, metric, matrix));
-  }
-  return WriteFileAtomic(
-      DistanceFileName(dataset_hash, metric, DistanceStorage::kF64),
-      EncodeDistanceMatrix(dataset_hash, metric, matrix));
+  return WriteFileAtomic(DistanceFileName(dataset_hash, metric),
+                         EncodeDistanceMatrix(dataset_hash, metric, matrix));
 }
 
 Result<OpticsResult> ArtifactStore::LoadOpticsModel(uint64_t dataset_hash,
-                                                    Metric metric, int min_pts,
-                                                    DistanceStorage storage) {
+                                                    Metric metric,
+                                                    int min_pts) {
   Result<std::string> bytes =
-      ReadFile(OpticsFileName(dataset_hash, metric, min_pts, storage));
+      ReadFile(OpticsFileName(dataset_hash, metric, min_pts));
   if (!bytes.ok()) return ClassifyMiss(bytes.status());
   Result<OpticsResult> decoded = DecodeOpticsModel(
-      std::move(bytes).value(), dataset_hash, metric, min_pts, storage);
+      std::move(bytes).value(), dataset_hash, metric, min_pts);
   if (!decoded.ok()) return ClassifyMiss(decoded.status());
   disk_hits_.fetch_add(1, std::memory_order_relaxed);
   return decoded;
 }
 
 Status ArtifactStore::SaveOpticsModel(uint64_t dataset_hash, Metric metric,
-                                      int min_pts, const OpticsResult& optics,
-                                      DistanceStorage storage) {
-  return WriteFileAtomic(
-      OpticsFileName(dataset_hash, metric, min_pts, storage),
-      EncodeOpticsModel(dataset_hash, metric, min_pts, optics, storage));
-}
-
-Result<std::vector<CvCellTiming>> ArtifactStore::LoadCellTimings(
-    uint64_t key_hash, const std::string& tag) {
-  Result<std::string> bytes = ReadFile(TimingsFileName(key_hash, tag));
-  if (!bytes.ok()) return ClassifyMiss(bytes.status());
-  Result<std::vector<CvCellTiming>> decoded =
-      DecodeCellTimings(std::move(bytes).value(), key_hash, tag);
-  if (!decoded.ok()) return ClassifyMiss(decoded.status());
-  disk_hits_.fetch_add(1, std::memory_order_relaxed);
-  return decoded;
-}
-
-Status ArtifactStore::SaveCellTimings(
-    uint64_t key_hash, const std::string& tag,
-    const std::vector<CvCellTiming>& timings) {
-  return WriteFileAtomic(TimingsFileName(key_hash, tag),
-                         EncodeCellTimings(key_hash, tag, timings));
+                                      int min_pts,
+                                      const OpticsResult& optics) {
+  return WriteFileAtomic(OpticsFileName(dataset_hash, metric, min_pts),
+                         EncodeOpticsModel(dataset_hash, metric, min_pts,
+                                           optics));
 }
 
 Result<std::vector<ArtifactFileInfo>> ArtifactStore::List() const {

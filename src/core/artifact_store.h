@@ -3,9 +3,8 @@
 
 /// \file
 /// The persistent (disk) tier of the compute-cache stack: serialized
-/// supervision-independent artifacts — condensed distance matrices,
-/// OPTICS models, measured cell timings — in one block-format file each
-/// (common/block_format.h), so bench invocations and separate processes
+/// supervision-independent artifacts — condensed distance matrices and
+/// OPTICS models — in one block-format file each (common/block_format.h), so bench invocations and separate processes
 /// warm-start each other instead of recomputing identical geometry.
 ///
 /// Key scheme: every artifact is addressed by
@@ -45,20 +44,21 @@
 #include "common/distance.h"
 #include "common/matrix.h"
 #include "common/status.h"
-#include "core/cross_validation.h"
 
 namespace cvcp {
 
 /// What a stored block encodes (the block header's `kind` field).
 enum class ArtifactKind : uint32_t {
-  kDistanceMatrix = 1,      ///< condensed distances, f64 payload
+  kDistanceMatrix = 1,
   kOpticsModel = 2,
-  kCellTimings = 3,
-  kDistanceMatrixF32 = 4,   ///< condensed distances, f32 payload
+  // 3 and 4 are reserved, never to be reused: earlier versions wrote
+  // measured cell timings (3) and float32 distance matrices (4). List()
+  // reports leftover blocks of either kind as invalid, so
+  // `store_inspect verify` flags them and `purge` clears them.
 };
 
-/// Stable display name for a kind ("distances", "optics", "timings",
-/// "distances-f32").
+/// Stable display name for a kind ("distances", "optics"; "unknown" for
+/// any other number).
 const char* ArtifactKindName(ArtifactKind kind);
 
 /// Content hash of a point matrix: dims + every coordinate's bit
@@ -74,33 +74,12 @@ std::string EncodeDistanceMatrix(uint64_t dataset_hash, Metric metric,
 Result<DistanceMatrix> DecodeDistanceMatrix(std::string bytes,
                                             uint64_t dataset_hash,
                                             Metric metric);
-/// float32-storage variant: a distinct block kind (kDistanceMatrixF32)
-/// with an f32 payload. The f64 encoding above is untouched — mixed-mode
-/// store directories can never serve one mode's bytes for the other
-/// (distinct kind AND distinct filename).
-std::string EncodeDistanceMatrix32(uint64_t dataset_hash, Metric metric,
-                                   const DistanceMatrix& matrix);
-Result<DistanceMatrix> DecodeDistanceMatrix32(std::string bytes,
-                                              uint64_t dataset_hash,
-                                              Metric metric);
-/// Optics blocks share one kind for both storage modes; an f32-derived
-/// model carries a trailing u32 marker record (=1) and an "-f32" filename,
-/// while the f64 encoding stays byte-identical to what earlier versions
-/// wrote (its decoder requires zero trailing records, so neither mode can
-/// decode as the other).
+/// The optics decoder rejects blocks with records past the three arrays.
 std::string EncodeOpticsModel(uint64_t dataset_hash, Metric metric,
-                              int min_pts, const OpticsResult& optics,
-                              DistanceStorage storage = DistanceStorage::kF64);
+                              int min_pts, const OpticsResult& optics);
 Result<OpticsResult> DecodeOpticsModel(std::string bytes,
                                        uint64_t dataset_hash, Metric metric,
-                                       int min_pts,
-                                       DistanceStorage storage =
-                                           DistanceStorage::kF64);
-std::string EncodeCellTimings(uint64_t key_hash, const std::string& tag,
-                              const std::vector<CvCellTiming>& timings);
-Result<std::vector<CvCellTiming>> DecodeCellTimings(std::string bytes,
-                                                    uint64_t key_hash,
-                                                    const std::string& tag);
+                                       int min_pts);
 
 /// One file of a store directory, as seen by `List` (tools/store_inspect).
 struct ArtifactFileInfo {
@@ -108,11 +87,8 @@ struct ArtifactFileInfo {
   uint64_t bytes = 0;
   /// Raw kind field (0 when the header is unreadable).
   uint32_t kind = 0;
-  bool valid = false;   ///< full frame validation passed
+  bool valid = false;   ///< frame validates and the kind is a live one
   std::string detail;   ///< error text when !valid
-  /// Distance storage mode decoded from the payload ("f64" or "f32";
-  /// empty for kinds that carry no distances, e.g. timings).
-  std::string storage;
   /// Human-readable decoded key fields, e.g.
   /// "hash=41c3... metric=euc mp=005". Empty when the payload is
   /// undecodable.
@@ -144,12 +120,7 @@ class ArtifactStore {
   /// kNotFound (cold key), kCorruption (damaged bytes, key mismatch),
   /// kFailedPrecondition (format-version skew) — all counted and all
   /// meaning "recompute".
-  /// `storage` selects which of the two disjoint artifact families is
-  /// addressed; the key (filename and block kind) differs per mode, so a
-  /// mixed-mode directory never serves cross-mode bytes.
-  Result<DistanceMatrix> LoadDistances(uint64_t dataset_hash, Metric metric,
-                                       DistanceStorage storage =
-                                           DistanceStorage::kF64);
+  Result<DistanceMatrix> LoadDistances(uint64_t dataset_hash, Metric metric);
   Status SaveDistances(uint64_t dataset_hash, Metric metric,
                        const DistanceMatrix& matrix);
 
@@ -159,20 +130,9 @@ class ArtifactStore {
   /// (Dendrogram::FromReachability), so the reader rebuilds it and the
   /// bytes stay minimal.
   Result<OpticsResult> LoadOpticsModel(uint64_t dataset_hash, Metric metric,
-                                       int min_pts,
-                                       DistanceStorage storage =
-                                           DistanceStorage::kF64);
+                                       int min_pts);
   Status SaveOpticsModel(uint64_t dataset_hash, Metric metric, int min_pts,
-                         const OpticsResult& optics,
-                         DistanceStorage storage = DistanceStorage::kF64);
-
-  /// Measured (param, fold) wall times under an arbitrary (hash, tag)
-  /// key — the cost model's cross-process memory. Execution order only;
-  /// results never depend on them.
-  Result<std::vector<CvCellTiming>> LoadCellTimings(uint64_t key_hash,
-                                                    const std::string& tag);
-  Status SaveCellTimings(uint64_t key_hash, const std::string& tag,
-                         const std::vector<CvCellTiming>& timings);
+                         const OpticsResult& optics);
 
   /// Every `*.cvcp` file in the directory with its validation outcome.
   /// An absent directory lists as empty (a store is born lazily).

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <utility>
 
@@ -40,28 +39,17 @@ size_t FoldTrainSize(const FoldSplit& fold) {
 }
 
 /// The longest-first execution permutation of the cell list: cells sorted
-/// by descending cost (prior timing when the model has one for the cell's
-/// (param, fold), size estimate otherwise). stable_sort keeps equal-cost
-/// cells in canonical (grid-order, fold-order) — the permutation is a
-/// pure function of the inputs, never of wall clock or scheduling.
+/// by descending EstimateCellCost. stable_sort keeps equal-cost cells in
+/// canonical (grid-order, fold-order) — the permutation is a pure function
+/// of the inputs, never of wall clock or scheduling.
 std::vector<size_t> CostSortedOrder(const std::vector<CvCell>& cells,
-                                    const std::vector<FoldSplit>& folds,
-                                    const CellCostModel& cost) {
+                                    const std::vector<FoldSplit>& folds) {
   std::vector<size_t> order(cells.size());
   std::iota(order.begin(), order.end(), size_t{0});
-  std::map<std::pair<int, int>, double> prior;
-  for (const CvCellTiming& timing : cost.prior_timings) {
-    prior[{timing.param, timing.fold}] = timing.wall_ms;
-  }
   std::vector<double> estimate(cells.size());
   for (size_t c = 0; c < cells.size(); ++c) {
-    const auto it = prior.find(
-        {cells[c].param, static_cast<int>(cells[c].fold)});
-    estimate[c] = it != prior.end()
-                      ? it->second
-                      : CellCostModel::EstimateCost(
-                            cells[c].param,
-                            FoldTrainSize(folds[cells[c].fold]));
+    estimate[c] = EstimateCellCost(cells[c].param,
+                                   FoldTrainSize(folds[cells[c].fold]));
   }
   std::stable_sort(order.begin(), order.end(), [&estimate](size_t a,
                                                            size_t b) {
@@ -72,7 +60,7 @@ std::vector<size_t> CostSortedOrder(const std::vector<CvCell>& cells,
 
 }  // namespace
 
-double CellCostModel::EstimateCost(int param, size_t train_size) {
+double EstimateCellCost(int param, size_t train_size) {
   const double magnitude = param < 0 ? -static_cast<double>(param)
                                      : static_cast<double>(param);
   return (static_cast<double>(train_size) + 1.0) * (magnitude + 1.0);
@@ -96,8 +84,8 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
     const Dataset& data, const std::vector<FoldSplit>& folds,
     SupervisionKind kind, const SemiSupervisedClusterer& clusterer,
     const std::vector<int>& param_grid, Rng* rng,
-    const ExecutionContext& exec, const CellCostModel& cost,
-    DatasetCache* cache, std::vector<CvCellTiming>* timings) {
+    const ExecutionContext& exec, DatasetCache* cache,
+    std::vector<CvCellTiming>* timings) {
   const size_t n_folds = folds.size();
   const size_t n_cells = param_grid.size() * n_folds;
   if (timings != nullptr) timings->clear();
@@ -172,16 +160,14 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
       run_cell(c);
       if (!results[c].status.ok()) break;
     }
-  } else if (cost.sort_by_cost) {
+  } else {
     // Longest-first execution: no expensive cell starts late and stretches
     // the fan-out's tail. Execution order is free to change — every cell
     // still writes its own slot, FirstErrorTracker never skips below the
     // lowest failure, and the reduction below stays in cell order — so
     // the report is bit-identical to any other schedule.
-    const std::vector<size_t> order = CostSortedOrder(cells, folds, cost);
+    const std::vector<size_t> order = CostSortedOrder(cells, folds);
     ParallelFor(exec, n_cells, [&](size_t k) { run_cell(order[k]); });
-  } else {
-    ParallelFor(exec, n_cells, run_cell);
   }
 
   // A fired token may have made ParallelFor skip cells without any lane
@@ -236,7 +222,7 @@ Result<CvScore> ScoreParamOnFolds(const Dataset& data,
   CVCP_ASSIGN_OR_RETURN(
       std::vector<CvScore> scores,
       ScoreGridOnFolds(data, folds, kind, clusterer, {param}, rng, exec,
-                       CellCostModel{}, cache));
+                       cache));
   return std::move(scores.front());
 }
 

@@ -26,8 +26,7 @@ Result<CvcpReport> RunCvcp(const Dataset& data, const Supervision& supervision,
   CVCP_ASSIGN_OR_RETURN(
       std::vector<CvScore> cv_scores,
       ScoreGridOnFolds(data, folds, supervision.kind(), clusterer,
-                       config.param_grid, &score_rng, config.cv.exec,
-                       config.cv.cost, cache,
+                       config.param_grid, &score_rng, config.cv.exec, cache,
                        config.collect_timings ? &report.cell_timings
                                               : nullptr));
 

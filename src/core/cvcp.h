@@ -24,8 +24,7 @@
 namespace cvcp {
 
 /// CVCP configuration: the CV protocol and the candidate grid. Parallelism
-/// is configured through `cv.exec` and the cell execution order through
-/// `cv.cost`; any thread count and any execution order yield bit-identical
+/// is configured through `cv.exec`; any thread count yields bit-identical
 /// reports.
 struct CvcpConfig {
   CvConfig cv;
@@ -53,9 +52,7 @@ struct CvcpReport {
   Clustering final_clustering;
   /// Per-cell wall time in (grid-order, fold-order); only filled when
   /// CvcpConfig::collect_timings is set. Timing values depend on machine
-  /// load — everything else in the report is deterministic. Feed these
-  /// into CellCostModel::prior_timings (`cv.cost`) of a later run on the
-  /// same grid to schedule its cells measured-longest-first.
+  /// load — everything else in the report is deterministic.
   std::vector<CvCellTiming> cell_timings;
 };
 

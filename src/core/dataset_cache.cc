@@ -20,12 +20,6 @@ size_t DistanceCharge(const DistanceMatrix& dm) {
   return dm.MemoryBytes() + sizeof(DistanceMatrix);
 }
 
-/// "-f32" on every float32-mode memory key keeps the two storage modes
-/// in disjoint key spaces within one shared LRU.
-const char* StorageKeySuffix(DistanceStorage storage) {
-  return storage == DistanceStorage::kF32 ? "-f32" : "";
-}
-
 size_t ModelCharge(const FoscOpticsModel& model) {
   // order + reachability + core_distance, plus a per-point estimate for
   // the dendrogram's nodes (exact size is private to Dendrogram; the
@@ -40,8 +34,7 @@ DatasetCache::DatasetCache(const Matrix& points, DatasetCacheTiers tiers)
     : points_(&points),
       content_hash_(HashMatrixContent(points)),
       memory_(tiers.memory),
-      store_(tiers.store),
-      storage_(tiers.storage) {
+      store_(tiers.store) {
   if (memory_ == nullptr) {
     // Private unbounded tier: the original per-dataset memo semantics.
     owned_memory_ = std::make_unique<ShardedLruCache>(
@@ -51,16 +44,15 @@ DatasetCache::DatasetCache(const Matrix& points, DatasetCacheTiers tiers)
 }
 
 std::string DatasetCache::DistanceKey(Metric metric) const {
-  return Format("%016llx-m%d-dist%s",
+  return Format("%016llx-m%d-dist",
                 static_cast<unsigned long long>(content_hash_),
-                static_cast<int>(metric), StorageKeySuffix(storage_));
+                static_cast<int>(metric));
 }
 
 std::string DatasetCache::ModelKey(Metric metric, int min_pts) const {
-  return Format("%016llx-m%d-mp%d-model%s",
+  return Format("%016llx-m%d-mp%d-model",
                 static_cast<unsigned long long>(content_hash_),
-                static_cast<int>(metric), min_pts,
-                StorageKeySuffix(storage_));
+                static_cast<int>(metric), min_pts);
 }
 
 std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
@@ -78,7 +70,7 @@ std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
   if (store_ != nullptr) {
     const auto start = std::chrono::steady_clock::now();
     Result<DistanceMatrix> loaded =
-        store_->LoadDistances(content_hash_, metric, storage_);
+        store_->LoadDistances(content_hash_, metric);
     if (loaded.ok()) {
       auto value = std::make_shared<const DistanceMatrix>(
           std::move(loaded).value());
@@ -96,7 +88,7 @@ std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
   }
   const auto start = std::chrono::steady_clock::now();
   auto built = std::make_shared<const DistanceMatrix>(
-      DistanceMatrix::Compute(*points_, metric, exec, storage_));
+      DistanceMatrix::Compute(*points_, metric, exec));
   const double ms = MsSince(start);
   const size_t charge = DistanceCharge(*built);
   auto published = std::static_pointer_cast<const DistanceMatrix>(
@@ -133,7 +125,7 @@ Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
   if (store_ != nullptr) {
     const auto start = std::chrono::steady_clock::now();
     Result<OpticsResult> loaded =
-        store_->LoadOpticsModel(content_hash_, metric, min_pts, storage_);
+        store_->LoadOpticsModel(content_hash_, metric, min_pts);
     if (loaded.ok()) {
       auto model = std::make_shared<FoscOpticsModel>();
       model->optics = std::move(loaded).value();
@@ -183,7 +175,7 @@ Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
   }
   if (store_ != nullptr && published == built) {
     store_->SaveOpticsModel(content_hash_, metric, min_pts,
-                            published->optics, storage_);
+                            published->optics);
   }
   return ModelPtr(published);
 }
@@ -222,18 +214,17 @@ DatasetCache::Stats DatasetCache::stats() const {
 }
 
 DatasetCachePool::DatasetCachePool(size_t memory_capacity_bytes,
-                                   ArtifactStore* store,
-                                   DistanceStorage storage)
-    : memory_(memory_capacity_bytes), store_(store), storage_(storage) {}
+                                   ArtifactStore* store)
+    : memory_(memory_capacity_bytes), store_(store) {}
 
 DatasetCache* DatasetCachePool::For(const Matrix& points) {
   MutexLock lock(&mu_);
   auto it = caches_.find(&points);
   if (it == caches_.end()) {
     it = caches_
-             .emplace(&points, std::make_unique<DatasetCache>(
-                                   points, DatasetCacheTiers{
-                                               &memory_, store_, storage_}))
+             .emplace(&points,
+                      std::make_unique<DatasetCache>(
+                          points, DatasetCacheTiers{&memory_, store_}))
              .first;
   }
   return it->second.get();

@@ -91,12 +91,6 @@ struct FoscOpticsModel {
 struct DatasetCacheTiers {
   ShardedLruCache* memory = nullptr;
   ArtifactStore* store = nullptr;
-  /// Condensed-distance storage mode for everything this cache builds,
-  /// loads, or saves. Modes live in disjoint key spaces in both tiers
-  /// (distinct memory keys, distinct filenames and block kinds), so
-  /// mixed-mode runs sharing one store directory never serve each other's
-  /// artifacts.
-  DistanceStorage storage = DistanceStorage::kF64;
 };
 
 /// Thread-safe, lazily-built cache of per-dataset structures. One
@@ -116,9 +110,6 @@ class DatasetCache {
 
   /// The dataset's content hash — the cross-process artifact key prefix.
   uint64_t content_hash() const { return content_hash_; }
-
-  /// The condensed-distance storage mode this cache was configured with.
-  DistanceStorage storage() const { return storage_; }
 
   /// The condensed pairwise distance matrix under `metric`. Resolution
   /// order: memory LRU, then disk store, then `DistanceMatrix::Compute`
@@ -178,7 +169,6 @@ class DatasetCache {
   uint64_t content_hash_;
   ShardedLruCache* memory_;  ///< points at `owned_memory_` when not shared
   ArtifactStore* store_;
-  DistanceStorage storage_;
   std::unique_ptr<ShardedLruCache> owned_memory_;
 
   // Error memo: per-dataset, unbounded (a handful of bad params at most),
@@ -210,11 +200,9 @@ class DatasetCache {
 class DatasetCachePool {
  public:
   /// `memory_capacity_bytes` bounds the shared LRU; `store` (borrowed,
-  /// may be null) enables the disk tier. `storage` is inherited by every
-  /// per-dataset cache the pool creates.
+  /// may be null) enables the disk tier.
   explicit DatasetCachePool(size_t memory_capacity_bytes,
-                            ArtifactStore* store = nullptr,
-                            DistanceStorage storage = DistanceStorage::kF64);
+                            ArtifactStore* store = nullptr);
 
   DatasetCachePool(const DatasetCachePool&) = delete;
   DatasetCachePool& operator=(const DatasetCachePool&) = delete;
@@ -232,7 +220,6 @@ class DatasetCachePool {
  private:
   ShardedLruCache memory_;
   ArtifactStore* store_;
-  DistanceStorage storage_;
   mutable Mutex mu_;
   std::map<const Matrix*, std::unique_ptr<DatasetCache>> caches_
       GUARDED_BY(mu_);

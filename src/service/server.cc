@@ -5,7 +5,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -302,6 +304,11 @@ Result<SubmitReply> Server::HandleSubmit(const JobSpec& spec) {
     queue_.push_back(job);
   }
   queue_cv_.NotifyOne();
+  // The watchdog sleeps until the earliest queued deadline (or forever
+  // with none); a new deadline may be earlier.
+  if (job.cancel->DeadlineNs() != internal::CancelState::kNoDeadlineNs) {
+    watchdog_cv_.NotifyOne();
+  }
   return SubmitReply{job.job_id, job.version, job.spec_hash};
 }
 
@@ -392,15 +399,19 @@ void Server::ExecutorLoop() {
 }
 
 void Server::WatchdogLoop() {
+  constexpr int64_t kNoDeadline = internal::CancelState::kNoDeadlineNs;
   MutexLock lock(&mu_);
   while (!stopping_) {
-    watchdog_cv_.WaitFor(&mu_, config_.watchdog_interval_ms);
-    if (stopping_) break;
-    // Fail queued jobs whose deadline expired while they waited; running
-    // jobs need no scan — their tokens self-expire at cell boundaries.
+    // Fail queued jobs whose deadline expired while they waited and find
+    // the earliest deadline still pending; running jobs need no scan —
+    // their tokens self-expire at cell boundaries.
+    const int64_t now = internal::SteadyNowNs();
+    int64_t next = kNoDeadline;
     bool notify = false;
     for (auto it = queue_.begin(); it != queue_.end();) {
-      if (!it->cancel || !it->cancel->DeadlineExpired()) {
+      const int64_t deadline = it->cancel->DeadlineNs();
+      if (deadline == kNoDeadline || deadline > now) {
+        next = std::min(next, deadline);
         ++it;
         continue;
       }
@@ -415,6 +426,15 @@ void Server::WatchdogLoop() {
       notify = true;
     }
     if (notify) done_cv_.NotifyAll();
+    // Sleep until that deadline. With none queued there is nothing to
+    // time: admitting a job with a deadline (or Stop) notifies us.
+    if (next == kNoDeadline) {
+      watchdog_cv_.Wait(&mu_);
+    } else {
+      watchdog_cv_.WaitUntil(
+          &mu_, std::chrono::steady_clock::time_point(
+                    std::chrono::nanoseconds(next)));
+    }
   }
 }
 

@@ -77,11 +77,6 @@ struct ServerConfig {
   /// in-process test default; cvcp_serve passes a production value).
   int io_timeout_ms = 0;
 
-  /// How often the watchdog thread scans the queue for jobs whose
-  /// deadline expired while waiting (running jobs self-expire at cell
-  /// boundaries through their cancel token and need no scan).
-  int watchdog_interval_ms = 20;
-
   /// Test seam: called by the executor thread immediately before a job
   /// runs (admission and queueing already done). Lets the admission and
   /// starvation tests park executors deterministically. Null in

@@ -1,9 +1,9 @@
 // Unit tests for the persistent artifact store: bit-exact round trips of
-// all three artifact kinds, the full damage taxonomy (truncation, flipped
+// both artifact kinds, the full damage taxonomy (truncation, flipped
 // bits, version skew, key mismatch via renamed files) degrading to
-// counted misses, concurrent same-key writers, and List/Purge. Every
-// defect must surface as a classified miss — the store never crashes on,
-// or serves, bad bytes.
+// counted misses, concurrent same-key writers, List/Purge, and files
+// left behind by earlier versions. Every defect must surface as a
+// classified miss — the store never crashes on, or serves, bad bytes.
 
 #include "core/artifact_store.h"
 
@@ -16,12 +16,15 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/block_format.h"
 #include "common/hash.h"
 #include "common/matrix.h"
 #include "common/parallel.h"
+#include "common/strings.h"
 
 namespace cvcp {
 namespace {
@@ -101,22 +104,6 @@ TEST(ArtifactStoreTest, OpticsModelRoundTripsBitExact) {
               std::bit_cast<uint64_t>(optics.reachability[i]));
     EXPECT_EQ(std::bit_cast<uint64_t>(loaded->core_distance[i]),
               std::bit_cast<uint64_t>(optics.core_distance[i]));
-  }
-}
-
-TEST(ArtifactStoreTest, CellTimingsRoundTrip) {
-  ArtifactStore store(FreshDir("timings"));
-  const std::vector<CvCellTiming> timings = {
-      {2, 0, 1.25}, {2, 1, 0.5}, {-3, 4, 100.0}};
-  ASSERT_TRUE(store.SaveCellTimings(99, "bench tag", timings).ok());
-  auto loaded = store.LoadCellTimings(99, "bench tag");
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), timings.size());
-  for (size_t i = 0; i < timings.size(); ++i) {
-    EXPECT_EQ((*loaded)[i].param, timings[i].param);  // sign survives
-    EXPECT_EQ((*loaded)[i].fold, timings[i].fold);
-    EXPECT_EQ(std::bit_cast<uint64_t>((*loaded)[i].wall_ms),
-              std::bit_cast<uint64_t>(timings[i].wall_ms));
   }
 }
 
@@ -255,10 +242,14 @@ TEST(ArtifactStoreTest, ListReportsKindsAndValidity) {
   ASSERT_TRUE(
       store.SaveOpticsModel(hash, Metric::kEuclidean, 4, FixtureOptics())
           .ok());
-  ASSERT_TRUE(store.SaveCellTimings(hash, "t", {{1, 0, 2.0}}).ok());
-  // Damage the optics file so List flags exactly one invalid entry.
+  ASSERT_TRUE(
+      store.SaveOpticsModel(hash, Metric::kEuclidean, 5, FixtureOptics())
+          .ok());
+  // Damage one optics file so List flags exactly one invalid entry.
   for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().string().find("optics") == std::string::npos) continue;
+    if (entry.path().string().find("mp004-optics") == std::string::npos) {
+      continue;
+    }
     fs::resize_file(entry.path(), fs::file_size(entry.path()) - 1);
   }
 
@@ -286,132 +277,195 @@ TEST(ArtifactStoreTest, ListReportsKindsAndValidity) {
   EXPECT_TRUE(after->empty());
 }
 
-TEST(ArtifactStoreTest, F32DistanceMatrixRoundTripsBitExact) {
-  ArtifactStore store(FreshDir("dist32"));
-  const Matrix points = FixturePoints();
-  const uint64_t hash = HashMatrixContent(points);
-  const DistanceMatrix dm = DistanceMatrix::Compute(
-      points, Metric::kEuclidean, {}, DistanceStorage::kF32);
-
-  // SaveDistances infers the family from the matrix's storage mode.
-  ASSERT_TRUE(store.SaveDistances(hash, Metric::kEuclidean, dm).ok());
-  auto loaded =
-      store.LoadDistances(hash, Metric::kEuclidean, DistanceStorage::kF32);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->storage(), DistanceStorage::kF32);
-  ASSERT_EQ(loaded->condensed32().size(), dm.condensed32().size());
-  for (size_t i = 0; i < dm.condensed32().size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint32_t>(loaded->condensed32()[i]),
-              std::bit_cast<uint32_t>(dm.condensed32()[i]));
-  }
+// The optics block an earlier float32 distance mode wrote: the f64
+// arrays plus one trailing u32 marker record (= 1).
+std::string LegacyMarkedOpticsBlock(uint64_t hash, Metric metric,
+                                    int min_pts, const OpticsResult& optics) {
+  BlockBuilder builder(static_cast<uint32_t>(ArtifactKind::kOpticsModel));
+  builder.AppendU64(hash);
+  builder.AppendU32(static_cast<uint32_t>(metric));
+  builder.AppendU32(static_cast<uint32_t>(min_pts));
+  builder.AppendSizes(optics.order);
+  builder.AppendDoubles(optics.reachability);
+  builder.AppendDoubles(optics.core_distance);
+  builder.AppendU32(1);
+  return builder.Finish();
 }
 
+// The kind-4 block an earlier float32 distance mode wrote: the key
+// records, then every condensed value as little-endian float bits.
+std::string LegacyNarrowDistanceBlock(uint64_t hash, Metric metric,
+                                      const DistanceMatrix& dm) {
+  BlockBuilder builder(4);
+  builder.AppendU64(hash);
+  builder.AppendU32(static_cast<uint32_t>(metric));
+  builder.AppendU64(dm.n());
+  std::string floats;
+  for (double value : dm.condensed()) {
+    const uint32_t bits = std::bit_cast<uint32_t>(static_cast<float>(value));
+    for (int shift = 0; shift < 32; shift += 8) {
+      floats.push_back(static_cast<char>((bits >> shift) & 0xFF));
+    }
+  }
+  builder.AppendRecord(std::as_bytes(std::span(floats)));
+  return builder.Finish();
+}
+
+void WriteBytes(const fs::path& path, const std::string& bytes) {
+  fs::create_directories(path.parent_path());
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  EXPECT_TRUE(out.good()) << path;
+}
+
+// A leftover float32 distance file (kind 4, "-f32" name) never satisfies
+// the f64 key: with only the leftover present the f64 load is a cold
+// miss, and once the f64 artifact exists the two files stay apart.
 TEST(ArtifactStoreTest, MixedModeDistancesAreDisjointFamilies) {
   const std::string dir = FreshDir("mixed-dist");
   ArtifactStore store(dir);
   const Matrix points = FixturePoints();
   const uint64_t hash = HashMatrixContent(points);
-  const DistanceMatrix f64 =
-      DistanceMatrix::Compute(points, Metric::kEuclidean);
-  const DistanceMatrix f32 = DistanceMatrix::Compute(
-      points, Metric::kEuclidean, {}, DistanceStorage::kF32);
+  const DistanceMatrix dm = DistanceMatrix::Compute(points, Metric::kEuclidean);
+  const std::string name =
+      Format("%016llx-euc-dist-f32.cvcp", static_cast<unsigned long long>(hash));
+  WriteBytes(fs::path(dir) / name,
+             LegacyNarrowDistanceBlock(hash, Metric::kEuclidean, dm));
 
-  // An f64 artifact must never satisfy an f32 request (and vice versa):
-  // the whole point of the split is that a warm mixed-mode directory
-  // cannot silently change a run's numerics.
-  ASSERT_TRUE(store.SaveDistances(hash, Metric::kEuclidean, f64).ok());
-  auto miss =
-      store.LoadDistances(hash, Metric::kEuclidean, DistanceStorage::kF32);
+  auto miss = store.LoadDistances(hash, Metric::kEuclidean);
   ASSERT_FALSE(miss.ok());
   EXPECT_EQ(miss.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.stats().disk_misses, 1u);
 
-  ASSERT_TRUE(store.SaveDistances(hash, Metric::kEuclidean, f32).ok());
-  auto miss64_check =
-      store.LoadDistances(hash, Metric::kEuclidean, DistanceStorage::kF64);
-  ASSERT_TRUE(miss64_check.ok());  // the f64 artifact is still its own file
-  EXPECT_EQ(miss64_check->storage(), DistanceStorage::kF64);
-  auto hit32 =
-      store.LoadDistances(hash, Metric::kEuclidean, DistanceStorage::kF32);
-  ASSERT_TRUE(hit32.ok());
-  EXPECT_EQ(hit32->storage(), DistanceStorage::kF32);
+  ASSERT_TRUE(store.SaveDistances(hash, Metric::kEuclidean, dm).ok());
+  auto hit = store.LoadDistances(hash, Metric::kEuclidean);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit->condensed(), dm.condensed());
 
-  // Two files, and List decodes the storage mode of each.
   auto listed = store.List();
   ASSERT_TRUE(listed.ok());
   ASSERT_EQ(listed->size(), 2u);
-  size_t f32_count = 0;
   for (const ArtifactFileInfo& file : *listed) {
-    EXPECT_TRUE(file.valid) << file.filename << ": " << file.detail;
-    EXPECT_TRUE(file.storage == "f32" || file.storage == "f64");
-    if (file.storage == "f32") {
-      ++f32_count;
-      EXPECT_NE(file.filename.find("-f32.cvcp"), std::string::npos);
-      EXPECT_EQ(file.kind,
-                static_cast<uint32_t>(ArtifactKind::kDistanceMatrixF32));
-    }
-    EXPECT_FALSE(file.decoded_key.empty());
+    const bool legacy = file.filename == name;
+    EXPECT_EQ(file.valid, !legacy) << file.filename << ": " << file.detail;
+    EXPECT_EQ(file.kind, legacy ? 4u : 1u);
   }
-  EXPECT_EQ(f32_count, 1u);
 }
 
+// Same for a leftover marked optics model under its "-f32" name: the f64
+// key misses as cold even though a model for the same (hash, metric,
+// min_pts) sits next to it.
 TEST(ArtifactStoreTest, OpticsStorageModesAreKeyedApart) {
-  ArtifactStore store(FreshDir("optics32"));
+  const std::string dir = FreshDir("optics32");
+  ArtifactStore store(dir);
   const OpticsResult optics = FixtureOptics();
-  ASSERT_TRUE(store
-                  .SaveOpticsModel(21, Metric::kEuclidean, 4, optics,
-                                   DistanceStorage::kF32)
-                  .ok());
-  // The f64 key misses even though an f32 model for the same
-  // (hash, metric, min_pts) exists.
+  WriteBytes(fs::path(dir) / "0000000000000015-euc-mp004-optics-f32.cvcp",
+             LegacyMarkedOpticsBlock(21, Metric::kEuclidean, 4, optics));
   auto miss = store.LoadOpticsModel(21, Metric::kEuclidean, 4);
   ASSERT_FALSE(miss.ok());
   EXPECT_EQ(miss.status().code(), StatusCode::kNotFound);
-  auto hit = store.LoadOpticsModel(21, Metric::kEuclidean, 4,
-                                   DistanceStorage::kF32);
+  ASSERT_TRUE(store.SaveOpticsModel(21, Metric::kEuclidean, 4, optics).ok());
+  auto hit = store.LoadOpticsModel(21, Metric::kEuclidean, 4);
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   EXPECT_EQ(hit->order, optics.order);
+  auto listed = store.List();
+  ASSERT_TRUE(listed.ok());
+  EXPECT_EQ(listed->size(), 2u);
 }
 
 TEST(ArtifactStoreTest, CrossModeRenamedOpticsIsRefused) {
   const std::string dir = FreshDir("cross-mode");
   ArtifactStore store(dir);
-  // Rename an f32-derived optics file onto the f64 name: the frame and
-  // CRC are intact, but the trailing storage marker must refuse the f64
-  // decode (remaining records after the arrays), and the reverse rename
-  // must fail the marker requirement. Never served, always a counted
-  // corrupt miss.
-  ASSERT_TRUE(store
-                  .SaveOpticsModel(22, Metric::kEuclidean, 4, FixtureOptics(),
-                                   DistanceStorage::kF32)
-                  .ok());
-  const std::string f32_file = OnlyFile(dir);
-  std::string f64_file = f32_file;
-  const size_t pos = f64_file.find("-f32.cvcp");
-  ASSERT_NE(pos, std::string::npos);
-  f64_file.replace(pos, 9, ".cvcp");
-  fs::rename(f32_file, f64_file);
-
-  auto as_f64 = store.LoadOpticsModel(22, Metric::kEuclidean, 4);
-  ASSERT_FALSE(as_f64.ok());
-  EXPECT_EQ(as_f64.status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(store.stats().corrupt_misses, 1u);
-
-  // Reverse direction: a genuine f64 file renamed to the f32 name.
-  fs::remove(f64_file);
+  // A marked (float32-derived) optics block under the f64 name: the frame
+  // and CRC are intact, but the decoder refuses records past the arrays.
+  // Never served, always a counted corrupt miss.
   ASSERT_TRUE(
       store.SaveOpticsModel(22, Metric::kEuclidean, 4, FixtureOptics()).ok());
-  fs::rename(f64_file, f32_file);
-  auto as_f32 = store.LoadOpticsModel(22, Metric::kEuclidean, 4,
-                                      DistanceStorage::kF32);
-  ASSERT_FALSE(as_f32.ok());
-  EXPECT_EQ(as_f32.status().code(), StatusCode::kCorruption);
+  const std::string file = OnlyFile(dir);
+  WriteBytes(file, LegacyMarkedOpticsBlock(22, Metric::kEuclidean, 4,
+                                           FixtureOptics()));
 
-  // List flags the mismatch between filename suffix and payload marker.
+  auto loaded = store.LoadOpticsModel(22, Metric::kEuclidean, 4);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(store.stats().corrupt_misses, 1u);
+
   auto listed = store.List();
   ASSERT_TRUE(listed.ok());
   ASSERT_EQ(listed->size(), 1u);
   EXPECT_FALSE((*listed)[0].valid);
   EXPECT_FALSE((*listed)[0].detail.empty());
+}
+
+// Upgrade path: a directory an earlier version wrote still holds blocks of
+// kinds this build no longer reads — cell timings (kind 3), float32
+// distance matrices (kind 4) and marked optics models — under their old
+// filenames, next to f64 artifacts of the same key. The f64 artifacts are
+// served bit-exact, and List flags exactly the three leftovers.
+TEST(ArtifactStoreTest, LegacyFilesOfRemovedKindsAreFlaggedAndNeverServed) {
+  const std::string dir = FreshDir("legacy");
+  ArtifactStore store(dir);
+  const Matrix points = FixturePoints();
+  const uint64_t hash = HashMatrixContent(points);
+  const DistanceMatrix dm = DistanceMatrix::Compute(points, Metric::kEuclidean);
+  const OpticsResult optics = FixtureOptics();
+  ASSERT_TRUE(store.SaveDistances(hash, Metric::kEuclidean, dm).ok());
+  ASSERT_TRUE(store.SaveOpticsModel(hash, Metric::kEuclidean, 4, optics).ok());
+
+  const std::string prefix =
+      Format("%016llx", static_cast<unsigned long long>(hash));
+  BlockBuilder timings(3);
+  timings.AppendU64(hash);
+  timings.AppendString("bench_micro_cvcp");
+  timings.AppendSizes(std::vector<size_t>{2, 3});
+  timings.AppendSizes(std::vector<size_t>{0, 0});
+  timings.AppendDoubles(std::vector<double>{1.5, 2.5});
+  WriteBytes(fs::path(dir) / (prefix + "-bench_micro_cvcp-timings.cvcp"),
+             timings.Finish());
+
+  WriteBytes(fs::path(dir) / (prefix + "-euc-dist-f32.cvcp"),
+             LegacyNarrowDistanceBlock(hash, Metric::kEuclidean, dm));
+
+  WriteBytes(fs::path(dir) / (prefix + "-euc-mp004-optics-f32.cvcp"),
+             LegacyMarkedOpticsBlock(hash, Metric::kEuclidean, 4, optics));
+
+  auto distances = store.LoadDistances(hash, Metric::kEuclidean);
+  ASSERT_TRUE(distances.ok()) << distances.status().ToString();
+  ASSERT_EQ(distances->condensed().size(), dm.condensed().size());
+  for (size_t i = 0; i < dm.condensed().size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(distances->condensed()[i]),
+              std::bit_cast<uint64_t>(dm.condensed()[i]));
+  }
+  auto model = store.LoadOpticsModel(hash, Metric::kEuclidean, 4);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  EXPECT_EQ(model->order, optics.order);
+  for (size_t i = 0; i < optics.order.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(model->reachability[i]),
+              std::bit_cast<uint64_t>(optics.reachability[i]));
+    EXPECT_EQ(std::bit_cast<uint64_t>(model->core_distance[i]),
+              std::bit_cast<uint64_t>(optics.core_distance[i]));
+  }
+
+  auto listed = store.List();
+  ASSERT_TRUE(listed.ok());
+  ASSERT_EQ(listed->size(), 5u);
+  std::vector<std::string> invalid;
+  for (const ArtifactFileInfo& file : *listed) {
+    if (file.valid) continue;
+    invalid.push_back(file.filename);
+    if (file.kind == 3 || file.kind == 4) {
+      EXPECT_EQ(file.detail, Format("unknown artifact kind %u", file.kind));
+    }
+  }
+  EXPECT_EQ(invalid,
+            (std::vector<std::string>{
+                prefix + "-bench_micro_cvcp-timings.cvcp",
+                prefix + "-euc-dist-f32.cvcp",
+                prefix + "-euc-mp004-optics-f32.cvcp"}));
+
+  auto purged = store.Purge();
+  ASSERT_TRUE(purged.ok());
+  EXPECT_EQ(purged.value(), 5u);
 }
 
 TEST(ArtifactStoreTest, ListOnAbsentDirectoryIsEmpty) {

@@ -152,43 +152,6 @@ TEST(BlockFormatTest, WrongRecordShapeIsCorruption) {
   }
 }
 
-TEST(BlockFormatTest, FloatRecordsRoundTripBitPatterns) {
-  BlockBuilder builder(kKind);
-  const std::vector<float> floats = {1.5f, -0.0f,
-                                     std::numeric_limits<float>::infinity(),
-                                     std::nanf("")};
-  builder.AppendFloats(floats);
-  auto reader = BlockReader::Open(builder.Finish(), kKind);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  auto loaded = reader->ReadFloats();
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded.value().size(), floats.size());
-  for (size_t i = 0; i < floats.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint32_t>(loaded.value()[i]),
-              std::bit_cast<uint32_t>(floats[i]))
-        << "slot " << i;
-  }
-  EXPECT_EQ(reader->remaining(), 0u);
-}
-
-TEST(BlockFormatTest, EmptyFloatRecordRoundTrips) {
-  BlockBuilder builder(kKind);
-  builder.AppendFloats({});
-  auto reader = BlockReader::Open(builder.Finish(), kKind);
-  ASSERT_TRUE(reader.ok());
-  auto loaded = reader->ReadFloats();
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded.value().empty());
-}
-
-TEST(BlockFormatTest, FloatReadOfWrongShapeIsCorruption) {
-  BlockBuilder builder(kKind);
-  builder.AppendString("xyzzy");  // 5 bytes, not a multiple of 4
-  auto reader = BlockReader::Open(builder.Finish(), kKind);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_FALSE(reader->ReadFloats().ok());
-}
-
 TEST(BlockFormatTest, PeekBlockKindReadsHeaderWithoutCrc) {
   std::string sealed = SealedBlock();
   auto kind = PeekBlockKind(sealed);

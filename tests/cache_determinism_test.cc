@@ -195,9 +195,9 @@ void ExpectAggregatesIdentical(const bench::CellAggregate& a,
   }
 }
 
-// The whole harness: cache on vs cache off must agree byte-for-byte for
-// every threads × scheduler-policy combination (the cache is shared by
-// concurrent trial lanes, so this also exercises cross-trial sharing).
+// The whole harness: cache on vs cache off must agree byte-for-byte at
+// every thread width (the cache is shared by concurrent trial lanes, so
+// this also exercises cross-trial sharing).
 TEST(CacheDeterminismTest, ExperimentAggregatesBitIdentical) {
   Dataset data = FixtureData(801);
   MpckMeansClusterer clusterer;
@@ -211,26 +211,20 @@ TEST(CacheDeterminismTest, ExperimentAggregatesBitIdentical) {
 
   spec.use_cache = false;
   spec.exec = ExecutionContext::Serial();
-  spec.nesting = NestingPolicy::kSplit;
   const bench::CellAggregate baseline =
       bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/99);
   ASSERT_GT(baseline.trials_ok, 0);
 
-  for (NestingPolicy policy :
-       {NestingPolicy::kNested, NestingPolicy::kSplit}) {
-    for (int threads : {1, 2, 8}) {
-      for (bool use_cache : {true, false}) {
-        spec.use_cache = use_cache;
-        spec.exec.threads = threads;
-        spec.nesting = policy;
-        const bench::CellAggregate agg =
-            bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/99);
-        const std::string label =
-            std::string(use_cache ? "cache" : "no-cache") + ", threads " +
-            std::to_string(threads) +
-            (policy == NestingPolicy::kNested ? ", nested" : ", split");
-        ExpectAggregatesIdentical(baseline, agg, label.c_str());
-      }
+  for (int threads : {1, 2, 3, 8}) {
+    for (bool use_cache : {true, false}) {
+      spec.use_cache = use_cache;
+      spec.exec.threads = threads;
+      const bench::CellAggregate agg =
+          bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/99);
+      const std::string label =
+          std::string(use_cache ? "cache" : "no-cache") + ", threads " +
+          std::to_string(threads);
+      ExpectAggregatesIdentical(baseline, agg, label.c_str());
     }
   }
 }
@@ -253,19 +247,13 @@ TEST(CacheDeterminismTest, FoscExperimentAggregatesBitIdentical) {
       bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/77);
   ASSERT_GT(baseline.trials_ok, 0);
 
-  for (NestingPolicy policy :
-       {NestingPolicy::kNested, NestingPolicy::kSplit}) {
-    for (int threads : {1, 2, 8}) {
-      spec.use_cache = true;
-      spec.exec.threads = threads;
-      spec.nesting = policy;
-      const bench::CellAggregate agg =
-          bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/77);
-      const std::string label =
-          "threads " + std::to_string(threads) +
-          (policy == NestingPolicy::kNested ? ", nested" : ", split");
-      ExpectAggregatesIdentical(baseline, agg, label.c_str());
-    }
+  for (int threads : {1, 2, 3, 8}) {
+    spec.use_cache = true;
+    spec.exec.threads = threads;
+    const bench::CellAggregate agg =
+        bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/77);
+    const std::string label = "threads " + std::to_string(threads);
+    ExpectAggregatesIdentical(baseline, agg, label.c_str());
   }
 }
 

@@ -11,7 +11,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,8 +18,6 @@
 #include "cluster/optics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "common/sharded_cache.h"
-#include "core/artifact_store.h"
 #include "data/generators.h"
 
 namespace cvcp {
@@ -215,78 +212,6 @@ TEST(DatasetCachePoolTest, EvictionRecomputesDeterministically) {
   }
   EXPECT_EQ(pool.AggregateStats().distance_builds, 2u);
   EXPECT_GE(pool.memory().stats().evictions, 1u);
-}
-
-TEST(DatasetCacheTest, F32StorageBuildsNarrowedMatrices) {
-  Matrix points = FixturePoints(20);
-  DatasetCacheTiers tiers;
-  tiers.storage = DistanceStorage::kF32;
-  DatasetCache cache(points, tiers);
-  EXPECT_EQ(cache.storage(), DistanceStorage::kF32);
-  const auto dm = cache.Distances(Metric::kEuclidean,
-                                  ExecutionContext::Serial());
-  EXPECT_EQ(dm->storage(), DistanceStorage::kF32);
-  // Each value is the f64 value narrowed on store, not computed in float.
-  const DistanceMatrix direct =
-      DistanceMatrix::Compute(points, Metric::kEuclidean);
-  ASSERT_EQ(dm->n(), direct.n());
-  for (size_t i = 0; i < direct.condensed().size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint32_t>(dm->condensed32()[i]),
-              std::bit_cast<uint32_t>(
-                  static_cast<float>(direct.condensed()[i])));
-  }
-}
-
-TEST(DatasetCacheTest, StorageModesHaveDisjointMemoryKeys) {
-  Matrix points = FixturePoints(20);
-  // Two caches over the same points and the same shared memory tier, one
-  // per storage mode: each mode must resolve to its own artifact, never
-  // the other's.
-  ShardedLruCache memory(/*capacity_bytes=*/64 * 1024 * 1024);
-  DatasetCacheTiers tiers64{&memory, nullptr, DistanceStorage::kF64};
-  DatasetCacheTiers tiers32{&memory, nullptr, DistanceStorage::kF32};
-  DatasetCache cache64(points, tiers64);
-  DatasetCache cache32(points, tiers32);
-  const auto dm64 = cache64.Distances(Metric::kEuclidean,
-                                      ExecutionContext::Serial());
-  const auto dm32 = cache32.Distances(Metric::kEuclidean,
-                                      ExecutionContext::Serial());
-  EXPECT_EQ(dm64->storage(), DistanceStorage::kF64);
-  EXPECT_EQ(dm32->storage(), DistanceStorage::kF32);
-  EXPECT_NE(static_cast<const void*>(dm64.get()),
-            static_cast<const void*>(dm32.get()));
-  EXPECT_EQ(memory.stats().entries, 2u);  // disjoint keys, both resident
-  // Both builds happened; neither mode hit the other's entry.
-  EXPECT_EQ(cache64.stats().distance_builds, 1u);
-  EXPECT_EQ(cache32.stats().distance_builds, 1u);
-}
-
-TEST(DatasetCacheTest, F32WarmStartsFromDiskBitExact) {
-  Matrix points = FixturePoints(20);
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "cvcp_cache_f32").string();
-  std::filesystem::remove_all(dir);
-  ArtifactStore store(dir);
-  DatasetCacheTiers tiers{nullptr, &store, DistanceStorage::kF32};
-  std::vector<float> cold_bits;
-  {
-    DatasetCache cold(points, tiers);
-    const auto dm = cold.Distances(Metric::kEuclidean,
-                                   ExecutionContext::Serial());
-    cold_bits = dm->condensed32();
-    EXPECT_EQ(cold.stats().distance_builds, 1u);
-  }
-  DatasetCache warm(points, tiers);
-  const auto dm = warm.Distances(Metric::kEuclidean,
-                                 ExecutionContext::Serial());
-  // Served from the persisted f32 artifact, not recomputed.
-  EXPECT_EQ(warm.stats().distance_builds, 0u);
-  EXPECT_EQ(dm->storage(), DistanceStorage::kF32);
-  ASSERT_EQ(dm->condensed32().size(), cold_bits.size());
-  for (size_t i = 0; i < cold_bits.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint32_t>(dm->condensed32()[i]),
-              std::bit_cast<uint32_t>(cold_bits[i]));
-  }
 }
 
 TEST(DatasetCacheTest, ConcurrentRequestsConvergeOnOnePublishedObject) {

@@ -14,7 +14,7 @@
 //    keep their exact behavior);
 //  * the tiled DistanceMatrix::Compute against the untiled oracle:
 //    bitwise per policy, for ragged multi-tile sizes and any thread
-//    count, and the f32 storage mode holds exactly float(f64 value).
+//    count.
 
 #include "common/distance_kernels.h"
 
@@ -156,19 +156,10 @@ TEST(DistanceKernelsPolicy, ParseNamesRoundTrip) {
   EXPECT_FALSE(ParseDistanceKernelPolicy("turbo", &p));
   EXPECT_EQ(p, DistanceKernelPolicy::kUnrolled);  // unchanged on failure
 
-  DistanceStorage s = DistanceStorage::kF64;
-  EXPECT_TRUE(ParseDistanceStorage("f32", &s));
-  EXPECT_EQ(s, DistanceStorage::kF32);
-  EXPECT_TRUE(ParseDistanceStorage("f64", &s));
-  EXPECT_EQ(s, DistanceStorage::kF64);
-  EXPECT_FALSE(ParseDistanceStorage("f16", &s));
-
   EXPECT_STREQ(DistanceKernelPolicyName(DistanceKernelPolicy::kFixedLane),
                "fixed-lane");
   EXPECT_STREQ(DistanceKernelPolicyName(DistanceKernelPolicy::kScalarLegacy),
                "scalar-legacy");
-  EXPECT_STREQ(DistanceStorageName(DistanceStorage::kF32), "f32");
-  EXPECT_STREQ(DistanceStorageName(DistanceStorage::kF64), "f64");
 }
 
 TEST(DistanceKernelsPolicy, DefaultSlotResolvesAndIgnoresKDefault) {
@@ -237,38 +228,6 @@ TEST(DistanceMatrixTiled, BitwiseEqualsUntiledPerPolicyAndThreads) {
       }
     }
   }
-}
-
-TEST(DistanceMatrixTiled, F32StorageIsExactlyNarrowedF64) {
-  const Matrix points = TilingFixture();
-  ExecutionContext exec = ExecutionContext::Serial();
-  exec.distance_kernel = DistanceKernelPolicy::kFixedLane;
-  const DistanceMatrix f64 =
-      DistanceMatrix::Compute(points, Metric::kEuclidean, exec);
-  const DistanceMatrix f32 = DistanceMatrix::Compute(
-      points, Metric::kEuclidean, exec, DistanceStorage::kF32);
-  EXPECT_EQ(f32.storage(), DistanceStorage::kF32);
-  ASSERT_EQ(f32.condensed32().size(), f64.condensed().size());
-  for (size_t i = 0; i < f64.condensed().size(); ++i) {
-    ASSERT_EQ(std::bit_cast<uint32_t>(f32.condensed32()[i]),
-              std::bit_cast<uint32_t>(
-                  static_cast<float>(f64.condensed()[i])))
-        << "slot=" << i;
-  }
-  // The accessor widens; reads agree with the narrowed doubles.
-  EXPECT_EQ(f32(0, 0), 0.0);
-  EXPECT_EQ(f32(3, 7), static_cast<double>(static_cast<float>(f64(3, 7))));
-  // Half the bytes (modulo the vector headers the charge model ignores).
-  EXPECT_EQ(f32.MemoryBytes() * 2, f64.MemoryBytes());
-}
-
-TEST(DistanceMatrixTiled, F32RoundTripsThroughFromCondensed32) {
-  std::vector<float> values = {1.5f, 2.25f, std::nanf("1")};
-  const DistanceMatrix dm = DistanceMatrix::FromCondensed32(3, values);
-  EXPECT_EQ(dm.storage(), DistanceStorage::kF32);
-  EXPECT_EQ(dm(0, 1), 1.5);
-  EXPECT_EQ(dm(0, 2), 2.25);
-  EXPECT_TRUE(std::isnan(dm(1, 2)));  // NaN survives the widening read
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 namespace cvcp {
 namespace {
@@ -186,49 +185,6 @@ TEST(DistanceMatrixTest, ParallelComputeBitIdenticalToSerial) {
       }
     }
   }
-}
-
-// NarrowToF32 is the only sanctioned double→float path (the f32 storage
-// mode); these cases pin its saturation semantics at the exact IEEE
-// round-to-nearest-even boundary. An unguarded static_cast here would be
-// undefined behavior for the overflowing inputs (caught by the
-// float-cast-overflow sanitizer leg on Clang).
-TEST(NarrowToF32Test, SaturatesExactlyAtTheIeeeOverflowThreshold) {
-  constexpr double kFloatMax =
-      static_cast<double>(std::numeric_limits<float>::max());
-  constexpr double kThreshold = 0x1.ffffffp+127;
-  const float inf = std::numeric_limits<float>::infinity();
-
-  EXPECT_EQ(NarrowToF32(kFloatMax), std::numeric_limits<float>::max());
-  // Between FLT_MAX and the threshold: rounds down to FLT_MAX, exactly
-  // as hardware conversion does.
-  EXPECT_EQ(NarrowToF32(0x1.fffffeffp+127),
-            std::numeric_limits<float>::max());
-  // At and past the threshold: saturates to infinity.
-  EXPECT_EQ(NarrowToF32(kThreshold), inf);
-  EXPECT_EQ(NarrowToF32(1e39), inf);
-  EXPECT_EQ(NarrowToF32(-kThreshold), -inf);
-  EXPECT_EQ(NarrowToF32(-1e39), -inf);
-  EXPECT_EQ(NarrowToF32(std::numeric_limits<double>::infinity()), inf);
-  // In-range values narrow with ordinary correct rounding.
-  EXPECT_EQ(NarrowToF32(0.1), 0.1f);
-  EXPECT_EQ(NarrowToF32(0.0), 0.0f);
-}
-
-TEST(DistanceMatrixTest, F32StorageSaturatesOverflowingDistances) {
-  // Squared-Euclidean distances between these rows overflow float range
-  // (≈1.6e39 > FLT_MAX ≈ 3.4e38) while staying finite in double. The
-  // f32 storage mode must narrow them to +inf deterministically — not
-  // through an out-of-range cast.
-  Matrix points = Matrix::FromRows({{2e19, 0.0}, {-2e19, 0.0}, {1e19, 0.0}});
-  DistanceMatrix dm = DistanceMatrix::Compute(
-      points, Metric::kSquaredEuclidean, {}, DistanceStorage::kF32);
-  const double inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(dm(0, 1), inf);  // (4e19)^2 = 1.6e39 overflows
-  EXPECT_EQ(dm(1, 2), inf);  // (3e19)^2 = 9e38 overflows
-  // (1e19)^2 = 1e38 < FLT_MAX narrows with ordinary rounding.
-  EXPECT_EQ(dm(0, 2), static_cast<double>(NarrowToF32(1e38)));
-  EXPECT_LT(dm(0, 2), inf);
 }
 
 TEST(DistanceMatrixTest, TinyInputs) {

@@ -4,6 +4,9 @@
 // score series.
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -199,28 +202,23 @@ TEST(BenchOptionsTest, FlagsOverrideDefaults) {
   EXPECT_EQ(o.seed, 123u);
 }
 
-TEST(BenchOptionsTest, TrialThreadsFlagParsedAndClamped) {
-  const char* argv[] = {"bench", "--trial-threads", "4"};
-  const BenchOptions o = ParseBenchOptions(3, const_cast<char**>(argv));
-  EXPECT_EQ(o.trial_threads, 4);
-  const char* negative[] = {"bench", "--trial-threads", "-2"};
-  const BenchOptions o2 = ParseBenchOptions(3, const_cast<char**>(negative));
-  EXPECT_EQ(o2.trial_threads, 0);  // 0 = automatic split
+TEST(BenchOptionsTest, SeedsAboveInt64MaxRoundTrip) {
+  const char* above[] = {"bench", "--seed", "9223372036854775808"};
+  EXPECT_EQ(ParseBenchOptions(3, const_cast<char**>(above)).seed,
+            uint64_t{1} << 63);
+  const char* max[] = {"bench", "--seed", "18446744073709551615"};
+  EXPECT_EQ(ParseBenchOptions(3, const_cast<char**>(max)).seed,
+            std::numeric_limits<uint64_t>::max());
+  ASSERT_EQ(setenv("CVCP_SEED", "18446744073709551615", 1), 0);
+  const uint64_t from_env = ParseBenchOptions(0, nullptr).seed;
+  unsetenv("CVCP_SEED");
+  EXPECT_EQ(from_env, std::numeric_limits<uint64_t>::max());
 }
 
-TEST(BenchOptionsTest, SchedulerFlagSelectsNestingPolicy) {
-  const BenchOptions defaults = ParseBenchOptions(0, nullptr);
-  EXPECT_EQ(defaults.nesting, NestingPolicy::kNested);
-  const char* split[] = {"bench", "--scheduler", "split"};
-  EXPECT_EQ(ParseBenchOptions(3, const_cast<char**>(split)).nesting,
-            NestingPolicy::kSplit);
-  const char* nested[] = {"bench", "--scheduler", "nested"};
-  EXPECT_EQ(ParseBenchOptions(3, const_cast<char**>(nested)).nesting,
-            NestingPolicy::kNested);
-  // Unknown values keep the default rather than aborting a bench run.
-  const char* typo[] = {"bench", "--scheduler", "sideways"};
-  EXPECT_EQ(ParseBenchOptions(3, const_cast<char**>(typo)).nesting,
-            NestingPolicy::kNested);
+TEST(BenchOptionsTest, UnknownFlagPrintsUsageAndExits2) {
+  const char* argv[] = {"bench", "--no-such-flag", "sideways"};
+  EXPECT_EXIT(ParseBenchOptions(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "usage:");
 }
 
 TEST(BenchOptionsTest, PaperFlagRestoresPaperScale) {

@@ -31,78 +31,10 @@ TEST(ExecutionContextTest, SerialForcesOneThread) {
   EXPECT_EQ(ExecutionContext::Serial().ResolvedThreads(), 1);
 }
 
-TEST(SplitBudgetTest, AutoSpendsBudgetAtOuterLevelWhenItCanAbsorbIt) {
-  ExecutionContext exec;
-  exec.threads = 4;
-  const NestedBudget split = SplitBudget(exec, /*outer_size=*/50);
-  EXPECT_EQ(split.outer.threads, 4);
-  EXPECT_EQ(split.inner.threads, 1);
-}
-
-TEST(SplitBudgetTest, AutoDropsBudgetToInnerLevelForSmallOuterLoops) {
-  ExecutionContext exec;
-  exec.threads = 8;
-  const NestedBudget split = SplitBudget(exec, /*outer_size=*/3);
-  EXPECT_EQ(split.outer.threads, 1);
-  EXPECT_EQ(split.inner.threads, 8);
-}
-
-TEST(SplitBudgetTest, SerialBudgetStaysSerialEverywhere) {
-  const NestedBudget split =
-      SplitBudget(ExecutionContext::Serial(), /*outer_size=*/100);
-  EXPECT_EQ(split.outer.threads, 1);
-  EXPECT_EQ(split.inner.threads, 1);
-}
-
-TEST(SplitBudgetTest, ForcedSerialOuterHandsBudgetInside) {
-  ExecutionContext exec;
-  exec.threads = 6;
-  const NestedBudget split =
-      SplitBudget(exec, /*outer_size=*/50, /*outer_threads=*/1);
-  EXPECT_EQ(split.outer.threads, 1);
-  EXPECT_EQ(split.inner.threads, 6);
-}
-
-TEST(SplitBudgetTest, ForcedOuterLanesAreCappedAtTheBudget) {
-  ExecutionContext exec;
-  exec.threads = 4;
-  const NestedBudget split =
-      SplitBudget(exec, /*outer_size=*/50, /*outer_threads=*/16);
-  EXPECT_EQ(split.outer.threads, 4);
-  EXPECT_EQ(split.inner.threads, 1);
-}
-
-TEST(SplitBudgetTest, ReturnsResolvedCountsForZeroThreadBudget) {
-  ExecutionContext exec;  // 0 = all hardware threads
-  const NestedBudget split = SplitBudget(exec, /*outer_size=*/1'000'000);
-  EXPECT_GE(split.outer.threads, 1);
-  EXPECT_GE(split.inner.threads, 1);
-  // Exactly one level spends the budget; the other stays serial.
-  EXPECT_TRUE(split.outer.threads == 1 || split.inner.threads == 1);
-}
-
-TEST(PlanBudgetTest, SplitPolicyDelegatesToSplitBudget) {
-  ExecutionContext exec;
-  exec.threads = 8;
-  for (size_t outer_size : {size_t{3}, size_t{50}}) {
-    for (int outer_threads : {0, 1, 4}) {
-      const NestedBudget plan =
-          PlanBudget(exec, outer_size, outer_threads, NestingPolicy::kSplit);
-      const NestedBudget split = SplitBudget(exec, outer_size, outer_threads);
-      EXPECT_EQ(plan.outer.threads, split.outer.threads)
-          << outer_size << "/" << outer_threads;
-      EXPECT_EQ(plan.inner.threads, split.inner.threads)
-          << outer_size << "/" << outer_threads;
-    }
-  }
-}
-
 TEST(PlanBudgetTest, NestedSharesBudgetMultiplicativelyOnNarrowOuterLoops) {
   ExecutionContext exec;
   exec.threads = 8;
-  const NestedBudget plan =
-      PlanBudget(exec, /*outer_size=*/2, /*outer_threads=*/0,
-                 NestingPolicy::kNested);
+  const NestedBudget plan = PlanBudget(exec, /*outer_size=*/2);
   EXPECT_EQ(plan.outer.threads, 2);
   EXPECT_EQ(plan.inner.threads, 4);  // 2 lanes x 4 cells = the budget
 }
@@ -110,9 +42,7 @@ TEST(PlanBudgetTest, NestedSharesBudgetMultiplicativelyOnNarrowOuterLoops) {
 TEST(PlanBudgetTest, NestedMatchesSplitOnWideOuterLoops) {
   ExecutionContext exec;
   exec.threads = 8;
-  const NestedBudget plan =
-      PlanBudget(exec, /*outer_size=*/50, /*outer_threads=*/0,
-                 NestingPolicy::kNested);
+  const NestedBudget plan = PlanBudget(exec, /*outer_size=*/50);
   EXPECT_EQ(plan.outer.threads, 8);
   EXPECT_EQ(plan.inner.threads, 1);
 }
@@ -120,52 +50,16 @@ TEST(PlanBudgetTest, NestedMatchesSplitOnWideOuterLoops) {
 TEST(PlanBudgetTest, NestedCeilRoundsTheInnerShareUp) {
   ExecutionContext exec;
   exec.threads = 8;
-  const NestedBudget plan =
-      PlanBudget(exec, /*outer_size=*/3, /*outer_threads=*/0,
-                 NestingPolicy::kNested);
+  const NestedBudget plan = PlanBudget(exec, /*outer_size=*/3);
   EXPECT_EQ(plan.outer.threads, 3);
   EXPECT_EQ(plan.inner.threads, 3);  // ceil(8 / 3); never underfilled
 }
 
-TEST(PlanBudgetTest, NestedForcedLanesKeepTheirInnerShare) {
-  ExecutionContext exec;
-  exec.threads = 8;
-  const NestedBudget plan =
-      PlanBudget(exec, /*outer_size=*/50, /*outer_threads=*/2,
-                 NestingPolicy::kNested);
-  EXPECT_EQ(plan.outer.threads, 2);
-  EXPECT_EQ(plan.inner.threads, 4);  // unlike kSplit, lanes stay nested
-  const NestedBudget capped =
-      PlanBudget(exec, /*outer_size=*/50, /*outer_threads=*/16,
-                 NestingPolicy::kNested);
-  EXPECT_EQ(capped.outer.threads, 8);
-  EXPECT_EQ(capped.inner.threads, 1);
-}
-
-TEST(PlanBudgetTest, NestedForcedLanesNeverExceedTheOuterSize) {
-  // Regression: --trial-threads 4 on a 2-trial run must not plan 4
-  // phantom lanes — that would divide the inner share by 4 while
-  // ParallelFor caps the real lanes at 2, stranding half the budget.
-  ExecutionContext exec;
-  exec.threads = 8;
-  const NestedBudget plan =
-      PlanBudget(exec, /*outer_size=*/2, /*outer_threads=*/4,
-                 NestingPolicy::kNested);
-  EXPECT_EQ(plan.outer.threads, 2);
-  EXPECT_EQ(plan.inner.threads, 4);
-}
-
 TEST(PlanBudgetTest, NestedSerialBudgetStaysSerialEverywhere) {
   const NestedBudget plan =
-      PlanBudget(ExecutionContext::Serial(), /*outer_size=*/100,
-                 /*outer_threads=*/0, NestingPolicy::kNested);
+      PlanBudget(ExecutionContext::Serial(), /*outer_size=*/100);
   EXPECT_EQ(plan.outer.threads, 1);
   EXPECT_EQ(plan.inner.threads, 1);
-  const NestedBudget forced_serial_outer =
-      PlanBudget(ExecutionContext{.threads = 6}, /*outer_size=*/100,
-                 /*outer_threads=*/1, NestingPolicy::kNested);
-  EXPECT_EQ(forced_serial_outer.outer.threads, 1);
-  EXPECT_EQ(forced_serial_outer.inner.threads, 6);
 }
 
 TEST(FirstErrorTrackerTest, TracksTheMinimumFailingIndex) {
@@ -316,14 +210,12 @@ TEST(ParallelForTest, DeeplyNestedFanOutsCompleteAtEveryBudget) {
 // The same stress through the budget planner, the way the harness nests:
 // outer lanes get PlanBudget's outer context, their bodies the inner
 // share. Narrow outer (2) x wide inner (32) is exactly the shape the
-// nested policy exists for.
+// nested plan exists for.
 TEST(ParallelForTest, NestedPolicyBudgetsComposeWithoutDeadlock) {
   for (int threads : {1, 2, 8}) {
     ExecutionContext exec;
     exec.threads = threads;
-    const NestedBudget plan =
-        PlanBudget(exec, /*outer_size=*/2, /*outer_threads=*/0,
-                   NestingPolicy::kNested);
+    const NestedBudget plan = PlanBudget(exec, /*outer_size=*/2);
     std::vector<int> visits(2 * 32, 0);
     ParallelFor(plan.outer, 2, [&](size_t i) {
       ParallelFor(plan.inner, 32, [&](size_t j) { ++visits[i * 32 + j]; });

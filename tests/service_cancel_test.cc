@@ -173,7 +173,6 @@ TEST(ServiceCancelTest, QueuedDeadlineFailedByWatchdogWithoutRunning) {
   ServerConfig config = ScratchServerConfig(scratch);
   config.batch = 1;
   config.threads = 1;
-  config.watchdog_interval_ms = 5;
   config.before_job_hook = [&gate](const JobSpec&) { gate.Enter(); };
   Server server(config);
   ASSERT_TRUE(server.Start().ok());
@@ -203,6 +202,49 @@ TEST(ServiceCancelTest, QueuedDeadlineFailedByWatchdogWithoutRunning) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->deadline_exceeded, 1u);
   EXPECT_EQ(stats->inflight_bytes, 0u);
+  server.Stop(/*drain=*/true);
+}
+
+// The watchdog sleeps until the earliest queued deadline, not on a fixed
+// period: with a 60 s deadline already queued, a later-admitted 50 ms
+// deadline must wake it and fail that job long before the 60 s mark.
+TEST(ServiceCancelTest, WatchdogWakesForAnEarlierDeadlineQueuedLater) {
+  ServiceScratch scratch = MakeServiceScratch();
+  Gate gate;
+  ServerConfig config = ScratchServerConfig(scratch);
+  config.batch = 1;
+  config.threads = 1;
+  config.before_job_hook = [&gate](const JobSpec&) { gate.Enter(); };
+  Server server(config);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect(scratch.socket);
+  ASSERT_TRUE(client.ok());
+
+  auto a = client->Submit(SmallJobSpec());
+  ASSERT_TRUE(a.ok());
+  gate.AwaitParked(1);
+  JobSpec spec_b = SmallJobSpec();
+  spec_b.cvcp_seed = 31;
+  spec_b.deadline_ms = 60000;
+  auto b = client->Submit(spec_b);
+  ASSERT_TRUE(b.ok());
+  JobSpec spec_c = SmallJobSpec();
+  spec_c.cvcp_seed = 32;
+  spec_c.deadline_ms = 50;
+  const auto start = std::chrono::steady_clock::now();
+  auto c = client->Submit(spec_c);
+  ASSERT_TRUE(c.ok());
+
+  auto waited = client->Wait(c->job_id);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(waited.ok());
+  EXPECT_EQ(waited.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+
+  // B's deadline is far off: it still runs once the executor is free.
+  gate.Release();
+  EXPECT_TRUE(client->Wait(a->job_id).ok());
+  EXPECT_TRUE(client->Wait(b->job_id).ok());
   server.Stop(/*drain=*/true);
 }
 

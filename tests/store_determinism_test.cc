@@ -166,9 +166,8 @@ void ExpectAggregatesIdentical(const bench::CellAggregate& a,
   }
 }
 
-// The whole harness through a pool + store: every threads ×
-// scheduler-policy combination, cold and warm, must reproduce the
-// no-cache serial aggregates byte for byte — and once the store is warm,
+// The whole harness through a pool + store: every thread width, cold and
+// warm, must reproduce the no-cache serial aggregates byte for byte — and once the store is warm,
 // a fresh pool must run the experiment with zero OPTICS rebuilds.
 TEST(StoreDeterminismTest, ExperimentAggregatesBitIdenticalThroughStore) {
   Dataset data = FixtureData(911);
@@ -188,21 +187,15 @@ TEST(StoreDeterminismTest, ExperimentAggregatesBitIdenticalThroughStore) {
 
   ArtifactStore store(FreshStoreDir("experiment"));
   spec.use_cache = true;
-  for (NestingPolicy policy :
-       {NestingPolicy::kNested, NestingPolicy::kSplit}) {
-    for (int threads : {1, 2, 8}) {
-      spec.exec.threads = threads;
-      spec.nesting = policy;
-      DatasetCachePool pool(/*memory_capacity_bytes=*/64 * 1024 * 1024,
-                            &store);
-      spec.cache_pool = &pool;
-      const bench::CellAggregate agg =
-          bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/78);
-      const std::string label =
-          "threads " + std::to_string(threads) +
-          (policy == NestingPolicy::kNested ? ", nested" : ", split");
-      ExpectAggregatesIdentical(baseline, agg, label);
-    }
+  for (int threads : {1, 2, 3, 8}) {
+    spec.exec.threads = threads;
+    DatasetCachePool pool(/*memory_capacity_bytes=*/64 * 1024 * 1024,
+                          &store);
+    spec.cache_pool = &pool;
+    const bench::CellAggregate agg =
+        bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/78);
+    ExpectAggregatesIdentical(baseline, agg,
+                              "threads " + std::to_string(threads));
   }
 
   // Fresh pool over the warm store: the aggregate is the same and no
@@ -211,7 +204,6 @@ TEST(StoreDeterminismTest, ExperimentAggregatesBitIdenticalThroughStore) {
                              &store);
   spec.cache_pool = &warm_pool;
   spec.exec = ExecutionContext::Serial();
-  spec.nesting = NestingPolicy::kSplit;
   const bench::CellAggregate warm =
       bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/78);
   ExpectAggregatesIdentical(baseline, warm, "warm pool");

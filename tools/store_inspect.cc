@@ -1,14 +1,14 @@
 // store_inspect: command-line inspector for an artifact store directory
 // (the --store DIR the benches write). Subcommands:
 //
-//   store_inspect ls DIR      list every artifact: kind, storage mode
-//                             (f64/f32), bytes, validity, and the decoded
-//                             key fields (dataset hash, metric, MinPts)
+//   store_inspect ls DIR      list every artifact: kind, bytes, validity,
+//                             and the decoded key fields (dataset hash,
+//                             metric, MinPts)
 //   store_inspect verify DIR  same listing, but exit nonzero if any file
 //                             fails full frame validation (bad magic,
 //                             CRC mismatch, version skew, truncation) or
-//                             if a filename's storage mode disagrees with
-//                             the record type in its payload
+//                             holds a kind this build no longer reads
+//                             (the reserved legacy kinds 3 and 4)
 //   store_inspect purge DIR   delete every artifact and stale temp file
 //   store_inspect purge-tmp DIR
 //                             delete only orphaned `*.tmp.*` files left
@@ -52,9 +52,8 @@ int RunList(ArtifactStore& store, bool fail_on_invalid) {
   for (const ArtifactFileInfo& file : listed.value()) {
     total_bytes += file.bytes;
     if (!file.valid) ++invalid;
-    std::printf("%-13s %-4s %10llu  %-3s %s",
+    std::printf("%-13s %10llu  %-3s %s",
                 ArtifactKindName(static_cast<ArtifactKind>(file.kind)),
-                file.storage.empty() ? "-" : file.storage.c_str(),
                 static_cast<unsigned long long>(file.bytes),
                 file.valid ? "ok" : "BAD", file.filename.c_str());
     if (!file.decoded_key.empty()) {
