@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
     spec.n_folds = n_folds;
     spec.grid = DefaultMinPtsGrid();
     spec.exec.threads = options.threads;
-    spec.use_cache = options.cache;
     spec.cache_pool = ctx.cache_pool.get();
 
     AloiAggregate aloi = RunAloiExperiment(ctx.aloi, fosc, spec,

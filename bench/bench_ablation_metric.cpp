@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
     spec.level = 0.20;
     spec.n_folds = options.n_folds;
     spec.exec.threads = options.threads;
-    spec.use_cache = options.cache;
     spec.cache_pool = ctx.cache_pool.get();
     spec.grid = MakeKGrid(wine.NumClasses());
     CellAggregate wine_cell =

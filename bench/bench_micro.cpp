@@ -6,9 +6,10 @@
 // parallel execution engine: CVCP serial-vs-parallel (cells run
 // longest-first by the size estimate), the trial-level fan-out on a wide
 // outer loop, and the per-dataset compute cache on the FOSC scenario
-// (cache-on vs cache-off with hit counts and per-stage wall time) — plus
-// the distance-matrix build table (kernel x tiling, with the >= 2x
-// acceptance row), mirrored into BENCH_distance.json.
+// (serial vs parallel and store-cold vs store-warm, with build/hit counts
+// and per-stage wall time) — plus the distance-matrix build table (kernel
+// x tiling, with the >= 2x acceptance row), mirrored into
+// BENCH_distance.json.
 //
 // Unlike the paper benches, this binary takes google-benchmark flags; the
 // few engine options it supports (--threads N, --cache-table-only,
@@ -363,15 +364,14 @@ void PrintCvcpScalingTable() {
 }
 
 // The per-dataset compute cache on its target workload: FOSC-OPTICSDend,
-// whose OPTICS + dendrogram stage is supervision-independent. Uncached,
-// every (param, fold) cell plus the final run pays a full OPTICS pass
-// with on-the-fly O(d) distances — G×F+1 OPTICS runs per CVCP invocation.
-// With the cache, the condensed distance matrix is built once, OPTICS
-// runs once per grid value (G builds, the other G×(F-1)+1 cells are memo
-// hits), and every distance evaluation inside OPTICS is an O(1) lookup.
-// The table prints per-stage wall time (distance build, OPTICS model
-// builds) and hit counts next to the speedup columns, and cross-checks
-// that cached reports match the uncached baseline bit for bit.
+// whose OPTICS + dendrogram stage is supervision-independent. The
+// condensed distance matrix is built once, OPTICS runs once per grid
+// value (G builds; the other G×(F-1)+1 of the G×F+1 OPTICS-dependent
+// runs are memo hits), and every distance evaluation inside OPTICS is an
+// O(1) lookup. The table prints per-stage wall time (distance build,
+// OPTICS model builds) and build/hit counts next to the speedup columns,
+// and cross-checks every row's report against the serial row bit for
+// bit.
 //
 // With --store DIR two more rows run against the persistent tier: the
 // "store-cold" row purges DIR and populates it, the "store-warm" row uses
@@ -405,26 +405,23 @@ void PrintFoscCacheTable(int threads, const std::string& store_dir) {
   std::printf("%-10s %8s %12s %9s %7s %6s %10s %10s %8s %9s %s\n", "cache",
               "threads", "wall_ms", "speedup", "optics", "loads",
               "model_hit", "dist_b/h", "dist_ms", "optics_ms",
-              "matches uncached");
+              "matches serial");
 
   double baseline_ms = 0.0;
   CvcpReport baseline;
-  auto run_row = [&](const char* label, bool cache_on, int row_threads,
-                     ArtifactStore* store, bool expect_warm) {
+  auto run_row = [&](const char* label, int row_threads, ArtifactStore* store,
+                     bool expect_warm) {
     config.cv.exec.threads = row_threads;
-    std::optional<DatasetCache> cache;
-    if (cache_on) {
-      cache.emplace(data.points(), DatasetCacheTiers{nullptr, store});
-    }
+    DatasetCache cache(data.points(), DatasetCacheTiers{nullptr, store});
     Rng run_rng(43);
     const auto start = std::chrono::steady_clock::now();
-    auto report = RunCvcp(data, supervision, clusterer, config, &run_rng,
-                          cache.has_value() ? &*cache : nullptr);
+    auto report =
+        RunCvcp(data, supervision, clusterer, config, &run_rng, &cache);
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)
                           .count();
     CVCP_CHECK(report.ok());
-    const bool is_baseline = !cache_on && row_threads == 1;
+    const bool is_baseline = row_threads == 1 && store == nullptr;
     if (is_baseline) {
       baseline_ms = ms;
       baseline = *report;
@@ -436,16 +433,11 @@ void PrintFoscCacheTable(int threads, const std::string& store_dir) {
     }
     matches = matches && report->final_clustering.assignment() ==
                              baseline.final_clustering.assignment();
-    if (!is_baseline && !matches) g_determinism_ok = false;
-    // Uncached rows run OPTICS once per cell by construction; cached rows
-    // report the cache's actual build/load/hit counters.
-    DatasetCache::Stats stats;
-    if (cache.has_value()) stats = cache->stats();
+    if (!matches) g_determinism_ok = false;
+    const DatasetCache::Stats stats = cache.stats();
     const bool warm_ok =
         !expect_warm || (stats.model_builds == 0 && stats.model_loads > 0);
     if (!warm_ok) g_determinism_ok = false;
-    const uint64_t optics_runs =
-        cache_on ? stats.model_builds : static_cast<uint64_t>(cells);
     char dist_col[32];
     std::snprintf(dist_col, sizeof(dist_col), "%llu/%llu",
                   static_cast<unsigned long long>(stats.distance_builds),
@@ -453,7 +445,7 @@ void PrintFoscCacheTable(int threads, const std::string& store_dir) {
     std::printf(
         "%-10s %8d %12.1f %8.2fx %7llu %6llu %10llu %10s %8.1f %9.1f %s\n",
         label, row_threads, ms, baseline_ms / ms,
-        static_cast<unsigned long long>(optics_runs),
+        static_cast<unsigned long long>(stats.model_builds),
         static_cast<unsigned long long>(stats.model_loads),
         static_cast<unsigned long long>(stats.model_hits), dist_col,
         stats.distance_build_ms, stats.model_build_ms,
@@ -468,7 +460,7 @@ void PrintFoscCacheTable(int threads, const std::string& store_dir) {
         "\"dist_builds\": %llu, \"dist_loads\": %llu, \"dist_hits\": %llu, "
         "\"dist_ms\": %.3f, \"optics_ms\": %.3f, \"matches\": %s}",
         label, row_threads, ms,
-        static_cast<unsigned long long>(optics_runs),
+        static_cast<unsigned long long>(stats.model_builds),
         static_cast<unsigned long long>(stats.model_builds),
         static_cast<unsigned long long>(stats.model_loads),
         static_cast<unsigned long long>(stats.model_hits),
@@ -478,22 +470,16 @@ void PrintFoscCacheTable(int threads, const std::string& store_dir) {
         stats.distance_build_ms, stats.model_build_ms,
         matches && warm_ok ? "true" : "false"));
   };
-  run_row("off", /*cache_on=*/false, /*row_threads=*/1, nullptr, false);
-  run_row("on", /*cache_on=*/true, /*row_threads=*/1, nullptr, false);
-  if (threads > 1) {
-    run_row("off", /*cache_on=*/false, threads, nullptr, false);
-    run_row("on", /*cache_on=*/true, threads, nullptr, false);
-  }
+  run_row("on", /*row_threads=*/1, nullptr, false);
+  if (threads > 1) run_row("on", threads, nullptr, false);
   if (!store_dir.empty()) {
     ArtifactStore store(store_dir);
     auto purged = store.Purge();
     if (!purged.ok()) {
       std::fprintf(stderr, "%s\n", purged.status().ToString().c_str());
     }
-    run_row("store-cold", /*cache_on=*/true, /*row_threads=*/1, &store,
-            /*expect_warm=*/false);
-    run_row("store-warm", /*cache_on=*/true, /*row_threads=*/1, &store,
-            /*expect_warm=*/true);
+    run_row("store-cold", /*row_threads=*/1, &store, /*expect_warm=*/false);
+    run_row("store-warm", /*row_threads=*/1, &store, /*expect_warm=*/true);
     const ArtifactStore::Stats ss = store.stats();
     std::printf(
         "store %s: disk_hits=%llu disk_misses=%llu writes=%llu "

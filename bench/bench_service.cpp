@@ -2,7 +2,8 @@
 // cvcp_serve job service, measured against the direct in-process RunJob
 // baseline. Four rows:
 //
-//   direct        RunJob in-process (no server) — the baseline
+//   direct        RunJob in-process (no server, one cache private to the
+//                 run) — the baseline
 //   served-cold   1 client, fresh server, cold caches
 //   served-warm   same spec resubmitted to the same server — the compute
 //                 cache must serve every OPTICS model (model_builds may

@@ -9,7 +9,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "constraints/oracle.h"
 #include "core/dataset_cache.h"
 #include "core/selectors.h"
 #include "eval/external_measures.h"
@@ -89,33 +88,19 @@ void CellAggregate::Finalize(bool with_silhouette) {
 TrialResult RunTrial(const Dataset& data,
                      const SemiSupervisedClusterer& clusterer,
                      const TrialSpec& spec, uint64_t trial_seed,
-                     DatasetCache* cache) {
+                     DatasetCache& cache) {
   TrialResult out;
   Rng rng(trial_seed);
 
   // 1. Sample this trial's supervision.
-  Supervision supervision = Supervision::FromConstraints(ConstraintSet{});
   Rng oracle_rng = rng.Fork(1);
-  if (spec.scenario == Scenario::kLabels) {
-    auto labeled = SampleLabeledObjects(data, spec.level, &oracle_rng);
-    if (!labeled.ok()) {
-      out.error = labeled.status().ToString();
-      return out;
-    }
-    supervision = Supervision::FromLabels(data, std::move(labeled).value());
-  } else {
-    auto pool = BuildConstraintPool(data, spec.pool_fraction, &oracle_rng);
-    if (!pool.ok()) {
-      out.error = pool.status().ToString();
-      return out;
-    }
-    auto sampled = SampleConstraints(pool.value(), spec.level, &oracle_rng);
-    if (!sampled.ok()) {
-      out.error = sampled.status().ToString();
-      return out;
-    }
-    supervision = Supervision::FromConstraints(std::move(sampled).value());
+  Result<Supervision> drawn = DrawOracleSupervision(
+      data, spec.scenario, spec.level, spec.pool_fraction, &oracle_rng);
+  if (!drawn.ok()) {
+    out.error = drawn.status().ToString();
+    return out;
   }
+  const Supervision& supervision = drawn.value();
 
   // 2. CVCP internal scores over the grid.
   CvcpConfig config;
@@ -124,7 +109,7 @@ TrialResult RunTrial(const Dataset& data,
   config.param_grid = spec.grid;
   Rng cvcp_rng = rng.Fork(2);
   auto report = RunCvcp(data, supervision, clusterer, config, &cvcp_rng,
-                        cache);
+                        &cache);
   if (!report.ok()) {
     out.error = report.status().ToString();
     return out;
@@ -158,7 +143,7 @@ TrialResult RunTrial(const Dataset& data,
     Rng run_rng = run_rngs[gi];
     auto clustering =
         clusterer.Cluster(data, supervision, spec.grid[gi], &run_rng,
-                          ClusterContext{cache, spec.exec});
+                          ClusterContext{&cache, spec.exec});
     if (!clustering.ok()) {
       sweep_errors[gi] = clustering.status();
       first_error.Record(gi);
@@ -167,16 +152,8 @@ TrialResult RunTrial(const Dataset& data,
     out.external_scores[gi] =
         OverallFMeasure(data.labels(), clustering.value(), &exclude);
     if (spec.with_silhouette) {
-      // The cached matrix holds exactly the doubles the on-the-fly scan
-      // computes, so the silhouettes are byte-identical either way.
-      out.silhouettes[gi] =
-          cache != nullptr
-              ? SilhouetteCoefficient(
-                    *cache->Distances(Metric::kEuclidean, spec.exec),
-                    clustering.value())
-              : SilhouetteCoefficient(data.points(), clustering.value(),
-                                      Metric::kEuclidean,
-                                      spec.exec.distance_kernel);
+      out.silhouettes[gi] = SilhouetteCoefficient(
+          *cache.Distances(Metric::kEuclidean, spec.exec), clustering.value());
     }
   });
   for (const Status& status : sweep_errors) {
@@ -248,24 +225,18 @@ CellAggregate RunExperiment(const Dataset& data,
   // geometry then outlives this experiment and is shared across
   // supervision levels and datasets. Otherwise fall back to a private
   // per-experiment cache.
-  std::optional<DatasetCache> cache;
-  DatasetCache* cache_ptr = nullptr;
-  if (spec.use_cache) {
-    if (spec.cache_pool != nullptr) {
-      cache_ptr = spec.cache_pool->For(data.points());
-    } else {
-      cache.emplace(data.points());
-      cache_ptr = &*cache;
-    }
-  }
+  std::optional<DatasetCache> own;
+  DatasetCache& cache = spec.cache_pool != nullptr
+                            ? *spec.cache_pool->For(data.points())
+                            : own.emplace(data.points());
   // Build (or load, on a warm store) the whole supervision-independent
   // phase up front, so the fan-out below starts with a fully warm cache
   // and the disk tier is consulted once per artifact instead of racing.
-  clusterer.PrewarmCache(data, spec.grid, cache_ptr, spec.exec);
+  clusterer.PrewarmCache(data, spec.grid, &cache, spec.exec);
   std::vector<TrialResult> results(n_trials);
   ParallelFor(budget.outer, n_trials, [&](size_t t) {
-    results[t] = RunTrial(data, clusterer, trial_spec, trial_seeds[t],
-                          cache_ptr);
+    results[t] =
+        RunTrial(data, clusterer, trial_spec, trial_seeds[t], cache);
   });
 
   CellAggregate agg;

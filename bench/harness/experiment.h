@@ -32,11 +32,10 @@ class DatasetCachePool;  // core/dataset_cache.h
 
 namespace cvcp::bench {
 
-/// Which supervision scenario a trial uses.
-enum class Scenario {
-  kLabels,       ///< §4.2.1/§4.3.1: x% labeled objects
-  kConstraints,  ///< §4.2.2/§4.3.2: x% of the constraint pool
-};
+/// Which supervision scenario a trial uses: kLabels (§4.2.1/§4.3.1, x%
+/// labeled objects) or kConstraints (§4.2.2/§4.3.2, x% of the constraint
+/// pool).
+using Scenario = SupervisionKind;
 
 /// Static description of one experimental cell.
 struct TrialSpec {
@@ -55,19 +54,13 @@ struct TrialSpec {
   /// count yields identical results. Also carries the distance-kernel
   /// policy every stage of the trial uses.
   ExecutionContext exec;
-  /// Share supervision-independent per-dataset structures (distance
-  /// matrix, OPTICS models) across all folds, grid values, and trials via
-  /// a per-dataset DatasetCache (core/dataset_cache.h). Results are
-  /// byte-identical with the cache on or off; off recomputes everything
-  /// per cell (the pre-cache behavior, kept for benchmarking).
-  bool use_cache = true;
   /// Optional run-wide cache pool (one shared memory LRU + optional
-  /// persistent ArtifactStore tier). When set and `use_cache` is true,
-  /// `RunExperiment` fronts the dataset through `cache_pool->For(...)` —
-  /// so trials at *different supervision levels*, different tables, and
-  /// different datasets of a bench run share geometry, and a warm store
-  /// directory satisfies model builds from disk. Null keeps the original
-  /// per-experiment private cache. Results are byte-identical either way.
+  /// persistent ArtifactStore tier). When set, `RunExperiment` fronts the
+  /// dataset through `cache_pool->For(...)` — so trials at *different
+  /// supervision levels*, different tables, and different datasets of a
+  /// bench run share geometry, and a warm store directory satisfies model
+  /// builds from disk. Null gives each experiment a private
+  /// DatasetCache. Results are byte-identical either way.
   DatasetCachePool* cache_pool = nullptr;
 };
 
@@ -91,15 +84,15 @@ struct TrialResult {
   double silhouette_external = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// Runs one trial. `trial_seed` fully determines the randomness. `cache`,
-/// when non-null, is the dataset's compute cache, shared by the CVCP run,
-/// the full-supervision sweep, and the silhouette evaluations (and,
-/// through RunExperiment, by every concurrent trial of the dataset);
-/// results are byte-identical with or without it.
+/// Runs one trial. `trial_seed` fully determines the randomness. `cache`
+/// is the dataset's compute cache, shared by the CVCP run, the
+/// full-supervision sweep, and the silhouette evaluations (and, through
+/// RunExperiment, by every concurrent trial of the dataset); results are
+/// byte-identical whichever cache serves them.
 TrialResult RunTrial(const Dataset& data,
                      const SemiSupervisedClusterer& clusterer,
                      const TrialSpec& spec, uint64_t trial_seed,
-                     DatasetCache* cache = nullptr);
+                     DatasetCache& cache);
 
 /// Aggregate of one experimental cell (dataset x level x algorithm).
 /// All means/stds skip NaN entries and the paired t-tests drop pairs where

@@ -26,14 +26,6 @@ uint64_t EnvSeed(const char* name, uint64_t fallback) {
   return (end != nullptr && *end == '\0') ? parsed : fallback;
 }
 
-/// "on"/"1" → true, "off"/"0" → false; anything else keeps `fallback`.
-bool ParseOnOff(const char* v, bool fallback) {
-  if (v == nullptr) return fallback;
-  if (std::strcmp(v, "on") == 0 || std::strcmp(v, "1") == 0) return true;
-  if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0) return false;
-  return fallback;
-}
-
 /// Policy spellings via the library parser; anything unrecognized keeps
 /// `fallback`.
 DistanceKernelPolicy ParseKernel(const char* v, DistanceKernelPolicy fallback) {
@@ -47,8 +39,7 @@ DistanceKernelPolicy ParseKernel(const char* v, DistanceKernelPolicy fallback) {
                "%s: unknown flag '%s'\n"
                "usage: %s [--paper] [--trials N] [--aloi N] [--folds N] "
                "[--seed N]\n"
-               "       [--threads N] [--cache on|off] [--store DIR] "
-               "[--store-capacity-mb N]\n"
+               "       [--threads N] [--store DIR] [--store-capacity-mb N]\n"
                "       [--distance-kernel fixed|scalar-legacy|unrolled]\n",
                argv0, flag, argv0);
   std::exit(2);
@@ -64,7 +55,6 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   o.n_folds = static_cast<int>(EnvLong("CVCP_FOLDS", o.n_folds));
   o.seed = EnvSeed("CVCP_SEED", o.seed);
   o.threads = static_cast<int>(EnvLong("CVCP_THREADS", o.threads));
-  o.cache = ParseOnOff(std::getenv("CVCP_CACHE"), o.cache);
   if (const char* v = std::getenv("CVCP_STORE"); v != nullptr && *v != '\0') {
     o.store_dir = v;
   }
@@ -91,8 +81,6 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
       if (i + 1 < argc) o.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       o.threads = static_cast<int>(next_long(o.threads));
-    } else if (std::strcmp(argv[i], "--cache") == 0) {
-      if (i + 1 < argc) o.cache = ParseOnOff(argv[++i], o.cache);
     } else if (std::strcmp(argv[i], "--store") == 0) {
       if (i + 1 < argc) o.store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--store-capacity-mb") == 0) {
@@ -132,10 +120,9 @@ void PrintBanner(const BenchOptions& options, const std::string& title,
   }
   std::printf(
       "scale: %d trials, %zu ALOI sets, %d-fold CV, seed %llu, %s, "
-      "cache %s, %s kernels (--paper for full scale)\n\n",
+      "%s kernels (--paper for full scale)\n\n",
       options.trials, options.aloi_datasets, options.n_folds,
       static_cast<unsigned long long>(options.seed), threads,
-      options.cache ? "on" : "off",
       DistanceKernelPolicyName(options.distance_kernel));
 }
 

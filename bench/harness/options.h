@@ -23,12 +23,6 @@ struct BenchOptions {
   /// CVCP execution-engine threads; 0 = all hardware threads. Results are
   /// identical for any value (env CVCP_THREADS).
   int threads = 0;
-  /// Per-dataset compute cache (core/dataset_cache.h): share the
-  /// supervision-independent structures across folds, grid values, and
-  /// trials. Results are byte-identical on or off; off restores the
-  /// recompute-per-cell behavior for comparison (env CVCP_CACHE, "on" /
-  /// "off" / "1" / "0").
-  bool cache = true;
   /// Directory of the persistent artifact store (core/artifact_store.h):
   /// condensed distance matrices and OPTICS models are written there and
   /// loaded back on later runs — a second process on a warm directory
@@ -53,7 +47,7 @@ struct BenchOptions {
 };
 
 /// Parses env vars, then `--paper` / `--trials N` / `--aloi N` /
-/// `--folds N` / `--seed N` / `--threads N` / `--cache on|off` /
+/// `--folds N` / `--seed N` / `--threads N` /
 /// `--store DIR` / `--store-capacity-mb N` /
 /// `--distance-kernel fixed|scalar-legacy|unrolled` flags (flags win).
 /// The seed is a full 64-bit unsigned value. Any other argument prints

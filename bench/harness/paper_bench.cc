@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <optional>
 
 #include "common/stats.h"
 #include "common/strings.h"
@@ -29,7 +28,6 @@ TrialSpec SpecFor(const PaperBenchContext& ctx, BenchAlgo algo,
   spec.with_silhouette = algo != BenchAlgo::kFosc;
   spec.exec.threads = ctx.options.threads;
   spec.exec.distance_kernel = ctx.options.distance_kernel;
-  spec.use_cache = ctx.options.cache;
   spec.cache_pool = ctx.cache_pool.get();
   return spec;
 }
@@ -240,25 +238,13 @@ void RunCurveFigure(const PaperBenchContext& ctx, BenchAlgo algo,
     std::vector<std::vector<double>> internal, external;
     std::vector<double> corrs;
     Rng seed_rng(CellSeed(ctx, d, 77));
-    // Same discipline as RunExperiment: front the dataset with the
-    // run-wide pool when available, else a private per-dataset cache
-    // (byte-identical results either way).
-    std::optional<DatasetCache> local_cache;
-    DatasetCache* cache_ptr = nullptr;
-    if (spec.use_cache) {
-      if (spec.cache_pool != nullptr) {
-        cache_ptr = spec.cache_pool->For(ctx.aloi[d].points());
-      } else {
-        local_cache.emplace(ctx.aloi[d].points());
-        cache_ptr = &*local_cache;
-      }
-    }
-    clusterer->PrewarmCache(ctx.aloi[d], spec.grid, cache_ptr, spec.exec);
+    DatasetCache& cache = *ctx.cache_pool->For(ctx.aloi[d].points());
+    clusterer->PrewarmCache(ctx.aloi[d], spec.grid, &cache, spec.exec);
     for (int t = 0; t < ctx.options.trials; ++t) {
       TrialResult trial = RunTrial(ctx.aloi[d], *clusterer, spec,
                                    seed_rng.Fork(static_cast<uint64_t>(t))
                                        .seed(),
-                                   cache_ptr);
+                                   cache);
       if (!trial.ok) continue;
       internal.push_back(trial.internal_scores);
       external.push_back(trial.external_scores);

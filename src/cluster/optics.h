@@ -27,10 +27,9 @@ struct OpticsConfig {
   double eps = std::numeric_limits<double>::infinity();
   Metric metric = Metric::kEuclidean;
   /// Distance-kernel implementation for the point-matrix overload (the
-  /// DistanceMatrix overload inherits the matrix's kernel). Callers
-  /// running against a cached matrix must pass the same policy the
-  /// matrix was built with to keep cached and uncached paths
-  /// byte-identical.
+  /// DistanceMatrix overload inherits the matrix's kernel). A caller
+  /// comparing against a cached matrix must pass the policy the matrix was
+  /// built with to get byte-identical results.
   DistanceKernelPolicy kernel = DistanceKernelPolicy::kDefault;
 };
 

@@ -10,8 +10,8 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-/// Shared implementation over any distance callable.
-///
+}  // namespace
+
 /// Object-to-group distance sums are precomputed in ONE pass over the
 /// (i < j) pairs — each pairwise distance is evaluated once instead of
 /// twice, and instead of rescanning every group per object the scoring
@@ -22,8 +22,10 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 /// exactly the order the pair pass feeds sums[x][g] (contributions from
 /// pairs (o, x), o ascending, then pairs (x, j), j ascending), and every
 /// metric shipped here is argument-symmetric down to the bit.
-template <typename DistFn>
-double SilhouetteImpl(size_t n, const Clustering& clustering, DistFn&& dist) {
+double SilhouetteCoefficient(const DistanceMatrix& distances,
+                             const Clustering& clustering) {
+  CVCP_CHECK_EQ(distances.n(), clustering.size());
+  const size_t n = distances.n();
   const std::vector<std::vector<size_t>> groups = clustering.Groups();
   const size_t n_groups = groups.size();
   if (n_groups < 2) return kNaN;
@@ -46,7 +48,7 @@ double SilhouetteImpl(size_t n, const Clustering& clustering, DistFn&& dist) {
     for (size_t j = i + 1; j < n; ++j) {
       const int gj = group_of[j];
       if (gj < 0) continue;
-      const double d = dist(i, j);
+      const double d = distances(i, j);
       sums_i[gj] += d;
       sums[j * n_groups + static_cast<size_t>(gi)] += d;
     }
@@ -74,65 +76,6 @@ double SilhouetteImpl(size_t n, const Clustering& clustering, DistFn&& dist) {
         a = mean;
       } else {
         b = std::min(b, mean);
-      }
-    }
-    const double denom = std::max(a, b);
-    if (denom > 0.0) total += (b - a) / denom;
-  }
-  if (counted == 0) return kNaN;
-  return total / static_cast<double>(counted);
-}
-
-}  // namespace
-
-double SilhouetteCoefficient(const Matrix& points,
-                             const Clustering& clustering, Metric metric,
-                             DistanceKernelPolicy kernel) {
-  CVCP_CHECK_EQ(points.rows(), clustering.size());
-  return SilhouetteImpl(points.rows(), clustering, [&](size_t i, size_t j) {
-    return Distance(points.Row(i), points.Row(j), metric, kernel);
-  });
-}
-
-double SilhouetteCoefficient(const DistanceMatrix& distances,
-                             const Clustering& clustering) {
-  CVCP_CHECK_EQ(distances.n(), clustering.size());
-  return SilhouetteImpl(distances.n(), clustering,
-                        [&](size_t i, size_t j) { return distances(i, j); });
-}
-
-double SimplifiedSilhouette(const Matrix& points,
-                            const Clustering& clustering,
-                            DistanceKernelPolicy kernel) {
-  CVCP_CHECK_EQ(points.rows(), clustering.size());
-  const std::vector<std::vector<size_t>> groups = clustering.Groups();
-  if (groups.size() < 2) return kNaN;
-
-  Matrix centroids(groups.size(), points.cols());
-  for (size_t g = 0; g < groups.size(); ++g) {
-    centroids.SetRow(g, points.ColumnMeans(groups[g]));
-  }
-
-  std::vector<int> group_of(points.rows(), -1);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (size_t o : groups[g]) group_of[o] = static_cast<int>(g);
-  }
-
-  double total = 0.0;
-  size_t counted = 0;
-  for (size_t i = 0; i < points.rows(); ++i) {
-    const int gi = group_of[i];
-    if (gi < 0) continue;
-    ++counted;
-    double a = 0.0;
-    double b = std::numeric_limits<double>::infinity();
-    for (size_t g = 0; g < groups.size(); ++g) {
-      const double d = EuclideanDistance(points.Row(i), centroids.Row(g),
-                                         kernel);
-      if (static_cast<int>(g) == gi) {
-        a = d;
-      } else {
-        b = std::min(b, d);
       }
     }
     const double denom = std::max(a, b);

@@ -2,7 +2,7 @@
 #define CVCP_COMMON_STRINGS_H_
 
 /// \file
-/// Small string helpers used by the table/CSV printers and benches.
+/// Small string helpers used by the table printer and benches.
 
 #include <string>
 #include <vector>

@@ -1,7 +1,7 @@
 #include "core/clusterer.h"
 
-#include "cluster/dendrogram.h"
-#include "cluster/optics.h"
+#include <optional>
+
 #include "core/dataset_cache.h"
 
 namespace cvcp {
@@ -25,20 +25,6 @@ void FoscOpticsDendClusterer::PrewarmCache(const Dataset& data,
   cache->Prewarm(metric_, param_grid, exec);
 }
 
-Result<FoscOpticsModel> FoscOpticsDendClusterer::BuildModel(
-    const Dataset& data, int param, DistanceKernelPolicy kernel) const {
-  OpticsConfig optics_config;
-  optics_config.min_pts = param;
-  optics_config.metric = metric_;
-  optics_config.kernel = kernel;
-  CVCP_ASSIGN_OR_RETURN(OpticsResult optics,
-                        RunOptics(data.points(), optics_config));
-  FoscOpticsModel model;
-  model.optics = std::move(optics);
-  model.dendrogram = Dendrogram::FromReachability(model.optics);
-  return model;
-}
-
 Result<Clustering> FoscOpticsDendClusterer::ExtractWithSupervision(
     const FoscOpticsModel& model, const Supervision& supervision) const {
   CVCP_ASSIGN_OR_RETURN(
@@ -51,18 +37,15 @@ Result<Clustering> FoscOpticsDendClusterer::DoCluster(
     const Dataset& data, const Supervision& supervision, int param, Rng* rng,
     const ClusterContext& context) const {
   (void)rng;  // the pipeline is deterministic
-  if (context.cache != nullptr) {
-    // Memoized supervision-independent model: OPTICS runs once per
-    // (metric, MinPts) for the dataset instead of once per fold×trial.
-    CVCP_ASSIGN_OR_RETURN(
-        std::shared_ptr<const FoscOpticsModel> model,
-        context.cache->FoscModel(metric_, param, context.exec));
-    return ExtractWithSupervision(*model, supervision);
-  }
-  CVCP_ASSIGN_OR_RETURN(
-      FoscOpticsModel model,
-      BuildModel(data, param, context.exec.distance_kernel));
-  return ExtractWithSupervision(model, supervision);
+  // The supervision-independent model comes from the dataset cache — one
+  // private to this call when none is shared — so a shared cache runs
+  // OPTICS once per (metric, MinPts) instead of once per fold×trial.
+  std::optional<DatasetCache> own;
+  DatasetCache* cache = context.cache;
+  if (cache == nullptr) cache = &own.emplace(data.points());
+  CVCP_ASSIGN_OR_RETURN(std::shared_ptr<const FoscOpticsModel> model,
+                        cache->FoscModel(metric_, param, context.exec));
+  return ExtractWithSupervision(*model, supervision);
 }
 
 Result<Clustering> MpckMeansClusterer::DoCluster(

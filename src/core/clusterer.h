@@ -11,9 +11,9 @@
 /// `DatasetCache` (core/dataset_cache.h): algorithms whose early stages
 /// are supervision-independent (FOSC-OPTICSDend's distances, OPTICS
 /// ordering, and dendrogram) reuse those stages across the grid×fold×trial
-/// sweep through the cache instead of recomputing them per cell. The cache
-/// returns the same doubles the uncached path computes, so results are
-/// byte-identical with or without it.
+/// sweep through the cache instead of recomputing them per cell. Without
+/// one, such an algorithm builds a cache private to the call; results are
+/// byte-identical either way.
 
 #include <memory>
 #include <span>
@@ -38,7 +38,7 @@ struct FoscOpticsModel;   // core/dataset_cache.h
 /// Per-run context threaded through `SemiSupervisedClusterer::Cluster`.
 struct ClusterContext {
   /// Cache of supervision-independent per-dataset structures (distance
-  /// matrix, OPTICS models). nullptr = compute everything from scratch;
+  /// matrix, OPTICS models). nullptr = a cache private to the call;
   /// results are byte-identical either way.
   DatasetCache* cache = nullptr;
   /// Thread budget for one-off shared builds behind the cache (e.g. the
@@ -58,8 +58,8 @@ class SemiSupervisedClusterer {
   virtual std::string param_name() const = 0;
 
   /// Clusters all of `data` using the supervision. `context` optionally
-  /// supplies the per-dataset compute cache; the default context runs
-  /// cache-less and produces identical results.
+  /// supplies the per-dataset compute cache; the default context produces
+  /// identical results.
   Result<Clustering> Cluster(const Dataset& data,
                              const Supervision& supervision, int param,
                              Rng* rng,
@@ -87,7 +87,8 @@ class SemiSupervisedClusterer {
  protected:
   /// Implementation hook for Cluster. Implementations may ignore
   /// `context`; ones that use the cache must return byte-identical results
-  /// with and without it (the engine's determinism contract).
+  /// whether it is shared, private, cold or warm (the engine's determinism
+  /// contract).
   virtual Result<Clustering> DoCluster(const Dataset& data,
                                        const Supervision& supervision,
                                        int param, Rng* rng,
@@ -96,10 +97,10 @@ class SemiSupervisedClusterer {
 
 /// FOSC-OPTICSDend (param = MinPts): OPTICS ordering -> reachability
 /// dendrogram -> FOSC extraction under the constraint objective. The
-/// OPTICS + dendrogram stage is supervision-independent and split out as
-/// `BuildModel` so the per-dataset cache can share it across all folds and
-/// trials of a parameter value; `ExtractWithSupervision` is the only stage
-/// that sees the constraints.
+/// OPTICS + dendrogram stage is supervision-independent and comes from
+/// `DatasetCache::FoscModel`, so one model serves every fold and trial of
+/// a parameter value; `ExtractWithSupervision` is the only stage that sees
+/// the constraints.
 class FoscOpticsDendClusterer : public SemiSupervisedClusterer {
  public:
   explicit FoscOpticsDendClusterer(FoscConfig fosc = {},
@@ -108,16 +109,6 @@ class FoscOpticsDendClusterer : public SemiSupervisedClusterer {
 
   std::string name() const override { return "FOSC-OPTICSDend"; }
   std::string param_name() const override { return "MinPts"; }
-
-  /// The supervision-independent stage: OPTICS at MinPts = `param` plus
-  /// the OPTICSDend dendrogram. Uncached entry point; `DoCluster` goes
-  /// through `DatasetCache::FoscModel` (which builds the identical model
-  /// from the cached distance matrix) when a cache is available. `kernel`
-  /// selects the distance kernels (must match the cached path's policy
-  /// for byte-identical results).
-  Result<FoscOpticsModel> BuildModel(const Dataset& data, int param,
-                                     DistanceKernelPolicy kernel =
-                                         DistanceKernelPolicy::kDefault) const;
 
   /// The supervision-dependent stage: FOSC extraction of a flat clustering
   /// from the model's dendrogram under the constraint objective.

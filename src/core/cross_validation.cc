@@ -212,34 +212,4 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
   return scores;
 }
 
-Result<CvScore> ScoreParamOnFolds(const Dataset& data,
-                                  const std::vector<FoldSplit>& folds,
-                                  SupervisionKind kind,
-                                  const SemiSupervisedClusterer& clusterer,
-                                  int param, Rng* rng,
-                                  const ExecutionContext& exec,
-                                  DatasetCache* cache) {
-  CVCP_ASSIGN_OR_RETURN(
-      std::vector<CvScore> scores,
-      ScoreGridOnFolds(data, folds, kind, clusterer, {param}, rng, exec,
-                       cache));
-  return std::move(scores.front());
-}
-
-Result<CvScore> CrossValidateParam(const Dataset& data,
-                                   const Supervision& supervision,
-                                   const SemiSupervisedClusterer& clusterer,
-                                   int param, const CvConfig& config,
-                                   Rng* rng) {
-  // Fork the fold/score streams exactly as RunCvcp does so both entry
-  // points derive identical randomness from the same caller RNG.
-  Rng fold_rng = rng->Fork(kFoldStreamId);
-  CVCP_ASSIGN_OR_RETURN(
-      std::vector<FoldSplit> folds,
-      MakeSupervisionFolds(data, supervision, config, &fold_rng));
-  Rng score_rng = rng->Fork(kScoreStreamId);
-  return ScoreParamOnFolds(data, folds, supervision.kind(), clusterer, param,
-                           &score_rng, config.exec);
-}
-
 }  // namespace cvcp

@@ -32,10 +32,8 @@
 
 namespace cvcp {
 
-/// Stream ids for the fold-construction and scoring RNG forks. RunCvcp and
-/// CrossValidateParam both fork these streams off the caller's RNG, so the
-/// convenience entry point and the full driver agree on randomness for
-/// identical inputs.
+/// The streams RunCvcp forks off the caller's RNG for fold construction
+/// and cell scoring.
 inline constexpr uint64_t kFoldStreamId = 0xF01D5ULL;
 inline constexpr uint64_t kScoreStreamId = 0x5C0BEULL;
 
@@ -86,15 +84,18 @@ struct CvScore {
 /// cell's RNG is pre-forked exactly as the serial loop forks it, the
 /// cells run on the shared pool (`exec`) longest-first by
 /// EstimateCellCost, and fold scores are reduced in (grid-order,
-/// fold-order) sequence with first-error-wins Status propagation. Returned scores are bit-identical
-/// to scoring each param serially, for every thread count and execution
-/// order. Each fold's training supervision is derived once, before the
-/// fan-out, and shared read-only by the fold's cells. When `cache` is
-/// non-null every cell clusters through the per-dataset compute cache
-/// (supervision-independent stages — distance matrix, OPTICS models — are
-/// built once and shared across the G×F cells; results stay
-/// byte-identical, see core/dataset_cache.h). When
-/// `timings` is non-null it is filled with one entry per cell in
+/// fold-order) sequence with first-error-wins Status propagation.
+/// Returned scores are bit-identical to scoring each param serially, for
+/// every thread count and execution order. The clusterer sees only each
+/// fold's training supervision (labels when Scenario I provided them,
+/// else constraints), derived once before the fan-out and shared
+/// read-only by the fold's cells; the test fold's constraints only ever
+/// meet the finished partition. Cell RNGs are forked per (param, fold),
+/// so scores are reproducible and fold order is immaterial. When `cache`
+/// is non-null every cell clusters through it, so the
+/// supervision-independent stages — distance matrix, OPTICS models — are
+/// built once and shared across the G×F cells (core/dataset_cache.h).
+/// When `timings` is non-null it is filled with one entry per cell in
 /// (grid-order, fold-order).
 Result<std::vector<CvScore>> ScoreGridOnFolds(
     const Dataset& data, const std::vector<FoldSplit>& folds,
@@ -103,25 +104,6 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
     const ExecutionContext& exec = ExecutionContext::Serial(),
     DatasetCache* cache = nullptr,
     std::vector<CvCellTiming>* timings = nullptr);
-
-/// Scores `param` on prebuilt folds. The clusterer sees each fold's
-/// training supervision (labels when Scenario I provided them, else
-/// constraints); the test fold's constraints only ever meet the finished
-/// partition. Clusterer RNG is forked per (param, fold) so scores are
-/// reproducible and fold order is immaterial.
-Result<CvScore> ScoreParamOnFolds(
-    const Dataset& data, const std::vector<FoldSplit>& folds,
-    SupervisionKind kind, const SemiSupervisedClusterer& clusterer, int param,
-    Rng* rng, const ExecutionContext& exec = ExecutionContext::Serial(),
-    DatasetCache* cache = nullptr);
-
-/// Convenience: folds + score in one call (fresh folds for this parameter).
-/// Forks the fold/score RNG streams exactly as RunCvcp does, so for the
-/// same inputs and RNG it reproduces the corresponding RunCvcp grid entry.
-Result<CvScore> CrossValidateParam(const Dataset& data,
-                                   const Supervision& supervision,
-                                   const SemiSupervisedClusterer& clusterer,
-                                   int param, const CvConfig& config, Rng* rng);
 
 }  // namespace cvcp
 

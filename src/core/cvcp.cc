@@ -1,6 +1,9 @@
 #include "core/cvcp.h"
 
 #include <cmath>
+#include <optional>
+
+#include "core/dataset_cache.h"
 
 namespace cvcp {
 
@@ -11,6 +14,8 @@ Result<CvcpReport> RunCvcp(const Dataset& data, const Supervision& supervision,
   if (config.param_grid.empty()) {
     return Status::InvalidArgument("CVCP needs a non-empty parameter grid");
   }
+  std::optional<DatasetCache> own;
+  if (cache == nullptr) cache = &own.emplace(data.points());
 
   // One set of folds, shared by every grid value (paired comparison).
   Rng fold_rng = rng->Fork(kFoldStreamId);

@@ -59,11 +59,11 @@ struct CvcpReport {
 /// Runs CVCP. Errors with kInvalidArgument for an empty grid, propagates
 /// fold-construction errors (e.g. too little supervision for n folds), and
 /// errors with kFailedPrecondition if no grid value produced a valid score.
-/// `cache`, when non-null, is the dataset's compute cache
-/// (core/dataset_cache.h): every grid×fold cell and the final
+/// `cache` is the dataset's compute cache (core/dataset_cache.h); null
+/// means one private to this call. Every grid×fold cell and the final
 /// full-supervision run share its supervision-independent structures, so
 /// e.g. FOSC-OPTICSDend runs OPTICS G times instead of G×F+1 times. The
-/// report is byte-identical with the cache on or off.
+/// report is byte-identical whichever cache serves it.
 Result<CvcpReport> RunCvcp(const Dataset& data, const Supervision& supervision,
                            const SemiSupervisedClusterer& clusterer,
                            const CvcpConfig& config, Rng* rng,

@@ -4,6 +4,7 @@
 #include <limits>
 #include <string>
 
+#include "common/hash.h"
 #include "common/strings.h"
 
 namespace cvcp {
@@ -43,21 +44,19 @@ DatasetCache::DatasetCache(const Matrix& points, DatasetCacheTiers tiers)
   }
 }
 
-std::string DatasetCache::DistanceKey(Metric metric) const {
-  return Format("%016llx-m%d-dist",
-                static_cast<unsigned long long>(content_hash_),
-                static_cast<int>(metric));
-}
-
-std::string DatasetCache::ModelKey(Metric metric, int min_pts) const {
-  return Format("%016llx-m%d-mp%d-model",
-                static_cast<unsigned long long>(content_hash_),
-                static_cast<int>(metric), min_pts);
+uint64_t DatasetCache::KeyHash(DistanceKernelPolicy kernel) const {
+  const DistanceKernelPolicy resolved = ResolveDistanceKernelPolicy(kernel);
+  if (resolved == DistanceKernelPolicy::kFixedLane) return content_hash_;
+  const uint64_t parts[] = {content_hash_, static_cast<uint64_t>(resolved)};
+  return Hash64(parts, sizeof(parts));
 }
 
 std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
     Metric metric, const ExecutionContext& exec) {
-  const std::string key = DistanceKey(metric);
+  const uint64_t key_hash = KeyHash(exec.distance_kernel);
+  const std::string key =
+      Format("%016llx-m%d-dist", static_cast<unsigned long long>(key_hash),
+             static_cast<int>(metric));
   if (auto resident = memory_->LookupAs<DistanceMatrix>(key)) {
     distance_hits_.fetch_add(1, std::memory_order_relaxed);
     return resident;
@@ -69,8 +68,7 @@ std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
   // discarded.
   if (store_ != nullptr) {
     const auto start = std::chrono::steady_clock::now();
-    Result<DistanceMatrix> loaded =
-        store_->LoadDistances(content_hash_, metric);
+    Result<DistanceMatrix> loaded = store_->LoadDistances(key_hash, metric);
     if (loaded.ok()) {
       auto value = std::make_shared<const DistanceMatrix>(
           std::move(loaded).value());
@@ -101,14 +99,17 @@ std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
   // Persist only from the winning publisher, so racing builders do not
   // queue redundant (byte-identical) writes.
   if (store_ != nullptr && published == built) {
-    store_->SaveDistances(content_hash_, metric, *published);
+    store_->SaveDistances(key_hash, metric, *published);
   }
   return published;
 }
 
 Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
     Metric metric, int min_pts, const ExecutionContext& exec) {
-  const std::string key = ModelKey(metric, min_pts);
+  const uint64_t key_hash = KeyHash(exec.distance_kernel);
+  const std::string key = Format(
+      "%016llx-m%d-mp%d-model", static_cast<unsigned long long>(key_hash),
+      static_cast<int>(metric), min_pts);
   if (auto resident = memory_->LookupAs<FoscOpticsModel>(key)) {
     model_hits_.fetch_add(1, std::memory_order_relaxed);
     return ModelPtr(resident);
@@ -125,7 +126,7 @@ Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
   if (store_ != nullptr) {
     const auto start = std::chrono::steady_clock::now();
     Result<OpticsResult> loaded =
-        store_->LoadOpticsModel(content_hash_, metric, min_pts);
+        store_->LoadOpticsModel(key_hash, metric, min_pts);
     if (loaded.ok()) {
       auto model = std::make_shared<FoscOpticsModel>();
       model->optics = std::move(loaded).value();
@@ -174,8 +175,7 @@ Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
     model_build_ms_ += ms;
   }
   if (store_ != nullptr && published == built) {
-    store_->SaveOpticsModel(content_hash_, metric, min_pts,
-                            published->optics);
+    store_->SaveOpticsModel(key_hash, metric, min_pts, published->optics);
   }
   return ModelPtr(published);
 }

@@ -22,12 +22,11 @@
 ///   memory LRU (ShardedLruCache) → disk (ArtifactStore) → compute
 ///
 /// The memory tier is a capacity-bounded sharded LRU keyed by dataset
-/// content hash, so one pool-level cache serves every dataset, trial, and
-/// supervision level of a bench run. The optional disk tier persists
-/// artifacts across processes: a warm store satisfies model requests with
-/// zero OPTICS rebuilds. Both tiers are optional — a bare
-/// `DatasetCache(points)` behaves like the original unbounded in-memory
-/// memo.
+/// content (see Keys below), so one pool-level cache serves every
+/// dataset, trial, and supervision level of a bench run. The optional
+/// disk tier persists artifacts across processes: a warm store satisfies
+/// model requests with zero OPTICS rebuilds. Both tiers are optional — a
+/// bare `DatasetCache(points)` is an unbounded in-memory memo.
 ///
 /// Concurrency model — never block, duplicate on race: a caller that
 /// finds its key missing builds the structure itself and the *first*
@@ -42,14 +41,23 @@
 /// and because the builds are deterministic, which copy wins is
 /// unobservable in the results.
 ///
-/// Determinism contract: the cache returns the *same doubles* the
-/// uncached path computes — `DistanceMatrix::Compute` calls the same
-/// `Distance()` the on-the-fly scans call, OPTICS over the matrix is
-/// the same algorithm over the same values, and a disk round trip
-/// preserves every IEEE-754 bit pattern (block_format.h) — so every
-/// report, selection, and experiment table is byte-identical with the
-/// cache on or off, cold or warm (pinned by
-/// tests/cache_determinism_test.cc and tests/store_determinism_test.cc).
+/// The cache is the engine's only source of geometry: an entry point
+/// handed a null cache (RunCvcp, SelectBySilhouette, a FOSC `Cluster`
+/// call) builds one private to that call.
+///
+/// Determinism contract: the cache returns the *same doubles* as a
+/// computation from the points — `DistanceMatrix::Compute` calls the same
+/// `Distance()` an on-the-fly scan calls, OPTICS over the matrix is the
+/// same algorithm over the same values, and a disk round trip preserves
+/// every IEEE-754 bit pattern (block_format.h) — so every report is
+/// byte-identical cold or warm, shared or private (pinned against the
+/// cache-less oracles of tests/geometry_oracle.h).
+///
+/// Keys: the kernel policy of the caller's `exec.distance_kernel` changes
+/// distance bits, so it is part of every key. Under the default
+/// fixed-lane policy the key is the content hash itself; any other policy
+/// mixes itself into it, so its artifacts never serve a fixed-lane caller
+/// (or the reverse).
 ///
 /// Lifetime: a cache instance borrows the points matrix and the tier
 /// objects; it must not outlive any of them. All methods are thread-safe.
@@ -99,8 +107,8 @@ struct DatasetCacheTiers {
 class DatasetCache {
  public:
   /// Borrows `points` (no copy) and the tier objects. The cache must not
-  /// outlive them. Hashes the dataset content once, up front — that hash
-  /// keys every artifact in both tiers.
+  /// outlive them. Hashes the dataset content once, up front — that hash,
+  /// with the kernel policy, keys every artifact in both tiers.
   explicit DatasetCache(const Matrix& points, DatasetCacheTiers tiers = {});
 
   DatasetCache(const DatasetCache&) = delete;
@@ -108,15 +116,16 @@ class DatasetCache {
 
   const Matrix& points() const { return *points_; }
 
-  /// The dataset's content hash — the cross-process artifact key prefix.
+  /// The dataset's content hash — the cross-process artifact key under
+  /// the fixed-lane kernel policy.
   uint64_t content_hash() const { return content_hash_; }
 
-  /// The condensed pairwise distance matrix under `metric`. Resolution
-  /// order: memory LRU, then disk store, then `DistanceMatrix::Compute`
-  /// on `exec.threads` workers (publishing to both tiers). Racing
-  /// first-touch callers each resolve independently and the first
-  /// publisher wins (see file comment). The returned pointer keeps the
-  /// matrix alive independent of the cache.
+  /// The condensed pairwise distance matrix under `metric` and
+  /// `exec.distance_kernel`. Resolution order: memory LRU, then disk
+  /// store, then `DistanceMatrix::Compute` on `exec.threads` workers
+  /// (publishing to both tiers). Racing first-touch callers each resolve
+  /// independently and the first publisher wins (see file comment). The
+  /// returned pointer keeps the matrix alive independent of the cache.
   std::shared_ptr<const DistanceMatrix> Distances(
       Metric metric, const ExecutionContext& exec);
 
@@ -125,7 +134,7 @@ class DatasetCache {
   /// only the OPTICS stage; the dendrogram is rebuilt deterministically on
   /// load. Build errors (e.g. min_pts out of range) are memoized
   /// per-dataset — never persisted — so every caller sees exactly the
-  /// status the uncached path would return.
+  /// status `RunOptics` returns.
   Result<std::shared_ptr<const FoscOpticsModel>> FoscModel(
       Metric metric, int min_pts, const ExecutionContext& exec);
 
@@ -162,8 +171,9 @@ class DatasetCache {
  private:
   using ModelPtr = std::shared_ptr<const FoscOpticsModel>;
 
-  std::string DistanceKey(Metric metric) const;
-  std::string ModelKey(Metric metric, int min_pts) const;
+  /// The artifact key hash under `kernel`: `content_hash_` for fixed-lane,
+  /// a hash of (content hash, resolved policy) otherwise.
+  uint64_t KeyHash(DistanceKernelPolicy kernel) const;
 
   const Matrix* points_;
   uint64_t content_hash_;

@@ -6,7 +6,6 @@
 
 #include "common/hash.h"
 #include "common/strings.h"
-#include "constraints/oracle.h"
 #include "core/clusterer.h"
 #include "core/dataset_cache.h"
 
@@ -87,17 +86,11 @@ Result<std::unique_ptr<SemiSupervisedClusterer>> MakeClusterer(
 Result<Supervision> BuildJobSupervision(const Dataset& data,
                                         const JobSpec& spec) {
   Rng rng(spec.supervision_seed);
-  if (spec.scenario == SupervisionKind::kLabels) {
-    CVCP_ASSIGN_OR_RETURN(
-        std::vector<size_t> labeled,
-        SampleLabeledObjects(data, spec.label_fraction, &rng));
-    return Supervision::FromLabels(data, labeled);
-  }
-  CVCP_ASSIGN_OR_RETURN(ConstraintSet pool,
-                        BuildConstraintPool(data, spec.pool_fraction, &rng));
-  CVCP_ASSIGN_OR_RETURN(ConstraintSet sampled,
-                        SampleConstraints(pool, spec.constraint_fraction, &rng));
-  return Supervision::FromConstraints(std::move(sampled));
+  const double fraction = spec.scenario == SupervisionKind::kLabels
+                              ? spec.label_fraction
+                              : spec.constraint_fraction;
+  return DrawOracleSupervision(data, spec.scenario, fraction,
+                               spec.pool_fraction, &rng);
 }
 
 Result<CvcpReport> RunJob(const Dataset& data, const JobSpec& spec,

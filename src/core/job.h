@@ -89,7 +89,7 @@ Result<Supervision> BuildJobSupervision(const Dataset& data,
 /// Execution resources a job run borrows from its host (server or direct
 /// caller). Results are byte-identical for every combination.
 struct JobContext {
-  DatasetCache* cache = nullptr;  ///< shared compute cache; null = cache-less
+  DatasetCache* cache = nullptr;  ///< shared compute cache; null = per run
   ExecutionContext exec;          ///< thread budget for the grid×fold fan-out
 };
 

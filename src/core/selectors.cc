@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "cluster/silhouette.h"
 #include "core/dataset_cache.h"
@@ -16,6 +17,11 @@ Result<SilhouetteSelection> SelectBySilhouette(
     return Status::InvalidArgument(
         "silhouette selection needs a non-empty parameter grid");
   }
+  std::optional<DatasetCache> own;
+  ClusterContext run_context = context;
+  if (run_context.cache == nullptr) {
+    run_context.cache = &own.emplace(data.points());
+  }
   SilhouetteSelection sel;
   sel.silhouettes.reserve(param_grid.size());
   bool have_best = false;
@@ -28,17 +34,10 @@ Result<SilhouetteSelection> SelectBySilhouette(
     Rng run_rng = rng->Fork(gi);
     CVCP_ASSIGN_OR_RETURN(
         Clustering clustering,
-        clusterer.Cluster(data, supervision, param, &run_rng, context));
-    // Same doubles either way: the cached matrix holds exactly the
-    // distances the on-the-fly scan computes, in the same positions.
-    const double sil =
-        context.cache != nullptr
-            ? SilhouetteCoefficient(
-                  *context.cache->Distances(Metric::kEuclidean, context.exec),
-                  clustering)
-            : SilhouetteCoefficient(data.points(), clustering,
-                                    Metric::kEuclidean,
-                                    context.exec.distance_kernel);
+        clusterer.Cluster(data, supervision, param, &run_rng, run_context));
+    const double sil = SilhouetteCoefficient(
+        *run_context.cache->Distances(Metric::kEuclidean, run_context.exec),
+        clustering);
     sel.silhouettes.push_back(sil);
     if (!std::isnan(sil) && (!have_best || sil > sel.best_silhouette)) {
       sel.best_silhouette = sil;

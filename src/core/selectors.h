@@ -31,12 +31,12 @@ struct SilhouetteSelection {
 /// the clustering with the highest silhouette coefficient. Each run's RNG
 /// is forked from `rng` by grid *index* — the same scheme as the bench
 /// harness's full-supervision sweep, so both entry points produce the same
-/// clustering at the same grid position. When `context` carries a
-/// DatasetCache, every run clusters through it and the silhouettes are
-/// computed against its cached distance matrix (O(1) lookups instead of
-/// O(d) distance evaluations per pair) — the selection is byte-identical
-/// either way. Errors with kInvalidArgument for an empty grid and
-/// kFailedPrecondition if every silhouette is undefined.
+/// clustering at the same grid position. Every run clusters through
+/// `context`'s DatasetCache — one private to this call when it carries
+/// none — and the silhouettes read that cache's Euclidean distance
+/// matrix; the selection is byte-identical either way. Errors with
+/// kInvalidArgument for an empty grid and kFailedPrecondition if every
+/// silhouette is undefined.
 Result<SilhouetteSelection> SelectBySilhouette(
     const Dataset& data, const Supervision& supervision,
     const SemiSupervisedClusterer& clusterer, std::span<const int> param_grid,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "constraints/oracle.h"
+
 namespace cvcp {
 
 Supervision Supervision::FromLabels(const Dataset& data,
@@ -51,6 +53,22 @@ std::vector<bool> Supervision::InvolvementMask(size_t n) const {
     mask[o] = true;
   }
   return mask;
+}
+
+Result<Supervision> DrawOracleSupervision(const Dataset& data,
+                                          SupervisionKind kind,
+                                          double fraction,
+                                          double pool_fraction, Rng* rng) {
+  if (kind == SupervisionKind::kLabels) {
+    CVCP_ASSIGN_OR_RETURN(std::vector<size_t> labeled,
+                          SampleLabeledObjects(data, fraction, rng));
+    return Supervision::FromLabels(data, std::move(labeled));
+  }
+  CVCP_ASSIGN_OR_RETURN(ConstraintSet pool,
+                        BuildConstraintPool(data, pool_fraction, rng));
+  CVCP_ASSIGN_OR_RETURN(ConstraintSet sampled,
+                        SampleConstraints(pool, fraction, rng));
+  return Supervision::FromConstraints(std::move(sampled));
 }
 
 }  // namespace cvcp

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/dataset.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "constraints/constraint_set.h"
 
@@ -65,6 +66,16 @@ class Supervision {
   std::vector<int> sparse_labels_;
   std::vector<size_t> involved_objects_;
 };
+
+/// Samples supervision from `data`'s ground truth as the paper's oracle
+/// does (§4.1, constraints/oracle.h): Scenario I labels `fraction` of the
+/// objects; Scenario II builds the constraint pool from `pool_fraction` of
+/// each class and draws `fraction` of it. `rng` is consumed in that order,
+/// so one seed always draws the same supervision.
+Result<Supervision> DrawOracleSupervision(const Dataset& data,
+                                          SupervisionKind kind,
+                                          double fraction,
+                                          double pool_fraction, Rng* rng);
 
 }  // namespace cvcp
 

@@ -1,9 +1,10 @@
-// Bitwise-equality suite for the per-dataset compute cache: running with
-// the cache must produce byte-identical results to running without it —
+// Bitwise-equality suite for the per-dataset compute cache: running
+// through a cache — shared or private to the call — must reproduce the
+// cache-less oracles in tests/geometry_oracle.h byte for byte —
 // CvcpReports, silhouette selections, OPTICS-derived clusterings, and
-// whole experiment aggregates — across 1/2/8 threads and both scheduler
-// policies. Scores are compared through their bit patterns so even
-// sign-of-zero or NaN-payload drift would fail.
+// whole experiment aggregates — across thread widths. Scores are compared
+// through their bit patterns so even sign-of-zero or NaN-payload drift
+// would fail.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "core/selectors.h"
 #include "data/generators.h"
 #include "harness/experiment.h"
+#include "tests/geometry_oracle.h"
 
 namespace cvcp {
 namespace {
@@ -52,10 +54,12 @@ struct ConstraintFixture {
     return Supervision::FromConstraints(sampled.value());
   }();
   FoscOpticsDendClusterer clusterer;
+  UncachedFoscClusterer oracle;
 };
 
 /// Scenario I fixture: labels + MPCKMeans — exercises the cached
-/// silhouette path (the clusterer itself ignores the cache).
+/// silhouette path (the clusterer ignores the cache, so it is its own
+/// oracle).
 struct LabelFixture {
   Dataset data = FixtureData(701);
   Supervision supervision = [this] {
@@ -65,6 +69,7 @@ struct LabelFixture {
     return Supervision::FromLabels(data, labeled.value());
   }();
   MpckMeansClusterer clusterer;
+  MpckMeansClusterer oracle;
 };
 
 void ExpectReportsIdentical(const CvcpReport& a, const CvcpReport& b,
@@ -87,10 +92,10 @@ template <typename Fixture>
 void CheckCachedCvcpBitIdentical(const Fixture& fixture,
                                  CvcpConfig config) {
   config.cv.exec = ExecutionContext::Serial();
-  Rng uncached_rng(808);
-  auto uncached = RunCvcp(fixture.data, fixture.supervision,
-                          fixture.clusterer, config, &uncached_rng);
-  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  Rng oracle_rng(808);
+  auto expected = RunCvcp(fixture.data, fixture.supervision, fixture.oracle,
+                          config, &oracle_rng);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {1, 2, 8}) {
     config.cv.exec.threads = threads;
@@ -101,7 +106,13 @@ void CheckCachedCvcpBitIdentical(const Fixture& fixture,
     auto cached = RunCvcp(fixture.data, fixture.supervision,
                           fixture.clusterer, config, &rng, &cache);
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-    ExpectReportsIdentical(*uncached, *cached, threads);
+    ExpectReportsIdentical(*expected, *cached, threads);
+    // No cache passed: RunCvcp's private one must agree too.
+    Rng private_rng(808);
+    auto private_cache = RunCvcp(fixture.data, fixture.supervision,
+                                 fixture.clusterer, config, &private_rng);
+    ASSERT_TRUE(private_cache.ok()) << private_cache.status().ToString();
+    ExpectReportsIdentical(*expected, *private_cache, threads);
   }
 }
 
@@ -122,9 +133,10 @@ TEST(CacheDeterminismTest, CvcpLabelsMpckMeansBitIdentical) {
 }
 
 TEST(CacheDeterminismTest, FoscClustersBitIdenticalThroughCache) {
-  // The clusterer front door: cached DoCluster (memoized OPTICS over the
-  // distance matrix) vs uncached DoCluster (on-the-fly distances) must
-  // produce the same partition at every grid value.
+  // The clusterer front door: DoCluster through a shared cache (memoized
+  // OPTICS over the distance matrix) and through its private per-call
+  // cache must both produce the oracle's partition (on-the-fly distances)
+  // at every grid value.
   ConstraintFixture fixture;
   DatasetCache cache(fixture.data.points());
   ExecutionContext exec;
@@ -132,14 +144,20 @@ TEST(CacheDeterminismTest, FoscClustersBitIdenticalThroughCache) {
   for (int min_pts : {2, 4, 8, 16}) {
     Rng rng_a(11);
     Rng rng_b(11);
-    auto uncached = fixture.clusterer.Cluster(
-        fixture.data, fixture.supervision, min_pts, &rng_a);
+    Rng rng_c(11);
+    auto expected = fixture.oracle.Cluster(fixture.data, fixture.supervision,
+                                           min_pts, &rng_a);
     auto cached = fixture.clusterer.Cluster(
         fixture.data, fixture.supervision, min_pts, &rng_b,
         ClusterContext{&cache, exec});
-    ASSERT_TRUE(uncached.ok());
+    auto private_cache = fixture.clusterer.Cluster(
+        fixture.data, fixture.supervision, min_pts, &rng_c);
+    ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(cached.ok());
-    EXPECT_EQ(uncached->assignment(), cached->assignment())
+    ASSERT_TRUE(private_cache.ok());
+    EXPECT_EQ(expected->assignment(), cached->assignment())
+        << "MinPts " << min_pts;
+    EXPECT_EQ(expected->assignment(), private_cache->assignment())
         << "MinPts " << min_pts;
   }
 }
@@ -147,11 +165,21 @@ TEST(CacheDeterminismTest, FoscClustersBitIdenticalThroughCache) {
 TEST(CacheDeterminismTest, SilhouetteSelectionBitIdentical) {
   LabelFixture fixture;
   const std::vector<int> grid = {2, 3, 4, 5, 6};
-  Rng uncached_rng(909);
-  auto uncached =
+  Rng private_rng(909);
+  auto expected =
       SelectBySilhouette(fixture.data, fixture.supervision, fixture.clusterer,
-                         grid, &uncached_rng);
-  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+                         grid, &private_rng);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  // Oracle: the same index-forked runs, scored by the cache-less rescan.
+  for (size_t gi = 0; gi < grid.size(); ++gi) {
+    Rng run_rng = Rng(909).Fork(gi);
+    auto clustering = fixture.oracle.Cluster(fixture.data, fixture.supervision,
+                                             grid[gi], &run_rng);
+    ASSERT_TRUE(clustering.ok()) << clustering.status().ToString();
+    EXPECT_EQ(Bits(expected->silhouettes[gi]),
+              Bits(ReferenceSilhouette(fixture.data.points(), *clustering)))
+        << "grid " << gi;
+  }
 
   for (int threads : {1, 2, 8}) {
     DatasetCache cache(fixture.data.points());
@@ -163,15 +191,15 @@ TEST(CacheDeterminismTest, SilhouetteSelectionBitIdentical) {
                            fixture.clusterer, grid, &rng,
                            ClusterContext{&cache, exec});
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-    EXPECT_EQ(cached->best_param, uncached->best_param);
-    EXPECT_EQ(Bits(cached->best_silhouette), Bits(uncached->best_silhouette));
-    ASSERT_EQ(cached->silhouettes.size(), uncached->silhouettes.size());
+    EXPECT_EQ(cached->best_param, expected->best_param);
+    EXPECT_EQ(Bits(cached->best_silhouette), Bits(expected->best_silhouette));
+    ASSERT_EQ(cached->silhouettes.size(), expected->silhouettes.size());
     for (size_t gi = 0; gi < grid.size(); ++gi) {
-      EXPECT_EQ(Bits(cached->silhouettes[gi]), Bits(uncached->silhouettes[gi]))
+      EXPECT_EQ(Bits(cached->silhouettes[gi]), Bits(expected->silhouettes[gi]))
           << "grid " << gi << ", threads " << threads;
     }
     EXPECT_EQ(cached->best_clustering.assignment(),
-              uncached->best_clustering.assignment());
+              expected->best_clustering.assignment());
   }
 }
 
@@ -195,9 +223,10 @@ void ExpectAggregatesIdentical(const bench::CellAggregate& a,
   }
 }
 
-// The whole harness: cache on vs cache off must agree byte-for-byte at
-// every thread width (the cache is shared by concurrent trial lanes, so
-// this also exercises cross-trial sharing).
+// The whole harness: a private per-experiment cache and a run-wide pool
+// must agree byte-for-byte at every thread width (the cache is shared by
+// concurrent trial lanes, so this also exercises cross-trial sharing).
+// The silhouettes' oracle is SilhouetteSelectionBitIdentical's.
 TEST(CacheDeterminismTest, ExperimentAggregatesBitIdentical) {
   Dataset data = FixtureData(801);
   MpckMeansClusterer clusterer;
@@ -209,20 +238,20 @@ TEST(CacheDeterminismTest, ExperimentAggregatesBitIdentical) {
   spec.with_silhouette = true;
   const int trials = 4;
 
-  spec.use_cache = false;
   spec.exec = ExecutionContext::Serial();
   const bench::CellAggregate baseline =
       bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/99);
   ASSERT_GT(baseline.trials_ok, 0);
 
   for (int threads : {1, 2, 3, 8}) {
-    for (bool use_cache : {true, false}) {
-      spec.use_cache = use_cache;
+    for (bool use_pool : {true, false}) {
+      DatasetCachePool pool(/*memory_capacity_bytes=*/64 * 1024 * 1024);
+      spec.cache_pool = use_pool ? &pool : nullptr;
       spec.exec.threads = threads;
       const bench::CellAggregate agg =
           bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/99);
       const std::string label =
-          std::string(use_cache ? "cache" : "no-cache") + ", threads " +
+          std::string(use_pool ? "pool" : "private") + ", threads " +
           std::to_string(threads);
       ExpectAggregatesIdentical(baseline, agg, label.c_str());
     }
@@ -230,10 +259,11 @@ TEST(CacheDeterminismTest, ExperimentAggregatesBitIdentical) {
 }
 
 // Same one level up for FOSC (the cache-heavy algorithm) including the
-// FOSC-specific sweep and external scores.
+// FOSC-specific sweep and external scores, against the cache-less oracle.
 TEST(CacheDeterminismTest, FoscExperimentAggregatesBitIdentical) {
   Dataset data = FixtureData(901);
   FoscOpticsDendClusterer clusterer;
+  UncachedFoscClusterer oracle;
   bench::TrialSpec spec;
   spec.scenario = bench::Scenario::kConstraints;
   spec.level = 0.5;
@@ -241,14 +271,12 @@ TEST(CacheDeterminismTest, FoscExperimentAggregatesBitIdentical) {
   spec.grid = {3, 5, 8, 12};
   const int trials = 3;
 
-  spec.use_cache = false;
   spec.exec = ExecutionContext::Serial();
   const bench::CellAggregate baseline =
-      bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/77);
+      bench::RunExperiment(data, oracle, spec, trials, /*seed=*/77);
   ASSERT_GT(baseline.trials_ok, 0);
 
   for (int threads : {1, 2, 3, 8}) {
-    spec.use_cache = true;
     spec.exec.threads = threads;
     const bench::CellAggregate agg =
         bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/77);

@@ -40,7 +40,7 @@ TEST(MakeSupervisionFoldsTest, DispatchesByKind) {
   EXPECT_TRUE((*folds_c)[0].train_labels.empty());
 }
 
-TEST(ScoreParamOnFoldsTest, GoodParamScoresHighOnEasyData) {
+TEST(ScoreGridOnFoldsTest, GoodParamScoresHighOnEasyData) {
   Dataset data = EasyData();
   Rng rng(3);
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
@@ -50,15 +50,16 @@ TEST(ScoreParamOnFoldsTest, GoodParamScoresHighOnEasyData) {
   ASSERT_TRUE(folds.ok());
 
   MpckMeansClusterer clusterer;
-  auto score = ScoreParamOnFolds(data, *folds, supervision.kind(), clusterer,
-                                 /*param=*/3, &rng);
-  ASSERT_TRUE(score.ok());
-  EXPECT_EQ(score->fold_scores.size(), 5u);
-  EXPECT_EQ(score->valid_folds, 5);
-  EXPECT_GT(score->mean_f, 0.9);
+  auto scores = ScoreGridOnFolds(data, *folds, supervision.kind(), clusterer,
+                                 /*param_grid=*/{3}, &rng);
+  ASSERT_TRUE(scores.ok());
+  const CvScore& score = scores->front();
+  EXPECT_EQ(score.fold_scores.size(), 5u);
+  EXPECT_EQ(score.valid_folds, 5);
+  EXPECT_GT(score.mean_f, 0.9);
 }
 
-TEST(ScoreParamOnFoldsTest, BadParamScoresLower) {
+TEST(ScoreGridOnFoldsTest, BadParamScoresLower) {
   Dataset data = EasyData();
   Rng rng(4);
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
@@ -69,16 +70,16 @@ TEST(ScoreParamOnFoldsTest, BadParamScoresLower) {
 
   MpckMeansClusterer clusterer;
   Rng rng_good(5), rng_bad(5);
-  auto good = ScoreParamOnFolds(data, *folds, supervision.kind(), clusterer,
-                                3, &rng_good);
-  auto bad = ScoreParamOnFolds(data, *folds, supervision.kind(), clusterer,
-                               10, &rng_bad);
+  auto good = ScoreGridOnFolds(data, *folds, supervision.kind(), clusterer,
+                               {3}, &rng_good);
+  auto bad = ScoreGridOnFolds(data, *folds, supervision.kind(), clusterer,
+                              {10}, &rng_bad);
   ASSERT_TRUE(good.ok());
   ASSERT_TRUE(bad.ok());
-  EXPECT_GT(good->mean_f, bad->mean_f);
+  EXPECT_GT(good->front().mean_f, bad->front().mean_f);
 }
 
-TEST(ScoreParamOnFoldsTest, DeterministicGivenSameRngSeed) {
+TEST(ScoreGridOnFoldsTest, DeterministicGivenSameRngSeed) {
   Dataset data = EasyData();
   Rng rng(6);
   auto labeled = SampleLabeledObjects(data, 0.2, &rng);
@@ -89,53 +90,12 @@ TEST(ScoreParamOnFoldsTest, DeterministicGivenSameRngSeed) {
   MpckMeansClusterer clusterer;
   Rng a(7), b(7);
   auto ra =
-      ScoreParamOnFolds(data, *folds, supervision.kind(), clusterer, 3, &a);
+      ScoreGridOnFolds(data, *folds, supervision.kind(), clusterer, {3}, &a);
   auto rb =
-      ScoreParamOnFolds(data, *folds, supervision.kind(), clusterer, 3, &b);
+      ScoreGridOnFolds(data, *folds, supervision.kind(), clusterer, {3}, &b);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
-  EXPECT_EQ(ra->fold_scores, rb->fold_scores);
-}
-
-TEST(CrossValidateParamTest, EndToEndConstraintScenario) {
-  Dataset data = EasyData();
-  Rng rng(8);
-  auto pool = BuildConstraintPool(data, 0.25, &rng);
-  ASSERT_TRUE(pool.ok());
-  Supervision supervision = Supervision::FromConstraints(pool.value());
-  FoscOpticsDendClusterer clusterer;
-  auto score = CrossValidateParam(data, supervision, clusterer, /*MinPts=*/4,
-                                  {.n_folds = 4}, &rng);
-  ASSERT_TRUE(score.ok());
-  EXPECT_GE(score->valid_folds, 1);
-  EXPECT_GT(score->mean_f, 0.5);
-}
-
-TEST(CrossValidateParamTest, AgreesWithRunCvcpOnIdenticalInputs) {
-  // Regression test: CrossValidateParam must fork its fold/score RNG
-  // streams exactly like RunCvcp (kFoldStreamId / kScoreStreamId), so the
-  // convenience entry point reproduces the corresponding grid entry of the
-  // full driver bit-for-bit.
-  Dataset data = EasyData();
-  Rng rng(10);
-  auto labeled = SampleLabeledObjects(data, 0.3, &rng);
-  ASSERT_TRUE(labeled.ok());
-  Supervision supervision = Supervision::FromLabels(data, labeled.value());
-  MpckMeansClusterer clusterer;
-
-  CvcpConfig cvcp_config;
-  cvcp_config.cv.n_folds = 4;
-  cvcp_config.param_grid = {3};
-  Rng cvcp_rng(11);
-  auto report = RunCvcp(data, supervision, clusterer, cvcp_config, &cvcp_rng);
-  ASSERT_TRUE(report.ok());
-
-  Rng cv_rng(11);
-  auto score = CrossValidateParam(data, supervision, clusterer, /*param=*/3,
-                                  cvcp_config.cv, &cv_rng);
-  ASSERT_TRUE(score.ok());
-  EXPECT_EQ(score->valid_folds, report->scores[0].valid_folds);
-  EXPECT_DOUBLE_EQ(score->mean_f, report->scores[0].score);
+  EXPECT_EQ(ra->front().fold_scores, rb->front().fold_scores);
 }
 
 TEST(ScoreGridOnFoldsTest, MatchesPerParamScoringForEveryThreadCount) {
@@ -149,14 +109,14 @@ TEST(ScoreGridOnFoldsTest, MatchesPerParamScoringForEveryThreadCount) {
   MpckMeansClusterer clusterer;
   const std::vector<int> grid = {2, 3, 5};
 
-  // Reference: the serial per-param path.
+  // Reference: each param scored serially on its own one-value grid.
   std::vector<CvScore> expected;
   for (int param : grid) {
     Rng param_rng(13);
-    auto score = ScoreParamOnFolds(data, *folds, supervision.kind(), clusterer,
-                                   param, &param_rng);
+    auto score = ScoreGridOnFolds(data, *folds, supervision.kind(), clusterer,
+                                  {param}, &param_rng);
     ASSERT_TRUE(score.ok());
-    expected.push_back(*score);
+    expected.push_back(score->front());
   }
 
   for (int threads : {1, 2, 8}) {
@@ -174,17 +134,6 @@ TEST(ScoreGridOnFoldsTest, MatchesPerParamScoringForEveryThreadCount) {
       EXPECT_DOUBLE_EQ((*scores)[g].mean_f, expected[g].mean_f);
     }
   }
-}
-
-TEST(CrossValidateParamTest, TooFewObjectsForFoldsErrors) {
-  Dataset data = EasyData();
-  Rng rng(9);
-  Supervision supervision = Supervision::FromLabels(data, {0, 1, 2});
-  MpckMeansClusterer clusterer;
-  auto score =
-      CrossValidateParam(data, supervision, clusterer, 3, {.n_folds = 10},
-                         &rng);
-  EXPECT_EQ(score.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -130,6 +130,18 @@ TEST(CvcpTest, EmptyGridRejected) {
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(CvcpTest, TooFewObjectsForFoldsErrors) {
+  Dataset data = EasyData();
+  Rng rng(9);
+  Supervision supervision = Supervision::FromLabels(data, {0, 1, 2});
+  MpckMeansClusterer clusterer;
+  CvcpConfig config;
+  config.cv.n_folds = 10;
+  config.param_grid = {3};
+  auto report = RunCvcp(data, supervision, clusterer, config, &rng);
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(CvcpTest, DeterministicGivenSeed) {
   Dataset data = EasyData(11);
   Rng rng(12);

@@ -11,6 +11,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -158,6 +160,48 @@ TEST(DatasetCacheTest, ErrorsMemoizedWithUncachedStatus) {
   EXPECT_EQ(cache.stats().model_builds, 0u);
   EXPECT_EQ(cache.stats().model_errors, 1u);
   EXPECT_EQ(cache.stats().model_hits, 1u);
+}
+
+// The kernel policy changes distance bits, so it is part of every
+// artifact key: geometry a scalar-legacy run left in memory or on disk must
+// never serve a fixed-lane caller, while a later scalar-legacy caller
+// still finds all of it. Policies are set per context, so this holds under
+// any process-default kernel.
+TEST(DatasetCacheTest, ArtifactsKeyedByKernelPolicy) {
+  Matrix points = FixturePoints(30);
+  const std::vector<int> grid = {3, 5};
+  ExecutionContext legacy = ExecutionContext::Serial();
+  legacy.distance_kernel = DistanceKernelPolicy::kScalarLegacy;
+  ExecutionContext fixed = ExecutionContext::Serial();
+  fixed.distance_kernel = DistanceKernelPolicy::kFixedLane;
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "cvcp_kernel_key";
+  std::filesystem::remove_all(dir);
+  ArtifactStore store(dir.string());
+  ShardedLruCache memory(/*capacity_bytes=*/64 * 1024 * 1024);
+
+  DatasetCache legacy_fill(points, DatasetCacheTiers{&memory, &store});
+  legacy_fill.Prewarm(Metric::kEuclidean, grid, legacy);
+  ASSERT_EQ(legacy_fill.stats().model_builds, grid.size());
+
+  DatasetCache fixed_cache(points, DatasetCacheTiers{&memory, &store});
+  fixed_cache.Prewarm(Metric::kEuclidean, grid, fixed);
+  EXPECT_EQ(fixed_cache.stats().model_loads, 0u);
+  EXPECT_EQ(fixed_cache.stats().model_hits, 0u);
+  EXPECT_EQ(fixed_cache.stats().model_builds, grid.size());
+  const auto distances = fixed_cache.Distances(Metric::kEuclidean, fixed);
+  const DistanceMatrix direct =
+      DistanceMatrix::Compute(points, Metric::kEuclidean, fixed);
+  ASSERT_EQ(distances->condensed().size(), direct.condensed().size());
+  EXPECT_EQ(std::memcmp(distances->condensed().data(),
+                        direct.condensed().data(), direct.MemoryBytes()),
+            0);
+
+  DatasetCache legacy_again(points, DatasetCacheTiers{nullptr, &store});
+  legacy_again.Prewarm(Metric::kEuclidean, grid, legacy);
+  EXPECT_EQ(legacy_again.stats().distance_builds, 0u);
+  EXPECT_EQ(legacy_again.stats().model_builds, 0u);
+  EXPECT_EQ(legacy_again.stats().model_loads, grid.size());
 }
 
 TEST(DatasetCachePoolTest, SharesGeometryAcrossCacheFrontEnds) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dataset_cache.h"
 #include "data/generators.h"
 #include "data/paper_suites.h"
 #include "harness/experiment.h"
@@ -31,8 +32,10 @@ TrialSpec LabelSpec() {
 TEST(RunTrialTest, DeterministicGivenSeed) {
   Dataset data = MakeAloiK5Like(1, 0);
   MpckMeansClusterer clusterer;
-  const TrialResult a = RunTrial(data, clusterer, LabelSpec(), 99);
-  const TrialResult b = RunTrial(data, clusterer, LabelSpec(), 99);
+  DatasetCache cache_a(data.points());
+  DatasetCache cache_b(data.points());
+  const TrialResult a = RunTrial(data, clusterer, LabelSpec(), 99, cache_a);
+  const TrialResult b = RunTrial(data, clusterer, LabelSpec(), 99, cache_b);
   ASSERT_TRUE(a.ok);
   ASSERT_TRUE(b.ok);
   EXPECT_EQ(a.cvcp_param, b.cvcp_param);
@@ -51,7 +54,8 @@ TEST(RunTrialTest, SelectorQuantitiesDeriveFromExternalSeries) {
   Dataset data = MakeAloiK5Like(1, 1);
   MpckMeansClusterer clusterer;
   const TrialSpec spec = LabelSpec();
-  const TrialResult t = RunTrial(data, clusterer, spec, 7);
+  DatasetCache cache(data.points());
+  const TrialResult t = RunTrial(data, clusterer, spec, 7, cache);
   ASSERT_TRUE(t.ok);
   ASSERT_EQ(t.external_scores.size(), spec.grid.size());
 
@@ -91,7 +95,8 @@ TEST(RunTrialTest, FoscSkipsSilhouette) {
   TrialSpec spec = LabelSpec();
   spec.grid = DefaultMinPtsGrid();
   spec.with_silhouette = false;
-  const TrialResult t = RunTrial(data, clusterer, spec, 3);
+  DatasetCache cache(data.points());
+  const TrialResult t = RunTrial(data, clusterer, spec, 3, cache);
   ASSERT_TRUE(t.ok);
   EXPECT_TRUE(std::isnan(t.silhouette_external));
 }

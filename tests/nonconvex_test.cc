@@ -100,9 +100,10 @@ TEST(NonConvexTest, SilhouetteMisleadsOnMoons) {
   config.n_init = 10;
   auto km = RunKMeans(moons.points(), config, &rng);
   ASSERT_TRUE(km.ok());
-  const double sil_truth = SilhouetteCoefficient(moons.points(), truth);
-  const double sil_kmeans =
-      SilhouetteCoefficient(moons.points(), km->clustering);
+  const DistanceMatrix distances =
+      DistanceMatrix::Compute(moons.points(), Metric::kEuclidean);
+  const double sil_truth = SilhouetteCoefficient(distances, truth);
+  const double sil_kmeans = SilhouetteCoefficient(distances, km->clustering);
   EXPECT_GT(sil_kmeans, sil_truth);
 }
 

@@ -6,9 +6,9 @@
 #include <cmath>
 #include <cstdint>
 
-#include "cluster/silhouette.h"
 #include "common/rng.h"
 #include "data/generators.h"
+#include "tests/geometry_oracle.h"
 
 namespace cvcp {
 namespace {
@@ -64,14 +64,14 @@ TEST(SelectBySilhouetteTest, ForksByGridIndexMatchingTheHarnessSweep) {
   ASSERT_EQ(sel->silhouettes.size(), grid.size());
 
   // The harness's full-supervision sweep: same rng seed, fork by index.
-  // Every per-position silhouette must agree bitwise.
+  // Every per-position silhouette must agree bitwise with the cache-less
+  // reference.
   for (size_t gi = 0; gi < grid.size(); ++gi) {
     Rng run_rng = Rng(42).Fork(gi);
     auto clustering =
         clusterer.Cluster(data, supervision, grid[gi], &run_rng);
     ASSERT_TRUE(clustering.ok()) << "grid index " << gi;
-    const double sil =
-        SilhouetteCoefficient(data.points(), clustering.value());
+    const double sil = ReferenceSilhouette(data.points(), clustering.value());
     EXPECT_EQ(std::bit_cast<uint64_t>(sil),
               std::bit_cast<uint64_t>(sel->silhouettes[gi]))
         << "grid index " << gi;

@@ -1,7 +1,8 @@
 // Bitwise-equality suite for the persistent artifact store: reports must
-// be byte-identical whether the geometry was recomputed, memory-cached,
-// stored cold (computing and persisting), or served from a warm store —
-// across 1/2/8 threads and both scheduler policies — and a warm store
+// be byte-identical whether the geometry was recomputed by the cache-less
+// oracle (tests/geometry_oracle.h), memory-cached, stored cold (computing
+// and persisting), or served from a warm store — across thread widths —
+// and a warm store
 // must satisfy every model request with zero OPTICS rebuilds (the
 // cross-process warm-start guarantee, rehearsed in-process with fresh
 // cache front-ends over one store directory).
@@ -21,6 +22,7 @@
 #include "core/dataset_cache.h"
 #include "data/generators.h"
 #include "harness/experiment.h"
+#include "tests/geometry_oracle.h"
 
 namespace cvcp {
 namespace {
@@ -61,6 +63,7 @@ struct StoreFixture {
     return Supervision::FromConstraints(sampled.value());
   }();
   FoscOpticsDendClusterer clusterer;
+  UncachedFoscClusterer oracle;
 };
 
 void ExpectReportsIdentical(const CvcpReport& a, const CvcpReport& b,
@@ -82,11 +85,11 @@ TEST(StoreDeterminismTest, CvcpColdAndWarmBitIdenticalAcrossThreads) {
   config.cv.n_folds = 4;
   config.param_grid = {3, 6, 9, 12};
 
-  // Recomputed-from-scratch baseline, no cache at all.
+  // Recomputed-from-scratch baseline: the cache-less oracle.
   config.cv.exec = ExecutionContext::Serial();
   Rng baseline_rng(818);
-  auto baseline = RunCvcp(fixture.data, fixture.supervision,
-                          fixture.clusterer, config, &baseline_rng);
+  auto baseline = RunCvcp(fixture.data, fixture.supervision, fixture.oracle,
+                          config, &baseline_rng);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   ArtifactStore store(FreshStoreDir("cvcp"));
@@ -167,11 +170,13 @@ void ExpectAggregatesIdentical(const bench::CellAggregate& a,
 }
 
 // The whole harness through a pool + store: every thread width, cold and
-// warm, must reproduce the no-cache serial aggregates byte for byte — and once the store is warm,
-// a fresh pool must run the experiment with zero OPTICS rebuilds.
+// warm, must reproduce the cache-less oracle's serial aggregates byte for
+// byte — and once the store is warm, a fresh pool must run the experiment
+// with zero OPTICS rebuilds.
 TEST(StoreDeterminismTest, ExperimentAggregatesBitIdenticalThroughStore) {
   Dataset data = FixtureData(911);
   FoscOpticsDendClusterer clusterer;
+  UncachedFoscClusterer oracle;
   bench::TrialSpec spec;
   spec.scenario = bench::Scenario::kConstraints;
   spec.level = 0.5;
@@ -179,14 +184,12 @@ TEST(StoreDeterminismTest, ExperimentAggregatesBitIdenticalThroughStore) {
   spec.grid = {3, 5, 8, 12};
   const int trials = 3;
 
-  spec.use_cache = false;
   spec.exec = ExecutionContext::Serial();
   const bench::CellAggregate baseline =
-      bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/78);
+      bench::RunExperiment(data, oracle, spec, trials, /*seed=*/78);
   ASSERT_GT(baseline.trials_ok, 0);
 
   ArtifactStore store(FreshStoreDir("experiment"));
-  spec.use_cache = true;
   for (int threads : {1, 2, 3, 8}) {
     spec.exec.threads = threads;
     DatasetCachePool pool(/*memory_capacity_bytes=*/64 * 1024 * 1024,

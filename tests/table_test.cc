@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "common/csv.h"
 #include "common/table.h"
 
 namespace cvcp {
@@ -38,43 +37,6 @@ TEST(TextTableTest, RaggedRowsPadded) {
 TEST(TextTableTest, EmptyTable) {
   TextTable t("caption only");
   EXPECT_EQ(t.Render(), "caption only\n");
-}
-
-TEST(CsvWriterTest, QuotesOnlyWhenNeeded) {
-  CsvWriter w;
-  w.AddRow({"plain", "with,comma", "with\"quote", "with\nnewline"});
-  const std::string out = w.ToString();
-  EXPECT_EQ(out,
-            "plain,\"with,comma\",\"with\"\"quote\",\"with\nnewline\"\n");
-}
-
-TEST(CsvRoundTripTest, WriteParseIdentity) {
-  CsvWriter w;
-  w.AddRow({"a", "b,c", "d\"e"});
-  w.AddRow({"1", "", "3"});
-  auto parsed = ParseCsv(w.ToString());
-  ASSERT_TRUE(parsed.ok());
-  ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_EQ((*parsed)[0], (std::vector<std::string>{"a", "b,c", "d\"e"}));
-  EXPECT_EQ((*parsed)[1], (std::vector<std::string>{"1", "", "3"}));
-}
-
-TEST(ParseCsvTest, HandlesCrlfAndFinalLineWithoutNewline) {
-  auto parsed = ParseCsv("a,b\r\nc,d");
-  ASSERT_TRUE(parsed.ok());
-  ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_EQ((*parsed)[1], (std::vector<std::string>{"c", "d"}));
-}
-
-TEST(ParseCsvTest, EmptyInput) {
-  auto parsed = ParseCsv("");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed->empty());
-}
-
-TEST(ParseCsvTest, RejectsMalformed) {
-  EXPECT_FALSE(ParseCsv("a,\"unterminated").ok());
-  EXPECT_FALSE(ParseCsv("a,b\"c").ok());
 }
 
 }  // namespace
