@@ -232,8 +232,11 @@ void BM_KMeans(benchmark::State& state) {
 }
 BENCHMARK(BM_KMeans)->Arg(25)->Arg(50)->Arg(100);
 
+// Arg0: objects per cluster (5 clusters); Arg1: dims. The 25 x 144 row
+// has the ALOI-k5 shape (n = 125, d = 144) the Figure 10 protocol runs.
 void BM_MpckMeans(benchmark::State& state) {
-  Dataset data = BenchData(static_cast<size_t>(state.range(0)), 5, 16);
+  Dataset data = BenchData(static_cast<size_t>(state.range(0)), 5,
+                           static_cast<size_t>(state.range(1)));
   ConstraintSet constraints = BenchConstraints(data, 0.2);
   MpckMeansConfig config;
   config.k = 5;
@@ -243,7 +246,11 @@ void BM_MpckMeans(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_MpckMeans)->Arg(25)->Arg(50)->Arg(100);
+BENCHMARK(BM_MpckMeans)
+    ->Args({25, 16})
+    ->Args({50, 16})
+    ->Args({100, 16})
+    ->Args({25, 144});
 
 // Distance-kernel policies head to head (Arg0: 0 = scalar-legacy,
 // 1 = fixed-lane (SIMD-dispatched default), 2 = unrolled; Arg1: dims).

@@ -1,5 +1,6 @@
 #include "common/distance_kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -103,6 +104,94 @@ double FixedWeightedSquaredEuclidean(const double* a, const double* b,
   }
   return ReduceLanes(lanes);
 }
+
+void FixedWeightedSquaredEuclideanX4(const double* const rows[4],
+                                     const double* b, const double* w,
+                                     size_t n, double out[4]) {
+  for (size_t k = 0; k < 4; ++k) {
+    out[k] = FixedWeightedSquaredEuclidean(rows[k], b, w, n);
+  }
+}
+
+void FixedWeightedSquaredEuclideanRows(const double* a, const double* b,
+                                       const double* w, size_t w_stride,
+                                       size_t rows, size_t n, double* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    out[r] = FixedWeightedSquaredEuclidean(a, b, w + r * w_stride, n);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Portable row updates (the pin for the dispatched RowKernels table)
+// ---------------------------------------------------------------------------
+
+void RowSumRows(double* out, const double* const* rows, size_t count,
+                size_t n) {
+  for (size_t m = 0; m < n; ++m) out[m] = 0.0;
+  for (size_t r = 0; r < count; ++r) {
+    for (size_t m = 0; m < n; ++m) out[m] += rows[r][m];
+  }
+}
+
+void RowSumSquaredDiffs(double* out, const double* const* rows, size_t count,
+                        const double* mu, size_t n) {
+  for (size_t m = 0; m < n; ++m) out[m] = 0.0;
+  for (size_t r = 0; r < count; ++r) {
+    for (size_t m = 0; m < n; ++m) {
+      const double e = rows[r][m] - mu[m];
+      out[m] += e * e;
+    }
+  }
+}
+
+void RowMinMaxRows(double* lo, double* hi, const double* const* rows,
+                   size_t count, size_t n) {
+  for (size_t r = 0; r < count; ++r) {
+    for (size_t m = 0; m < n; ++m) {
+      lo[m] = std::min(lo[m], rows[r][m]);
+      hi[m] = std::max(hi[m], rows[r][m]);
+    }
+  }
+}
+
+void RowDivide(double* acc, double divisor, size_t n) {
+  for (size_t m = 0; m < n; ++m) acc[m] /= divisor;
+}
+
+void RowAddMustLinkScatter(double* acc_a, double* acc_b, const double* x,
+                           const double* y, double half_weight, size_t n) {
+  for (size_t m = 0; m < n; ++m) {
+    const double e = x[m] - y[m];
+    const double t = half_weight * e * e;
+    acc_a[m] += 0.5 * t;
+    acc_b[m] += 0.5 * t;
+  }
+}
+
+void RowAddCannotLinkScatter(double* acc, const double* x, const double* y,
+                             const double* range, double weight, size_t n) {
+  for (size_t m = 0; m < n; ++m) {
+    const double e = x[m] - y[m];
+    acc[m] += weight * std::max(0.0, range[m] - e * e);
+  }
+}
+
+void RowClampedRatio(double* out, double num, const double* den, double lo,
+                     double hi, size_t n) {
+  for (size_t m = 0; m < n; ++m) {
+    out[m] = std::clamp(num / std::max(den[m], lo), lo, hi);
+  }
+}
+
+const RowKernels kPortableRowKernels = {
+    RowSumRows,
+    RowSumSquaredDiffs,
+    RowMinMaxRows,
+    RowDivide,
+    RowAddMustLinkScatter,
+    RowAddCannotLinkScatter,
+    RowClampedRatio,
+};
 
 // ---------------------------------------------------------------------------
 // Legacy scalar kernels (the pre-SIMD left-to-right byte baseline)
@@ -212,6 +301,8 @@ const DistanceKernels kPortableFixedLane = {
     FixedCosine,
     FixedWeightedSquaredEuclidean,
     FixedSquaredEuclideanX4,
+    FixedWeightedSquaredEuclideanX4,
+    FixedWeightedSquaredEuclideanRows,
 };
 
 const DistanceKernels kScalarLegacy = {
@@ -219,6 +310,8 @@ const DistanceKernels kScalarLegacy = {
     LegacyManhattan,
     LegacyCosine,
     LegacyWeightedSquaredEuclidean,
+    nullptr,
+    nullptr,
     nullptr,
 };
 
@@ -230,6 +323,8 @@ const DistanceKernels kUnrolled = {
     LegacyCosine,
     UnrolledWeightedSquaredEuclidean,
     nullptr,
+    nullptr,
+    nullptr,
 };
 
 }  // namespace
@@ -240,6 +335,7 @@ const DistanceKernels kUnrolled = {
 namespace internal {
 #if defined(CVCP_HAVE_AVX2)
 const DistanceKernels& Avx2FixedLaneKernels();
+const RowKernels& Avx2RowKernels();
 #endif
 #if defined(CVCP_HAVE_NEON)
 const DistanceKernels& NeonFixedLaneKernels();
@@ -253,20 +349,23 @@ namespace {
 /// invisible in results — it only moves wall time.
 struct FixedLaneChoice {
   const DistanceKernels* kernels;
+  const RowKernels* rows;
   const char* arch;
 };
 
 FixedLaneChoice ChooseFixedLane() {
 #if defined(CVCP_HAVE_AVX2) && defined(__GNUC__)
   if (__builtin_cpu_supports("avx2")) {
-    return {&internal::Avx2FixedLaneKernels(), "avx2"};
+    return {&internal::Avx2FixedLaneKernels(), &internal::Avx2RowKernels(),
+            "avx2"};
   }
 #endif
 #if defined(CVCP_HAVE_NEON)
-  // NEON is architecturally mandatory on AArch64; no runtime probe.
-  return {&internal::NeonFixedLaneKernels(), "neon"};
+  // NEON is architecturally mandatory on AArch64; no runtime probe. The
+  // row updates have no NEON form and run the portable loops.
+  return {&internal::NeonFixedLaneKernels(), &kPortableRowKernels, "neon"};
 #endif
-  return {&kPortableFixedLane, "portable"};
+  return {&kPortableFixedLane, &kPortableRowKernels, "portable"};
 }
 
 const FixedLaneChoice& FixedLane() {
@@ -353,5 +452,9 @@ const DistanceKernels& FixedLaneKernelsPortable() { return kPortableFixedLane; }
 const DistanceKernels& FixedLaneKernelsNative() { return *FixedLane().kernels; }
 
 const char* DistanceKernelArch() { return FixedLane().arch; }
+
+const RowKernels& GetRowKernels() { return *FixedLane().rows; }
+
+const RowKernels& RowKernelsPortable() { return kPortableRowKernels; }
 
 }  // namespace cvcp

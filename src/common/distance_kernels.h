@@ -4,7 +4,8 @@
 /// \file
 /// The low-level distance kernels behind common/distance.h: one table of
 /// raw-pointer inner loops per `DistanceKernelPolicy`, plus the runtime
-/// dispatch that picks a SIMD implementation of the fixed-lane kernels.
+/// dispatch that picks a SIMD implementation of the fixed-lane kernels
+/// and of the policy-independent row kernels (MPCKMeans' M-step loops).
 ///
 /// ## The fixed-lane contract
 ///
@@ -56,6 +57,62 @@ struct DistanceKernels {
   /// single-pair calls, which produce the same bits.
   void (*squared_euclidean_x4)(const double* a, const double* b, size_t stride,
                                size_t n, double out[4]);
+  /// Gathered batch of the weighted form: out[k] =
+  /// weighted_squared_euclidean(rows[k], b, w, n) for k = 0..3 — four
+  /// rows at unrelated addresses (MPCKMeans' objects) against one `b`
+  /// (a centroid) under one weight row. Each pair keeps the single-pair
+  /// lane order. Null where `squared_euclidean_x4` is null, and on NEON;
+  /// callers fall back to four single-pair calls, which give the same
+  /// bits.
+  void (*weighted_squared_euclidean_x4)(const double* const rows[4],
+                                        const double* b, const double* w,
+                                        size_t n, double out[4]);
+  /// One pair under `rows` weight rows: out[r] =
+  /// weighted_squared_euclidean(a, b, w + r * w_stride, n) for
+  /// r = 0..rows-1 (an MPCKMeans must-link under every cluster's metric).
+  /// The squared differences are formed once per 8-element block for up
+  /// to four rows at a time; each row keeps the single-pair lane order.
+  /// Null exactly where `weighted_squared_euclidean_x4` is; callers fall
+  /// back to one single-pair call per row.
+  void (*weighted_squared_euclidean_rows)(const double* a, const double* b,
+                                          const double* w, size_t w_stride,
+                                          size_t rows, size_t n, double* out);
+};
+
+/// Per-dimension row loops — the setup and M-step of MPCKMeans. Each
+/// output element is its own accumulator and receives the same IEEE
+/// operations in the same order in every implementation, so the
+/// dispatched (AVX2) table and the portable one are bitwise equal and
+/// independent of the distance-kernel policy. `rows` holds `count`
+/// pointers to rows of `n` contiguous doubles; the rows are consumed in
+/// array order. Outputs may not alias inputs except where stated.
+struct RowKernels {
+  /// out[m] = (((+0.0 + rows[0][m]) + rows[1][m]) + ...).
+  void (*sum_rows)(double* out, const double* const* rows, size_t count,
+                   size_t n);
+  /// out[m] = +0.0 + e_0 * e_0 + e_1 * e_1 + ... (left to right) with
+  /// e_r = rows[r][m] - mu[m].
+  void (*sum_squared_diffs)(double* out, const double* const* rows,
+                            size_t count, const double* mu, size_t n);
+  /// For r in order: lo[m] = std::min(lo[m], rows[r][m]) and
+  /// hi[m] = std::max(hi[m], rows[r][m]).
+  void (*min_max_rows)(double* lo, double* hi, const double* const* rows,
+                       size_t count, size_t n);
+  /// acc[m] /= divisor (a true division, not a reciprocal multiply).
+  void (*divide)(double* acc, double divisor, size_t n);
+  /// With e = x[m] - y[m] and t = (half_weight * e) * e:
+  /// acc_a[m] += 0.5 * t and acc_b[m] += 0.5 * t (acc_a != acc_b).
+  void (*add_must_link_scatter)(double* acc_a, double* acc_b, const double* x,
+                                const double* y, double half_weight,
+                                size_t n);
+  /// With e = x[m] - y[m]:
+  /// acc[m] += weight * std::max(0.0, range[m] - e * e).
+  void (*add_cannot_link_scatter)(double* acc, const double* x,
+                                  const double* y, const double* range,
+                                  double weight, size_t n);
+  /// out[m] = std::clamp(num / std::max(den[m], lo), lo, hi), NaN kept.
+  void (*clamped_ratio)(double* out, double num, const double* den, double lo,
+                        double hi, size_t n);
 };
 
 /// The kernel table for a policy. `policy` may be `kDefault` (resolved
@@ -74,6 +131,13 @@ const DistanceKernels& FixedLaneKernelsNative();
 /// Which fixed-lane implementation dispatch selected on this machine:
 /// "avx2", "neon", or "portable".
 const char* DistanceKernelArch();
+
+/// The dispatched row-update table (AVX2 when the CPU has it, the
+/// portable loops otherwise), resolved once per process.
+const RowKernels& GetRowKernels();
+
+/// The portable row-update loops — the pin for the dispatched table.
+const RowKernels& RowKernelsPortable();
 
 /// The fixed-lane virtual accumulator width (tests sweep vector lengths
 /// 0..2*width+3 to pin the tail handling).

@@ -206,6 +206,10 @@ const DistanceKernels kNeonFixedLane = {
     NeonCosine,
     NeonWeightedSquaredEuclidean,
     NeonSquaredEuclideanX4,
+    // No NEON form of the weighted batches until one is built and tested
+    // on AArch64; callers fall back to single-pair calls (same bits).
+    nullptr,
+    nullptr,
 };
 
 }  // namespace

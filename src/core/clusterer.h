@@ -75,7 +75,10 @@ class SemiSupervisedClusterer {
   /// Pre-builds (or pre-loads, when a disk tier is configured) every
   /// supervision-independent artifact the grid sweep will need into
   /// `cache`, so the grid×fold×trial fan-out that follows only ever
-  /// hits. Default: no-op — most algorithms have nothing cacheable.
+  /// hits. `RunCvcp` calls it after building its folds; the bench
+  /// harness also calls it once per dataset before a trial fan-out, so
+  /// parallel trials never race to build the same key. Default: no-op —
+  /// most algorithms have nothing cacheable.
   /// No-op on a null cache. Per-param build errors are memoized in the
   /// cache, not surfaced here; the sweep reports them per cell exactly as
   /// a cold cache would.

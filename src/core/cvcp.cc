@@ -23,6 +23,11 @@ Result<CvcpReport> RunCvcp(const Dataset& data, const Supervision& supervision,
       std::vector<FoldSplit> folds,
       MakeSupervisionFolds(data, supervision, config.cv, &fold_rng));
 
+  // Resolve the grid's supervision-independent models once, one lane per
+  // grid value, before the cells of one value start together and race
+  // to build the same key.
+  clusterer.PrewarmCache(data, config.param_grid, cache, config.cv.exec);
+
   // Steps 1-2: every (param, fold) cell as one job fan-out. The scheduler
   // reduces in (grid-order, fold-order), so the scores — and any error —
   // are bit-identical to looping the grid serially.

@@ -62,8 +62,10 @@ struct CvcpReport {
 /// `cache` is the dataset's compute cache (core/dataset_cache.h); null
 /// means one private to this call. Every grid×fold cell and the final
 /// full-supervision run share its supervision-independent structures, so
-/// e.g. FOSC-OPTICSDend runs OPTICS G times instead of G×F+1 times. The
-/// report is byte-identical whichever cache serves it.
+/// e.g. FOSC-OPTICSDend runs OPTICS G times instead of G×F+1 times: after
+/// building the folds, the clusterer's `PrewarmCache` resolves the grid's
+/// models in one G-wide fan-out. The report is byte-identical whichever
+/// cache serves it.
 Result<CvcpReport> RunCvcp(const Dataset& data, const Supervision& supervision,
                            const SemiSupervisedClusterer& clusterer,
                            const CvcpConfig& config, Rng* rng,

@@ -54,9 +54,7 @@ uint64_t DatasetCache::KeyHash(DistanceKernelPolicy kernel) const {
 std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
     Metric metric, const ExecutionContext& exec) {
   const uint64_t key_hash = KeyHash(exec.distance_kernel);
-  const std::string key =
-      Format("%016llx-m%d-dist", static_cast<unsigned long long>(key_hash),
-             static_cast<int>(metric));
+  const std::string key = DistanceKey(key_hash, metric);
   if (auto resident = memory_->LookupAs<DistanceMatrix>(key)) {
     distance_hits_.fetch_add(1, std::memory_order_relaxed);
     return resident;
@@ -79,6 +77,7 @@ std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
       distance_loads_.fetch_add(1, std::memory_order_relaxed);
       MutexLock lock(&mu_);
       distance_load_ms_ += ms;
+      persisted_distances_.insert(key);
       return published;
     }
     // Any load failure (cold key, corruption, version skew) was counted
@@ -98,51 +97,65 @@ std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
   }
   // Persist only from the winning publisher, so racing builders do not
   // queue redundant (byte-identical) writes.
-  if (store_ != nullptr && published == built) {
-    store_->SaveDistances(key_hash, metric, *published);
+  if (store_ != nullptr && published == built &&
+      store_->SaveDistances(key_hash, metric, *published).ok()) {
+    MutexLock lock(&mu_);
+    persisted_distances_.insert(key);
   }
   return published;
 }
 
-Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
-    Metric metric, int min_pts, const ExecutionContext& exec) {
-  const uint64_t key_hash = KeyHash(exec.distance_kernel);
-  const std::string key = Format(
-      "%016llx-m%d-mp%d-model", static_cast<unsigned long long>(key_hash),
-      static_cast<int>(metric), min_pts);
+std::string DatasetCache::DistanceKey(uint64_t key_hash, Metric metric) {
+  return Format("%016llx-m%d-dist", static_cast<unsigned long long>(key_hash),
+                static_cast<int>(metric));
+}
+
+std::string DatasetCache::ModelKey(uint64_t key_hash, Metric metric,
+                                   int min_pts) {
+  return Format("%016llx-m%d-mp%d-model",
+                static_cast<unsigned long long>(key_hash),
+                static_cast<int>(metric), min_pts);
+}
+
+std::optional<Result<DatasetCache::ModelPtr>> DatasetCache::ResidentModel(
+    const std::string& key, Metric metric, int min_pts) {
   if (auto resident = memory_->LookupAs<FoscOpticsModel>(key)) {
     model_hits_.fetch_add(1, std::memory_order_relaxed);
     return ModelPtr(resident);
   }
-  const std::pair<int, int> error_key{static_cast<int>(metric), min_pts};
-  {
-    MutexLock lock(&mu_);
-    auto it = model_errors_memo_.find(error_key);
-    if (it != model_errors_memo_.end()) {
-      model_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  if (store_ != nullptr) {
-    const auto start = std::chrono::steady_clock::now();
-    Result<OpticsResult> loaded =
-        store_->LoadOpticsModel(key_hash, metric, min_pts);
-    if (loaded.ok()) {
-      auto model = std::make_shared<FoscOpticsModel>();
-      model->optics = std::move(loaded).value();
-      // The dendrogram is a deterministic pure function of the OPTICS
-      // result, so rebuilding it here reproduces the computed-path bytes.
-      model->dendrogram = Dendrogram::FromReachability(model->optics);
-      ModelPtr value(std::move(model));
-      auto published = std::static_pointer_cast<const FoscOpticsModel>(
-          memory_->InsertOrGet(key, value, ModelCharge(*value)));
-      const double ms = MsSince(start);
-      model_loads_.fetch_add(1, std::memory_order_relaxed);
-      MutexLock lock(&mu_);
-      model_load_ms_ += ms;
-      return ModelPtr(published);
-    }
-  }
+  MutexLock lock(&mu_);
+  auto it = model_errors_memo_.find({static_cast<int>(metric), min_pts});
+  if (it == model_errors_memo_.end()) return std::nullopt;
+  model_hits_.fetch_add(1, std::memory_order_relaxed);
+  return it->second;
+}
+
+DatasetCache::ModelPtr DatasetCache::StoredModel(uint64_t key_hash,
+                                                 const std::string& key,
+                                                 Metric metric, int min_pts) {
+  if (store_ == nullptr) return nullptr;
+  const auto start = std::chrono::steady_clock::now();
+  Result<OpticsResult> loaded =
+      store_->LoadOpticsModel(key_hash, metric, min_pts);
+  if (!loaded.ok()) return nullptr;
+  auto model = std::make_shared<FoscOpticsModel>();
+  model->optics = std::move(loaded).value();
+  // The dendrogram is a deterministic pure function of the OPTICS
+  // result, so rebuilding it here reproduces the computed-path bytes.
+  model->dendrogram = Dendrogram::FromReachability(model->optics);
+  ModelPtr value(std::move(model));
+  auto published = std::static_pointer_cast<const FoscOpticsModel>(
+      memory_->InsertOrGet(key, value, ModelCharge(*value)));
+  const double ms = MsSince(start);
+  model_loads_.fetch_add(1, std::memory_order_relaxed);
+  MutexLock lock(&mu_);
+  model_load_ms_ += ms;
+  return published;
+}
+
+Result<DatasetCache::ModelPtr> DatasetCache::BuildModel(
+    uint64_t key_hash, const std::string& key, Metric metric, int min_pts,
+    const ExecutionContext& exec) {
   // The distance build is *not* part of the model wall time: it is shared
   // by every param and reported as its own stage.
   const std::shared_ptr<const DistanceMatrix> distances =
@@ -158,8 +171,9 @@ Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
     MutexLock lock(&mu_);
     model_build_ms_ += ms;
     // First publisher wins for errors too (identical statuses anyway).
-    auto [it, inserted] =
-        model_errors_memo_.emplace(error_key, optics.status());
+    auto [it, inserted] = model_errors_memo_.emplace(
+        std::pair<int, int>{static_cast<int>(metric), min_pts},
+        optics.status());
     return it->second;
   }
   auto model = std::make_shared<FoscOpticsModel>();
@@ -180,20 +194,71 @@ Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
   return ModelPtr(published);
 }
 
+Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
+    Metric metric, int min_pts, const ExecutionContext& exec) {
+  const uint64_t key_hash = KeyHash(exec.distance_kernel);
+  const std::string key = ModelKey(key_hash, metric, min_pts);
+  if (auto resident = ResidentModel(key, metric, min_pts)) {
+    return *std::move(resident);
+  }
+  if (ModelPtr stored = StoredModel(key_hash, key, metric, min_pts)) {
+    return stored;
+  }
+  return BuildModel(key_hash, key, metric, min_pts, exec);
+}
+
 void DatasetCache::Prewarm(Metric metric, std::span<const int> min_pts_grid,
                            const ExecutionContext& exec) {
-  Distances(metric, exec);
-  // Grid models are independent; build them on the pool. Each lane runs
-  // serially inside (the distance matrix already exists), so nested
-  // parallelism cannot oversubscribe. Only the thread budget drops to 1 —
+  const uint64_t key_hash = KeyHash(exec.distance_kernel);
+  // Memory first: a resident grid costs G lookups and no fan-out.
+  std::vector<int> absent;
+  for (int min_pts : min_pts_grid) {
+    if (!ResidentModel(ModelKey(key_hash, metric, min_pts), metric, min_pts)) {
+      absent.push_back(min_pts);
+    }
+  }
+  if (absent.empty()) return;
+  // Each lane runs serially inside. Only the thread budget drops to 1 —
   // the rest of the context (notably the distance-kernel policy) must
-  // survive, or a prewarmed-on-miss model could be built under a
-  // different policy than the lazy path would use.
+  // survive, or a prewarmed model could be built under a different
+  // policy than the lazy path would use.
   ExecutionContext serial = exec;
   serial.threads = 1;
-  ParallelFor(exec, min_pts_grid.size(), [&](size_t i) {
-    FoscModel(metric, min_pts_grid[i], serial);
-  });
+  // Then the store. Only models it cannot serve need the matrix.
+  std::vector<char> loaded(absent.size(), 0);
+  if (store_ != nullptr) {
+    ParallelFor(exec, absent.size(), [&](size_t i) {
+      loaded[i] = StoredModel(key_hash, ModelKey(key_hash, metric, absent[i]),
+                              metric, absent[i]) != nullptr;
+    });
+  }
+  std::vector<int> missing;
+  for (size_t i = 0; i < absent.size(); ++i) {
+    if (!loaded[i]) missing.push_back(absent[i]);
+  }
+  if (missing.empty() || exec.cancel.Cancelled()) return;
+  // Build the rest over one matrix, one lane per grid value. A lane that
+  // finds its model published meanwhile (a racing job) adopts it.
+  const std::string distance_key = DistanceKey(key_hash, metric);
+  {
+    const std::shared_ptr<const DistanceMatrix> distances =
+        Distances(metric, exec);
+    ParallelFor(exec, missing.size(), [&](size_t i) {
+      const std::string key = ModelKey(key_hash, metric, missing[i]);
+      if (!ResidentModel(key, metric, missing[i])) {
+        BuildModel(key_hash, key, metric, missing[i], serial);
+      }
+    });
+  }
+  // The grid's models no longer need the matrix. When the store holds
+  // it, drop it from memory: a later caller (silhouette) reloads the
+  // same bits from disk, and the LRU keeps its budget for models.
+  bool persisted = false;
+  {
+    MutexLock lock(&mu_);
+    persisted = persisted_distances_.count(distance_key) > 0;
+  }
+  if (persisted) memory_->Erase(distance_key);
 }
 
 DatasetCache::Stats DatasetCache::stats() const {

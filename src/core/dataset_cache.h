@@ -66,7 +66,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -138,10 +141,15 @@ class DatasetCache {
   Result<std::shared_ptr<const FoscOpticsModel>> FoscModel(
       Metric metric, int min_pts, const ExecutionContext& exec);
 
-  /// Builds (or loads) the distance matrix and every grid model up front,
-  /// so the trial fan-out that follows only ever hits. Per-param build
-  /// errors are memoized exactly as a lazy first call would memoize them
-  /// and do not abort the warm-up.
+  /// Resolves every grid model up front, so the trial fan-out that
+  /// follows only ever hits: first from memory, then from the store in
+  /// one fan-out; only if a model is still missing does it fetch the
+  /// distance matrix and build the missing models in one G-wide
+  /// `ParallelFor`. After such a build, when the store holds the matrix,
+  /// the matrix leaves the memory tier — the grid's models no longer read
+  /// it, and a later `Distances()` caller reloads identical bits from
+  /// disk. Per-param build errors are memoized exactly as a lazy first
+  /// call would memoize them and do not abort the warm-up.
   void Prewarm(Metric metric, std::span<const int> min_pts_grid,
                const ExecutionContext& exec);
 
@@ -175,6 +183,24 @@ class DatasetCache {
   /// a hash of (content hash, resolved policy) otherwise.
   uint64_t KeyHash(DistanceKernelPolicy kernel) const;
 
+  /// Memory-tier keys.
+  static std::string DistanceKey(uint64_t key_hash, Metric metric);
+  static std::string ModelKey(uint64_t key_hash, Metric metric, int min_pts);
+
+  /// The model (or memoized build error) from memory, counting a hit;
+  /// nullopt when neither holds the key.
+  std::optional<Result<ModelPtr>> ResidentModel(const std::string& key,
+                                                Metric metric, int min_pts);
+  /// The model loaded from the store and published, counting a load;
+  /// null on any miss (counted by the store).
+  ModelPtr StoredModel(uint64_t key_hash, const std::string& key,
+                       Metric metric, int min_pts);
+  /// Runs OPTICS over the matrix and publishes the model (first
+  /// publisher wins, and only it persists); memoizes a build error.
+  Result<ModelPtr> BuildModel(uint64_t key_hash, const std::string& key,
+                              Metric metric, int min_pts,
+                              const ExecutionContext& exec);
+
   const Matrix* points_;
   uint64_t content_hash_;
   ShardedLruCache* memory_;  ///< points at `owned_memory_` when not shared
@@ -186,6 +212,8 @@ class DatasetCache {
   // key back to a rebuild with different stats.
   mutable Mutex mu_;
   std::map<std::pair<int, int>, Status> model_errors_memo_ GUARDED_BY(mu_);
+  // Distance keys this front-end loaded from, or saved to, the store.
+  std::set<std::string> persisted_distances_ GUARDED_BY(mu_);
 
   std::atomic<uint64_t> distance_builds_{0};
   std::atomic<uint64_t> distance_loads_{0};

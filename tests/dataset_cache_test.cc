@@ -1,9 +1,10 @@
 // Unit tests for the per-dataset compute cache: lazy builds, memo hits,
-// error memoization, per-metric separation, and safety under concurrent
-// access (the concurrency tests double as TSan targets). The cache never
-// blocks — first-touch races duplicate the build and the first publisher
-// wins — so the concurrency assertions are on convergence (everyone ends
-// up with the published object) rather than on exactly-one build.
+// error memoization, per-metric separation, the prewarm's tier order and
+// store-backed matrix drop, and safety under concurrent access (the
+// concurrency tests double as TSan targets). The cache never blocks —
+// first-touch races duplicate the build and the first publisher wins —
+// so the concurrency assertions are on convergence (everyone ends up
+// with the published object) rather than on exactly-one build.
 
 #include "core/dataset_cache.h"
 
@@ -202,6 +203,74 @@ TEST(DatasetCacheTest, ArtifactsKeyedByKernelPolicy) {
   EXPECT_EQ(legacy_again.stats().distance_builds, 0u);
   EXPECT_EQ(legacy_again.stats().model_builds, 0u);
   EXPECT_EQ(legacy_again.stats().model_loads, grid.size());
+}
+
+std::string FreshDir(const char* name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "cvcp_prewarm" / name;
+  std::filesystem::remove_all(dir);
+  return dir.string();
+}
+
+TEST(DatasetCacheTest, ColdPrewarmWithStoreKeepsModelsAndDropsTheMatrix) {
+  Matrix points = FixturePoints(30);
+  const std::vector<int> grid = {3, 4, 6};
+  ExecutionContext exec;
+  exec.threads = 4;
+  ArtifactStore store(FreshDir("drop"));
+  ShardedLruCache memory(/*capacity_bytes=*/64 * 1024 * 1024);
+  DatasetCache cache(points, DatasetCacheTiers{&memory, &store});
+  cache.Prewarm(Metric::kEuclidean, grid, exec);
+  EXPECT_EQ(cache.stats().distance_builds, 1u);
+  EXPECT_EQ(cache.stats().model_builds, grid.size());
+  // Only the G models stay resident: the store holds the matrix.
+  EXPECT_EQ(memory.stats().entries, grid.size());
+  for (int min_pts : grid) {
+    ASSERT_TRUE(cache.FoscModel(Metric::kEuclidean, min_pts, exec).ok());
+  }
+  EXPECT_EQ(cache.stats().model_hits, grid.size());
+
+  // Without a store the matrix is the only copy, so it stays.
+  ShardedLruCache memory_only(/*capacity_bytes=*/64 * 1024 * 1024);
+  DatasetCache unstored(points, DatasetCacheTiers{&memory_only, nullptr});
+  unstored.Prewarm(Metric::kEuclidean, grid, exec);
+  EXPECT_EQ(memory_only.stats().entries, grid.size() + 1);
+}
+
+TEST(DatasetCacheTest, WarmStorePrewarmNeedsNoDistances) {
+  Matrix points = FixturePoints(30);
+  const std::vector<int> grid = {3, 4, 6};
+  ArtifactStore store(FreshDir("warm"));
+  {
+    DatasetCache cold(points, DatasetCacheTiers{nullptr, &store});
+    cold.Prewarm(Metric::kEuclidean, grid, ExecutionContext::Serial());
+  }
+  DatasetCache warm(points, DatasetCacheTiers{nullptr, &store});
+  warm.Prewarm(Metric::kEuclidean, grid, ExecutionContext::Serial());
+  const DatasetCache::Stats stats = warm.stats();
+  EXPECT_EQ(stats.model_loads, grid.size());
+  EXPECT_EQ(stats.model_builds, 0u);
+  EXPECT_EQ(stats.distance_builds, 0u);
+  EXPECT_EQ(stats.distance_loads, 0u);
+  EXPECT_EQ(stats.distance_hits, 0u);
+}
+
+TEST(DatasetCacheTest, DistancesAfterTheDropReloadIdenticalBits) {
+  Matrix points = FixturePoints(30);
+  const std::vector<int> grid = {3, 5};
+  ArtifactStore store(FreshDir("reload"));
+  DatasetCache cache(points, DatasetCacheTiers{nullptr, &store});
+  cache.Prewarm(Metric::kEuclidean, grid, ExecutionContext::Serial());
+  const auto reloaded =
+      cache.Distances(Metric::kEuclidean, ExecutionContext::Serial());
+  EXPECT_EQ(cache.stats().distance_builds, 1u);
+  EXPECT_EQ(cache.stats().distance_loads, 1u);
+  const DistanceMatrix direct =
+      DistanceMatrix::Compute(points, Metric::kEuclidean);
+  ASSERT_EQ(reloaded->condensed().size(), direct.condensed().size());
+  EXPECT_EQ(std::memcmp(reloaded->condensed().data(),
+                        direct.condensed().data(), direct.MemoryBytes()),
+            0);
 }
 
 TEST(DatasetCachePoolTest, SharesGeometryAcrossCacheFrontEnds) {

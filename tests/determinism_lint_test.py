@@ -19,8 +19,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LINTER = os.path.join(REPO_ROOT, "tools", "check_determinism_contract.py")
 
 # A CMakeLists.txt that satisfies kernel-fp-contract for the one kernel
-# TU the fixtures ship.
+# TU the fixtures ship, and build-fp-contract for the shared flags.
 GOOD_CMAKE = """
+add_library(cvcp_build_flags INTERFACE)
+target_compile_options(cvcp_build_flags INTERFACE -ffp-contract=off)
 add_library(kernels src/common/distance_kernels.cc)
 set_source_files_properties(src/common/distance_kernels.cc PROPERTIES
   COMPILE_OPTIONS "-ffp-contract=off")
@@ -98,6 +100,16 @@ class FixtureCase(unittest.TestCase):
         code, rules, _ = self.rules_fired()
         self.assertEqual(code, 1)
         self.assertIn("kernel-fp-contract", rules)
+
+    def test_build_flags_without_fp_contract_off_fires(self):
+        write(self.root, "CMakeLists.txt",
+              GOOD_CMAKE.replace(
+                  "target_compile_options(cvcp_build_flags INTERFACE "
+                  "-ffp-contract=off)",
+                  "target_compile_options(cvcp_build_flags INTERFACE -Wall)"))
+        code, rules, _ = self.rules_fired()
+        self.assertEqual(code, 1)
+        self.assertEqual(rules, ["build-fp-contract"])
 
     def test_fast_math_flag_fires(self):
         write(self.root, "CMakeLists.txt",

@@ -5,7 +5,11 @@
 //    reference for every kernel, at every vector length around the lane
 //    width (0..2*width+3 pins the tail handling);
 //  * the strided x4 batch must be bitwise equal to four single-pair
-//    calls, packed or padded stride;
+//    calls, packed or padded stride; the weighted gathered x4 and
+//    weighted rows batches bitwise equal to the portable single-pair
+//    weighted kernel, and null wherever the policy has no batched form;
+//  * the row-update table (the MPCKMeans M-step loops): dispatched
+//    bitwise equal to portable;
 //  * fixed-lane vs the legacy left-to-right kernels: equal within
 //    rounding (they reassociate), never relied on for bit equality;
 //  * policy parsing/naming, the env-independent process default
@@ -104,6 +108,145 @@ TEST(DistanceKernelsFixedLane, BatchX4BitwiseEqualsFourSingleCalls) {
   }
 }
 
+TEST(DistanceKernelsFixedLane, WeightedX4BitwiseEqualsPortableSingle) {
+  const DistanceKernels& portable = FixedLaneKernelsPortable();
+  for (const DistanceKernels* table :
+       {&FixedLaneKernelsNative(), &FixedLaneKernelsPortable()}) {
+    if (table->weighted_squared_euclidean_x4 == nullptr) {
+      // A native table without the batch (NEON) falls back by design.
+      EXPECT_NE(table, &portable);
+      continue;
+    }
+    for (size_t n = 0; n <= 2 * kFixedLaneWidth + 3; ++n) {
+      // Four rows in separate allocations, three of them at an offset:
+      // unrelated addresses, no common stride.
+      std::vector<std::vector<double>> owned;
+      for (size_t k = 0; k < 4; ++k) {
+        owned.push_back(Irregular(n + 3, 3.1 + static_cast<double>(k)));
+      }
+      const double* rows[4] = {owned[2].data(), owned[0].data() + 1,
+                               owned[3].data() + 3, owned[1].data()};
+      const std::vector<double> b = Irregular(n, 0.9);
+      const std::vector<double> w = Irregular(n, 6.4);
+      double batch[4];
+      table->weighted_squared_euclidean_x4(rows, b.data(), w.data(), n,
+                                           batch);
+      for (size_t k = 0; k < 4; ++k) {
+        EXPECT_EQ(Bits(batch[k]),
+                  Bits(portable.weighted_squared_euclidean(rows[k], b.data(),
+                                                           w.data(), n)))
+            << "n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(DistanceKernelsFixedLane, WeightedRowsBitwiseEqualsPortableSingle) {
+  const DistanceKernels& portable = FixedLaneKernelsPortable();
+  for (const DistanceKernels* table :
+       {&FixedLaneKernelsNative(), &FixedLaneKernelsPortable()}) {
+    if (table->weighted_squared_euclidean_rows == nullptr) {
+      EXPECT_NE(table, &portable);
+      continue;
+    }
+    for (size_t n = 0; n <= 2 * kFixedLaneWidth + 3; ++n) {
+      const std::vector<double> a = Irregular(n, 0.4);
+      const std::vector<double> b = Irregular(n + 1, 2.2);
+      for (size_t rows = 1; rows <= 10; ++rows) {
+        // Weight rows padded past n, as a k x d matrix with d > n would be.
+        const size_t stride = n + 2;
+        const std::vector<double> w = Irregular(rows * stride, 8.8);
+        std::vector<double> out(rows);
+        table->weighted_squared_euclidean_rows(a.data(), b.data() + 1,
+                                               w.data(), stride, rows, n,
+                                               out.data());
+        for (size_t r = 0; r < rows; ++r) {
+          EXPECT_EQ(Bits(out[r]), Bits(portable.weighted_squared_euclidean(
+                                      a.data(), b.data() + 1,
+                                      w.data() + r * stride, n)))
+              << "n=" << n << " rows=" << rows << " r=" << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(DistanceKernelsRows, NativeBitwiseEqualsPortable) {
+  const RowKernels& native = GetRowKernels();
+  const RowKernels& portable = RowKernelsPortable();
+  // Special values ride along: signed zeros, a NaN, and magnitudes on
+  // both sides of the clamp bounds.
+  auto special = [](std::vector<double> v) {
+    if (v.size() > 2) v[1] = -0.0;
+    if (v.size() > 3) v[2] = 0.0;
+    if (v.size() > 6) v[5] = std::nan("");
+    if (v.size() > 9) v[8] = 1e-12;
+    if (v.size() > 10) v[9] = 1e12;
+    return v;
+  };
+  auto expect_same = [](const std::vector<double>& got,
+                        const std::vector<double>& want, const char* what,
+                        size_t n) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t m = 0; m < want.size(); ++m) {
+      EXPECT_EQ(Bits(got[m]), Bits(want[m])) << what << " n=" << n
+                                             << " m=" << m;
+    }
+  };
+  for (size_t n = 0; n <= 4 * kFixedLaneWidth + 3; ++n) {
+    std::vector<std::vector<double>> owned;
+    for (size_t r = 0; r < 7; ++r) {
+      owned.push_back(special(Irregular(n, 1.5 + static_cast<double>(r))));
+    }
+    std::vector<const double*> rows;
+    for (const auto& row : owned) rows.push_back(row.data());
+    const std::vector<double> mu = Irregular(n, 9.1);
+    const std::vector<double> range = special(Irregular(n, 4.4));
+    const std::vector<double> den = special(Irregular(n, 5.3));
+
+    for (size_t count : {size_t{0}, size_t{1}, rows.size()}) {
+      std::vector<double> a(n, 7.0), b(n, 7.0);
+      native.sum_rows(a.data(), rows.data(), count, n);
+      portable.sum_rows(b.data(), rows.data(), count, n);
+      expect_same(a, b, "sum_rows", n);
+      native.sum_squared_diffs(a.data(), rows.data(), count, mu.data(), n);
+      portable.sum_squared_diffs(b.data(), rows.data(), count, mu.data(), n);
+      expect_same(a, b, "sum_squared_diffs", n);
+      std::vector<double> lo_a(n, 0.5), hi_a(n, -0.5);
+      std::vector<double> lo_b = lo_a, hi_b = hi_a;
+      native.min_max_rows(lo_a.data(), hi_a.data(), rows.data(), count, n);
+      portable.min_max_rows(lo_b.data(), hi_b.data(), rows.data(), count, n);
+      expect_same(lo_a, lo_b, "min_max_rows lo", n);
+      expect_same(hi_a, hi_b, "min_max_rows hi", n);
+    }
+
+    std::vector<double> a = owned[0], b = owned[0];
+    native.divide(a.data(), 3.7, n);
+    portable.divide(b.data(), 3.7, n);
+    expect_same(a, b, "divide", n);
+
+    std::vector<double> a2 = owned[1], b2 = owned[1];
+    native.add_must_link_scatter(a.data(), a2.data(), owned[2].data(),
+                                 owned[3].data(), 0.75, n);
+    portable.add_must_link_scatter(b.data(), b2.data(), owned[2].data(),
+                                   owned[3].data(), 0.75, n);
+    expect_same(a, b, "add_must_link_scatter a", n);
+    expect_same(a2, b2, "add_must_link_scatter b", n);
+
+    native.add_cannot_link_scatter(a.data(), owned[4].data(), owned[5].data(),
+                                   range.data(), 1.25, n);
+    portable.add_cannot_link_scatter(b.data(), owned[4].data(),
+                                     owned[5].data(), range.data(), 1.25, n);
+    expect_same(a, b, "add_cannot_link_scatter", n);
+
+    for (double num : {0.0, 3.0, 125.0}) {
+      native.clamped_ratio(a.data(), num, den.data(), 1e-9, 1e9, n);
+      portable.clamped_ratio(b.data(), num, den.data(), 1e-9, 1e9, n);
+      expect_same(a, b, "clamped_ratio", n);
+    }
+  }
+}
+
 TEST(DistanceKernelsFixedLane, MatchesLegacyWithinRounding) {
   const DistanceKernels& fixed = GetDistanceKernels(
       DistanceKernelPolicy::kFixedLane);
@@ -143,6 +286,18 @@ TEST(DistanceKernelsDispatch, ArchIsKnownAndFixedLaneUsesNativeTable) {
   EXPECT_EQ(
       GetDistanceKernels(DistanceKernelPolicy::kUnrolled).squared_euclidean_x4,
       nullptr);
+  // Nor the weighted batches: MPCKMeans falls back to single-pair calls.
+  for (DistanceKernelPolicy policy : {DistanceKernelPolicy::kScalarLegacy,
+                                      DistanceKernelPolicy::kUnrolled}) {
+    EXPECT_EQ(GetDistanceKernels(policy).weighted_squared_euclidean_x4,
+              nullptr);
+    EXPECT_EQ(GetDistanceKernels(policy).weighted_squared_euclidean_rows,
+              nullptr);
+  }
+  // The portable reference has both.
+  EXPECT_NE(FixedLaneKernelsPortable().weighted_squared_euclidean_x4, nullptr);
+  EXPECT_NE(FixedLaneKernelsPortable().weighted_squared_euclidean_rows,
+            nullptr);
 }
 
 TEST(DistanceKernelsPolicy, ParseNamesRoundTrip) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/fmeasure.h"
 #include "data/generators.h"
@@ -204,6 +210,56 @@ TEST(MpckMeansTest, PerClusterMetricsCanDiffer) {
   // Tight dimension gets the larger weight within each cluster.
   EXPECT_GT(result->metric_weights.At(c0, 0), result->metric_weights.At(c0, 1));
   EXPECT_GT(result->metric_weights.At(c1, 1), result->metric_weights.At(c1, 0));
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+TEST(MpckMeansTest, ParallelRunsOnSharedInputsMatchSerialRuns) {
+  // Every run keeps its memo and scratch to itself: lanes that share the
+  // points and constraints must each reproduce their serial run bit for
+  // bit (a buffer shared between runs would also trip TSan here).
+  Rng data_rng(13);
+  Dataset data = MakeBlobs("blobs", 4, 30, 20, 8.0, 1.5, &data_rng);
+  std::vector<size_t> objects;
+  for (size_t i = 0; i < data.points().rows(); i += 5) objects.push_back(i);
+  const ConstraintSet constraints =
+      ConstraintSet::FromLabels(data.labels(), objects);
+  constexpr size_t kRuns = 16;
+  auto run = [&](size_t i) {
+    MpckMeansConfig config;
+    config.k = 2 + static_cast<int>(i % 6);
+    config.metric_mode = i % 3 == 0 ? MetricMode::kSingleDiagonal
+                                    : MetricMode::kPerClusterDiagonal;
+    Rng rng(100 + i);
+    return RunMpckMeans(data.points(), constraints, config, &rng);
+  };
+  std::vector<Result<MpckMeansResult>> serial;
+  for (size_t i = 0; i < kRuns; ++i) serial.push_back(run(i));
+
+  std::vector<Result<MpckMeansResult>> parallel(
+      kRuns, Status::Internal("not run"));
+  ExecutionContext exec;
+  exec.threads = 4;
+  ParallelFor(exec, kRuns, [&](size_t i) { parallel[i] = run(i); });
+  for (size_t i = 0; i < kRuns; ++i) {
+    ASSERT_TRUE(serial[i].ok());
+    ASSERT_TRUE(parallel[i].ok()) << i;
+    EXPECT_EQ(parallel[i]->clustering.assignment(),
+              serial[i]->clustering.assignment())
+        << i;
+    EXPECT_TRUE(SameBits(parallel[i]->centroids, serial[i]->centroids)) << i;
+    EXPECT_TRUE(
+        SameBits(parallel[i]->metric_weights, serial[i]->metric_weights))
+        << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(parallel[i]->objective),
+              std::bit_cast<uint64_t>(serial[i]->objective))
+        << i;
+    EXPECT_EQ(parallel[i]->iterations, serial[i]->iterations) << i;
+  }
 }
 
 }  // namespace

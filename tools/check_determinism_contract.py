@@ -13,6 +13,10 @@ Rules (ids are stable; see --list-rules):
 
   kernel-fp-contract    every distance-kernel TU must be compiled with
                         -ffp-contract=off (checked in CMakeLists.txt)
+  build-fp-contract     the shared cvcp_build_flags target must carry
+                        -ffp-contract=off, so no unit (MPCK's M-step and
+                        objective included) can fuse a mul+add on a
+                        target whose baseline ISA has FMA
   fast-math             no -ffast-math / -Ofast / -funsafe-math-
                         optimizations / -ffp-contract=fast anywhere in
                         the build configuration
@@ -70,6 +74,7 @@ SOURCE_EXTS = (".cc", ".h")
 
 RULES = {
     "kernel-fp-contract": "kernel TU missing -ffp-contract=off in CMake",
+    "build-fp-contract": "cvcp_build_flags missing -ffp-contract=off",
     "fast-math": "value-unsafe FP flag in build configuration",
     "kernel-fma": "fma call/intrinsic inside a fixed-lane kernel TU",
     "std-reduce": "std::reduce/transform_reduce/execution outside kernels",
@@ -139,8 +144,8 @@ CMAKE_FAST_MATH_RE = re.compile(
 
 
 def check_build_config(root, findings):
-    """kernel-fp-contract + fast-math over CMakeLists.txt / *.cmake /
-    CMakePresets.json."""
+    """kernel-fp-contract + build-fp-contract + fast-math over
+    CMakeLists.txt / *.cmake / CMakePresets.json."""
     cmake_files = []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [d for d in dirnames
@@ -188,6 +193,21 @@ def check_build_config(root, findings):
                 "kernel-fp-contract", "CMakeLists.txt", 1,
                 f"kernel TU {tu} is not compiled with -ffp-contract=off "
                 "(add it to the set_source_files_properties block)"))
+
+    # Every target links cvcp_build_flags, so contraction off there covers
+    # the whole build.
+    build_wide = any(
+        "-ffp-contract=off" in m.group(1)
+        for m in re.finditer(
+            r"target_compile_options\s*\(\s*cvcp_build_flags\s+INTERFACE"
+            r"([^)]*)\)", cml_text))
+    if not build_wide:
+        findings.append(Finding(
+            "build-fp-contract", "CMakeLists.txt", 1,
+            "cvcp_build_flags does not add -ffp-contract=off "
+            "(target_compile_options(cvcp_build_flags INTERFACE "
+            "-ffp-contract=off)); units outside the kernel layer may fuse "
+            "mul+add on FMA-baseline targets"))
 
 
 # --------------------------------------------------------------------------
