@@ -7,17 +7,18 @@
 // longest-first by the size estimate), the trial-level fan-out on a wide
 // outer loop, and the per-dataset compute cache on the FOSC scenario
 // (serial vs parallel and store-cold vs store-warm, with build/hit counts
-// and per-stage wall time) — plus the distance-matrix build table (kernel
-// x tiling, with the >= 2x acceptance row), mirrored into
-// BENCH_distance.json.
+// and per-stage wall time) — plus the distance-matrix build table (a
+// naive baseline against the tiled fixed-lane build at 1 and N threads).
 //
 // Unlike the paper benches, this binary takes google-benchmark flags; the
 // few engine options it supports (--threads N, --cache-table-only,
-// --store DIR, --json PATH, --distance-json PATH) are stripped from argv
-// before benchmark::Initialize. --store DIR adds store-cold / store-warm
-// rows to the cache table (the warm row must serve every OPTICS model
-// from disk). Every table row is mirrored into a machine-readable JSON
-// report (--json PATH, default BENCH_micro.json; pass '' to disable).
+// --store DIR, --json PATH) are stripped from argv before
+// benchmark::Initialize. --threads N sets the parallel width of every
+// table (default: all hardware threads). --store DIR adds store-cold /
+// store-warm rows to the cache table (the warm row must serve every
+// OPTICS model from disk). Every table row is mirrored into a
+// machine-readable JSON report (--json PATH, default BENCH_micro.json;
+// pass '' to disable).
 
 #include <benchmark/benchmark.h>
 
@@ -77,37 +78,6 @@ std::vector<std::string> g_json_rows;
 
 void AddJsonRow(std::string row) { g_json_rows.push_back(std::move(row)); }
 
-// Rows of the distance-build table, mirrored into the standalone
-// BENCH_distance.json (--distance-json PATH) on top of the regular
-// BENCH_micro.json rows.
-std::vector<std::string> g_distance_rows;
-
-void AddDistanceRow(const std::string& row) {
-  g_distance_rows.push_back(row);
-  g_json_rows.push_back(row);
-}
-
-void WriteDistanceJsonReport(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write JSON report %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(file,
-               "{\n  \"bench\": \"bench_micro/distance\",\n"
-               "  \"arch\": \"%s\",\n"
-               "  \"determinism_ok\": %s,\n  \"rows\": [\n",
-               DistanceKernelArch(), g_determinism_ok ? "true" : "false");
-  for (size_t i = 0; i < g_distance_rows.size(); ++i) {
-    std::fprintf(file, "    %s%s\n", g_distance_rows[i].c_str(),
-                 i + 1 < g_distance_rows.size() ? "," : "");
-  }
-  std::fprintf(file, "  ]\n}\n");
-  std::fclose(file);
-  std::printf("wrote %zu JSON rows to %s\n", g_distance_rows.size(),
-              path.c_str());
-}
-
 void WriteJsonReport(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
@@ -116,8 +86,9 @@ void WriteJsonReport(const std::string& path) {
   }
   std::fprintf(file,
                "{\n  \"bench\": \"bench_micro\",\n"
+               "  \"arch\": \"%s\",\n"
                "  \"determinism_ok\": %s,\n  \"rows\": [\n",
-               g_determinism_ok ? "true" : "false");
+               DistanceKernelArch(), g_determinism_ok ? "true" : "false");
   for (size_t i = 0; i < g_json_rows.size(); ++i) {
     std::fprintf(file, "    %s%s\n", g_json_rows[i].c_str(),
                  i + 1 < g_json_rows.size() ? "," : "");
@@ -252,18 +223,11 @@ BENCHMARK(BM_MpckMeans)
     ->Args({100, 16})
     ->Args({25, 144});
 
-// Distance-kernel policies head to head (Arg0: 0 = scalar-legacy,
-// 1 = fixed-lane (SIMD-dispatched default), 2 = unrolled; Arg1: dims).
-// The policy rides in as an explicit argument — no process-wide state is
-// touched, exactly as the engine threads it through ExecutionContext.
+// The portable fixed-lane kernel against the dispatched native one (Arg0:
+// 0 = portable, 1 = native; Arg1: dims). Both give the same bits.
 void BM_SquaredEuclideanKernel(benchmark::State& state) {
-  static constexpr DistanceKernelPolicy kPolicies[] = {
-      DistanceKernelPolicy::kScalarLegacy,
-      DistanceKernelPolicy::kFixedLane,
-      DistanceKernelPolicy::kUnrolled,
-  };
-  const DistanceKernelPolicy policy =
-      kPolicies[static_cast<size_t>(state.range(0))];
+  const DistanceKernels& kernels =
+      state.range(0) == 0 ? FixedLaneKernelsPortable() : GetDistanceKernels();
   Rng rng(41);
   std::vector<double> a(static_cast<size_t>(state.range(1)));
   std::vector<double> b(a.size());
@@ -272,7 +236,8 @@ void BM_SquaredEuclideanKernel(benchmark::State& state) {
     b[i] = rng.NextDouble();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SquaredEuclideanDistance(a, b, policy));
+    benchmark::DoNotOptimize(
+        kernels.squared_euclidean(a.data(), b.data(), a.size()));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(a.size()));
@@ -280,10 +245,8 @@ void BM_SquaredEuclideanKernel(benchmark::State& state) {
 BENCHMARK(BM_SquaredEuclideanKernel)
     ->Args({0, 16})
     ->Args({1, 16})
-    ->Args({2, 16})
     ->Args({0, 128})
-    ->Args({1, 128})
-    ->Args({2, 128});
+    ->Args({1, 128});
 
 void BM_ConstraintFMeasure(benchmark::State& state) {
   Dataset data = BenchData(static_cast<size_t>(state.range(0)), 5, 8);
@@ -299,10 +262,11 @@ void BM_ConstraintFMeasure(benchmark::State& state) {
 BENCHMARK(BM_ConstraintFMeasure)->Arg(25)->Arg(50)->Arg(100);
 
 // Serial-vs-parallel CVCP wall time on the engine's target workload: a
-// 10-fold × 8-value MPCKMeans grid (80 clustering cells per run). Also
-// cross-checks that every configuration selects the same parameter with
-// the same score — the engine's determinism guarantee.
-void PrintCvcpScalingTable() {
+// 10-fold × 8-value MPCKMeans grid (80 clustering cells per run), at 1, 2
+// and `max_threads` threads. Also cross-checks that every configuration
+// selects the same parameter with the same score — the engine's
+// determinism guarantee.
+void PrintCvcpScalingTable(int max_threads) {
   Dataset data = BenchData(/*per_cluster=*/40, /*k=*/5, /*dims=*/16);
   Rng rng(23);
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
@@ -314,17 +278,15 @@ void PrintCvcpScalingTable() {
   config.cv.n_folds = 10;
   config.param_grid = {2, 3, 4, 5, 6, 7, 8, 9};
 
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
   std::vector<int> thread_counts = {1};
-  if (hw >= 2) thread_counts.push_back(2);
-  if (hw > 2) thread_counts.push_back(hw);
+  if (max_threads >= 2) thread_counts.push_back(2);
+  if (max_threads > 2) thread_counts.push_back(max_threads);
 
   std::printf(
       "=== CVCP serial vs parallel "
-      "(MPCKMeans, %d-fold x %zu-value grid, n=%zu, %d hardware threads) "
+      "(MPCKMeans, %d-fold x %zu-value grid, n=%zu, up to %d threads) "
       "===\n",
-      config.cv.n_folds, config.param_grid.size(), data.size(), hw);
+      config.cv.n_folds, config.param_grid.size(), data.size(), max_threads);
   std::printf("%-16s %8s %12s %10s %10s %s\n", "cost model", "threads",
               "wall_ms", "speedup", "efficiency", "matches serial");
 
@@ -566,166 +528,140 @@ void RunExperimentScalingRow(const Dataset& data,
 
 // Serial-vs-parallel wall time for the *trial-level* fan-out in
 // RunExperiment on a wide outer loop (many trials): fully serial, then the
-// nested-width budget (PlanBudget: trial lanes × CVCP cell width ≈
-// budget, help-while-waiting balancing).
-void PrintTrialScalingTable() {
+// nested-width budget of `threads` (PlanBudget: trial lanes × CVCP cell
+// width ≈ budget, help-while-waiting balancing).
+void PrintTrialScalingTable(int threads) {
   Dataset data = BenchData(/*per_cluster=*/25, /*k=*/4, /*dims=*/8);
   MpckMeansClusterer clusterer;
 
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
   cvcp::bench::TrialSpec spec;
   spec.scenario = cvcp::bench::Scenario::kLabels;
   spec.level = 0.20;
   spec.n_folds = 5;
   spec.grid = {2, 3, 4, 5};
-  const int trials = std::max(8, hw);
+  const int trials = std::max(8, threads);
 
   std::printf(
       "=== RunExperiment serial vs trial-parallel "
       "(MPCKMeans, %d trials, %d-fold x %zu-value grid, n=%zu, "
-      "%d hardware threads) ===\n",
-      trials, spec.n_folds, spec.grid.size(), data.size(), hw);
+      "up to %d threads) ===\n",
+      trials, spec.n_folds, spec.grid.size(), data.size(), threads);
   std::printf("%-14s %8s %12s %10s %10s %s\n", "mode", "threads", "wall_ms",
               "speedup", "efficiency", "matches serial");
 
   ExperimentScalingBaseline baseline;
   RunExperimentScalingRow(data, clusterer, spec, trials, "trial_scaling",
                           "serial", 1, &baseline);
-  if (hw >= 2) {
+  if (threads >= 2) {
     RunExperimentScalingRow(data, clusterer, spec, trials, "trial_scaling",
-                            "nested", hw, &baseline);
+                            "nested", threads, &baseline);
   }
   std::printf("\n");
 }
 
-// Distance-matrix build across the kernel × tiling space on a
-// 64-dimensional blob set. The untiled scalar-legacy row is the pre-SIMD
-// baseline; the tiled fixed-lane row is today's default configuration and
-// its speedup column is the headline number (the CI acceptance bar is
-// >= 2x on this >= 32-dim dataset). Value checks ride along: the tiled
-// build must reproduce the untiled build bit for bit *per kernel policy*
-// and for any thread count. Any check failure flips the process exit code
-// via g_determinism_ok, like the other tables.
-void PrintDistanceKernelTable() {
+// The speed baseline of the distance table: every pair in condensed
+// order, one left-to-right scalar sum per pair — no tiling, no batching,
+// no SIMD dispatch.
+std::vector<double> NaiveEuclideanCondensed(const Matrix& points) {
+  const size_t n = points.rows();
+  const size_t d = points.cols();
+  std::vector<double> out;
+  out.reserve(n * (n - 1) / 2);
+  for (size_t i = 0; i < n; ++i) {
+    const double* a = points.Row(i).data();
+    for (size_t j = i + 1; j < n; ++j) {
+      const double* b = points.Row(j).data();
+      double sum = 0.0;
+      for (size_t m = 0; m < d; ++m) {
+        const double e = a[m] - b[m];
+        sum += e * e;
+      }
+      out.push_back(std::sqrt(sum));
+    }
+  }
+  return out;
+}
+
+// Distance-matrix build on a 64-dimensional blob set: the naive loop
+// above against the engine's tiled fixed-lane build at 1 and at `threads`
+// threads. The speedup column is relative to the naive loop. The two
+// tiled rows must agree bit for bit; a mismatch flips the process exit
+// code via g_determinism_ok, like the other tables.
+void PrintDistanceKernelTable(int threads) {
   Rng rng(53);
   Dataset data = MakeBlobs("kernel-bench", /*k=*/8, /*per_cluster=*/64,
                            /*dims=*/64, 10.0, 1.0, &rng);
   const Matrix& pts = data.points();
   const Metric metric = Metric::kEuclidean;
 
-  ExecutionContext legacy = ExecutionContext::Serial();
-  legacy.distance_kernel = DistanceKernelPolicy::kScalarLegacy;
-  ExecutionContext fixed = ExecutionContext::Serial();
-  fixed.distance_kernel = DistanceKernelPolicy::kFixedLane;
-
   std::printf(
-      "=== Distance-matrix build: kernel x tiling "
-      "(n=%zu, d=%zu, euclidean, arch=%s) ===\n",
+      "=== Distance-matrix build (n=%zu, d=%zu, euclidean, arch=%s) ===\n",
       pts.rows(), pts.cols(), DistanceKernelArch());
-  std::printf("%-24s %10s %9s  %s\n", "configuration", "wall_ms", "speedup",
-              "values");
+  std::printf("%-24s %8s %10s %9s  %s\n", "configuration", "threads",
+              "wall_ms", "speedup", "values");
 
-  // Best-of-5 wall time; the first build is kept for the value checks.
-  auto time_best = [&](const std::function<DistanceMatrix()>& build,
-                       std::optional<DistanceMatrix>* out) {
+  // Best-of-5 wall time.
+  auto time_best = [](const std::function<void()>& build) {
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 5; ++rep) {
       const auto start = std::chrono::steady_clock::now();
-      DistanceMatrix m = build();
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-      best = std::min(best, ms);
-      if (rep == 0) *out = std::move(m);
+      build();
+      best = std::min(best, std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
     }
     return best;
   };
-  auto same_f64 = [](const DistanceMatrix& a, const DistanceMatrix& b) {
-    const std::vector<double>& x = a.condensed();
-    const std::vector<double>& y = b.condensed();
-    if (x.size() != y.size()) return false;
-    for (size_t i = 0; i < x.size(); ++i) {
-      if (!BitsEqual(x[i], y[i])) return false;
-    }
-    return true;
-  };
 
-  std::optional<DistanceMatrix> untiled_legacy, untiled_fixed, tiled_legacy,
-      tiled_fixed, tiled_fixed_t8;
-  const double ms_untiled_legacy = time_best(
-      [&] { return DistanceMatrix::ComputeUntiled(pts, metric, legacy); },
-      &untiled_legacy);
-  const double ms_untiled_fixed = time_best(
-      [&] { return DistanceMatrix::ComputeUntiled(pts, metric, fixed); },
-      &untiled_fixed);
-  const double ms_tiled_legacy = time_best(
-      [&] { return DistanceMatrix::Compute(pts, metric, legacy); },
-      &tiled_legacy);
-  const double ms_tiled_fixed = time_best(
-      [&] { return DistanceMatrix::Compute(pts, metric, fixed); },
-      &tiled_fixed);
-  ExecutionContext fixed8 = fixed;
-  fixed8.threads = 8;
-  const double ms_tiled_fixed_t8 = time_best(
-      [&] { return DistanceMatrix::Compute(pts, metric, fixed8); },
-      &tiled_fixed_t8);
+  ExecutionContext wide;
+  wide.threads = threads;
+  std::vector<double> naive;
+  std::optional<DistanceMatrix> serial, parallel;
+  const double ms_naive =
+      time_best([&] { naive = NaiveEuclideanCondensed(pts); });
+  const double ms_serial = time_best([&] {
+    serial = DistanceMatrix::Compute(pts, metric, ExecutionContext::Serial());
+  });
+  const double ms_parallel = time_best(
+      [&] { parallel = DistanceMatrix::Compute(pts, metric, wide); });
+  benchmark::DoNotOptimize(naive);
 
-  const bool tiled_legacy_ok = same_f64(*tiled_legacy, *untiled_legacy);
-  const bool tiled_fixed_ok = same_f64(*tiled_fixed, *untiled_fixed);
-  const bool threads_ok = same_f64(*tiled_fixed_t8, *tiled_fixed);
-  if (!tiled_legacy_ok || !tiled_fixed_ok || !threads_ok) {
-    g_determinism_ok = false;
+  const std::vector<double>& x = serial->condensed();
+  const std::vector<double>& y = parallel->condensed();
+  bool threads_ok = x.size() == y.size();
+  for (size_t i = 0; threads_ok && i < x.size(); ++i) {
+    threads_ok = BitsEqual(x[i], y[i]);
   }
+  if (!threads_ok) g_determinism_ok = false;
 
-  auto emit = [&](const char* label, const char* kernel, bool tiled,
-                  int threads, double ms, const char* values,
+  auto emit = [&](const char* label, int width, double ms, const char* values,
                   bool values_ok) {
-    const double speedup = ms_untiled_legacy / ms;
-    std::printf("%-24s %10.2f %8.2fx  %s\n", label, ms, speedup, values);
-    AddDistanceRow(Format(
+    const double speedup = ms_naive / ms;
+    std::printf("%-24s %8d %10.2f %8.2fx  %s\n", label, width, ms, speedup,
+                values);
+    AddJsonRow(Format(
         "{\"table\": \"distance_build\", \"config\": \"%s\", "
-        "\"kernel\": \"%s\", \"tiled\": %s, "
         "\"threads\": %d, \"n\": %zu, \"dims\": %zu, \"wall_ms\": %.4f, "
         "\"speedup\": %.3f, \"values_ok\": %s}",
-        label, kernel, tiled ? "true" : "false", threads, pts.rows(),
-        pts.cols(), ms, speedup, values_ok ? "true" : "false"));
+        label, width, pts.rows(), pts.cols(), ms, speedup,
+        values_ok ? "true" : "false"));
   };
-  emit("untiled-scalar-legacy", "scalar-legacy", false, 1,
-       ms_untiled_legacy, "(baseline)", true);
-  emit("untiled-fixed-lane", "fixed-lane", false, 1, ms_untiled_fixed,
-       "(fixed-lane reference)", true);
-  emit("tiled-scalar-legacy", "scalar-legacy", true, 1,
-       ms_tiled_legacy,
-       tiled_legacy_ok ? "bitwise == untiled-scalar-legacy"
-                       : "NO — TILING CHANGED VALUES",
-       tiled_legacy_ok);
-  emit("tiled-fixed-lane", "fixed-lane", true, 1, ms_tiled_fixed,
-       tiled_fixed_ok ? "bitwise == untiled-fixed-lane"
-                      : "NO — TILING CHANGED VALUES",
-       tiled_fixed_ok);
-  emit("tiled-fixed-lane", "fixed-lane", true, 8, ms_tiled_fixed_t8,
+  emit("naive-loop", 1, ms_naive, "(baseline)", true);
+  emit("tiled-fixed-lane", 1, ms_serial, "(reference)", true);
+  emit("tiled-fixed-lane", threads, ms_parallel,
        threads_ok ? "bitwise == 1-thread build"
                   : "NO — THREAD COUNT CHANGED VALUES",
        threads_ok);
-  const double headline = ms_untiled_legacy / ms_tiled_fixed;
-  std::printf("default (tiled fixed-lane) vs scalar-legacy baseline: "
-              "%.2fx %s\n\n",
-              headline, headline >= 2.0 ? "(meets the 2x bar)"
-                                        : "(below the 2x bar)");
+  std::printf("\n");
 }
 
 // This binary's own flags, stripped from argv before google-benchmark
 // sees the rest.
 struct MicroOptions {
-  int threads = 0;           // 0 = all hardware threads (cache table width)
+  int threads = 0;           // 0 = all hardware threads (every table's width)
   bool cache_table_only = false;  // print the cache table and exit (CI smoke)
   std::string store_dir;  // artifact store dir: store-cold/warm rows
   std::string json_path = "BENCH_micro.json";  // "" (via --json '') disables
-  // Standalone report for the distance-build rows (--distance-json PATH;
-  // '' disables). Skipped in --cache-table-only mode, which doesn't run
-  // that table.
-  std::string distance_json_path = "BENCH_distance.json";
 };
 
 MicroOptions StripMicroOptions(int* argc, char** argv) {
@@ -740,8 +676,6 @@ MicroOptions StripMicroOptions(int* argc, char** argv) {
       o.store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < *argc) {
       o.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--distance-json") == 0 && i + 1 < *argc) {
-      o.distance_json_path = argv[++i];
     } else {
       argv[out++] = argv[i];
     }
@@ -766,14 +700,11 @@ int main(int argc, char** argv) {
     benchmark::Shutdown();
     return g_determinism_ok ? 0 : 1;
   }
-  PrintDistanceKernelTable();
-  PrintCvcpScalingTable();
-  PrintTrialScalingTable();
+  PrintDistanceKernelTable(table_threads);
+  PrintCvcpScalingTable(table_threads);
+  PrintTrialScalingTable(table_threads);
   PrintFoscCacheTable(table_threads, options.store_dir);
   if (!options.json_path.empty()) WriteJsonReport(options.json_path);
-  if (!options.distance_json_path.empty()) {
-    WriteDistanceJsonReport(options.distance_json_path);
-  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   // Nonzero on any "NO — DETERMINISM BUG" row so the CI smoke steps fail

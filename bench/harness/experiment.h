@@ -51,8 +51,7 @@ struct TrialSpec {
   bool with_silhouette = false;
   /// Total thread budget, shared by every nesting level (ALOI datasets >
   /// trials > CVCP grid×fold cells / full-supervision sweep); any thread
-  /// count yields identical results. Also carries the distance-kernel
-  /// policy every stage of the trial uses.
+  /// count yields identical results.
   ExecutionContext exec;
   /// Optional run-wide cache pool (one shared memory LRU + optional
   /// persistent ArtifactStore tier). When set, `RunExperiment` fronts the

@@ -26,21 +26,12 @@ uint64_t EnvSeed(const char* name, uint64_t fallback) {
   return (end != nullptr && *end == '\0') ? parsed : fallback;
 }
 
-/// Policy spellings via the library parser; anything unrecognized keeps
-/// `fallback`.
-DistanceKernelPolicy ParseKernel(const char* v, DistanceKernelPolicy fallback) {
-  DistanceKernelPolicy out = fallback;
-  if (v != nullptr) ParseDistanceKernelPolicy(v, &out);
-  return out;
-}
-
 [[noreturn]] void UsageExit(const char* argv0, const char* flag) {
   std::fprintf(stderr,
                "%s: unknown flag '%s'\n"
                "usage: %s [--paper] [--trials N] [--aloi N] [--folds N] "
                "[--seed N]\n"
-               "       [--threads N] [--store DIR] [--store-capacity-mb N]\n"
-               "       [--distance-kernel fixed|scalar-legacy|unrolled]\n",
+               "       [--threads N] [--store DIR] [--store-capacity-mb N]\n",
                argv0, flag, argv0);
   std::exit(2);
 }
@@ -60,8 +51,6 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   }
   o.store_capacity_mb = static_cast<int>(
       EnvLong("CVCP_STORE_CAPACITY_MB", o.store_capacity_mb));
-  o.distance_kernel =
-      ParseKernel(std::getenv("CVCP_DISTANCE_KERNEL"), o.distance_kernel);
   for (int i = 1; i < argc; ++i) {
     auto next_long = [&](long fallback) {
       return i + 1 < argc ? std::strtol(argv[++i], nullptr, 10) : fallback;
@@ -85,9 +74,6 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
       if (i + 1 < argc) o.store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--store-capacity-mb") == 0) {
       o.store_capacity_mb = static_cast<int>(next_long(o.store_capacity_mb));
-    } else if (std::strcmp(argv[i], "--distance-kernel") == 0) {
-      if (i + 1 < argc) o.distance_kernel = ParseKernel(argv[++i],
-                                                        o.distance_kernel);
     } else {
       UsageExit(argv[0], argv[i]);
     }
@@ -97,13 +83,6 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   if (o.aloi_datasets < 1) o.aloi_datasets = 1;
   if (o.threads < 0) o.threads = 0;  // 0 = all hardware threads
   if (o.store_capacity_mb < 1) o.store_capacity_mb = 1;
-  if (o.distance_kernel == DistanceKernelPolicy::kDefault) {
-    o.distance_kernel = DefaultDistanceKernelPolicy();
-  }
-  // The per-context policy (threaded through TrialSpec/ExecutionContext)
-  // is the real config; aligning the process default with it makes any
-  // stray kDefault resolution in library helpers agree with the run.
-  SetDefaultDistanceKernelPolicy(o.distance_kernel);
   return o;
 }
 
@@ -119,11 +98,10 @@ void PrintBanner(const BenchOptions& options, const std::string& title,
     std::snprintf(threads, sizeof(threads), "all hardware threads");
   }
   std::printf(
-      "scale: %d trials, %zu ALOI sets, %d-fold CV, seed %llu, %s, "
-      "%s kernels (--paper for full scale)\n\n",
+      "scale: %d trials, %zu ALOI sets, %d-fold CV, seed %llu, %s "
+      "(--paper for full scale)\n\n",
       options.trials, options.aloi_datasets, options.n_folds,
-      static_cast<unsigned long long>(options.seed), threads,
-      DistanceKernelPolicyName(options.distance_kernel));
+      static_cast<unsigned long long>(options.seed), threads);
 }
 
 }  // namespace cvcp::bench

@@ -10,8 +10,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/kernel_policy.h"
-
 namespace cvcp::bench {
 
 /// Runtime scale of a bench binary.
@@ -35,27 +33,14 @@ struct BenchOptions {
   /// reloaded or recomputed (env CVCP_STORE_CAPACITY_MB,
   /// flag `--store-capacity-mb N`).
   int store_capacity_mb = 256;
-  /// Distance-kernel policy for every distance computed by the run:
-  /// "fixed" (default; SIMD-dispatched fixed-lane kernels, byte-identical
-  /// across scalar/AVX2/NEON and any thread count), "scalar-legacy"
-  /// (pre-SIMD left-to-right sums), or "unrolled" (4-accumulator unroll;
-  /// neither matches the other two bitwise). Applied both process-wide
-  /// (the default every kDefault resolution sees) and on the execution
-  /// context threaded through the engine (env CVCP_DISTANCE_KERNEL,
-  /// flag `--distance-kernel`).
-  DistanceKernelPolicy distance_kernel = DistanceKernelPolicy::kFixedLane;
 };
 
 /// Parses env vars, then `--paper` / `--trials N` / `--aloi N` /
 /// `--folds N` / `--seed N` / `--threads N` /
-/// `--store DIR` / `--store-capacity-mb N` /
-/// `--distance-kernel fixed|scalar-legacy|unrolled` flags (flags win).
+/// `--store DIR` / `--store-capacity-mb N` flags (flags win).
 /// The seed is a full 64-bit unsigned value. Any other argument prints
 /// the usage text to stderr and exits with status 2, so a mistyped or
-/// retired flag can never run silently at default settings. Also applies
-/// the distance-kernel choice process-wide
-/// (SetDefaultDistanceKernelPolicy), so kDefault resolutions anywhere in
-/// the process agree with the explicit per-context policy.
+/// retired flag can never run silently at default settings.
 BenchOptions ParseBenchOptions(int argc, char** argv);
 
 /// One-line banner describing the reproduction target and the scale.

@@ -27,7 +27,6 @@ TrialSpec SpecFor(const PaperBenchContext& ctx, BenchAlgo algo,
   spec.grid = GridFor(algo, num_classes);
   spec.with_silhouette = algo != BenchAlgo::kFosc;
   spec.exec.threads = ctx.options.threads;
-  spec.exec.distance_kernel = ctx.options.distance_kernel;
   spec.cache_pool = ctx.cache_pool.get();
   return spec;
 }

@@ -71,7 +71,7 @@ Result<CopKMeansResult> RunCopKMeans(const Matrix& points,
   const size_t k = static_cast<size_t>(config.k);
 
   for (int restart = 0; restart < config.max_restarts; ++restart) {
-    Matrix centroids = KMeansPlusPlusInit(points, config.k, rng, config.kernel);
+    Matrix centroids = KMeansPlusPlusInit(points, config.k, rng);
     std::vector<int> comp_assign(view.members.size(), -1);
     double inertia = std::numeric_limits<double>::infinity();
     double prev_inertia = inertia;
@@ -97,8 +97,7 @@ Result<CopKMeansResult> RunCopKMeans(const Matrix& points,
           if (banned[h]) continue;
           double cost = 0.0;
           for (size_t o : members) {
-            cost += SquaredEuclideanDistance(points.Row(o), centroids.Row(h),
-                                             config.kernel);
+            cost += SquaredEuclideanDistance(points.Row(o), centroids.Row(h));
           }
           if (cost < best) {
             best = cost;

@@ -475,8 +475,7 @@ class MpckState {
 };
 
 /// min_d2[i] = std::min(min_d2[i], SquaredEuclidean(x_i, c)) for every
-/// object, four contiguous rows per kernel call where the policy has a
-/// batched form.
+/// object, four contiguous rows per kernel call.
 void LowerMinDistances(const Matrix& points, const double* c,
                        const DistanceKernels& kernels,
                        std::vector<double>* min_d2) {
@@ -484,13 +483,11 @@ void LowerMinDistances(const Matrix& points, const double* c,
   const size_t d = points.cols();
   const double* x = points.data().data();
   size_t i = 0;
-  if (kernels.squared_euclidean_x4 != nullptr) {
-    for (; i + 4 <= n; i += 4) {
-      double out[4];
-      kernels.squared_euclidean_x4(c, x + i * d, d, d, out);
-      for (size_t j = 0; j < 4; ++j) {
-        (*min_d2)[i + j] = std::min((*min_d2)[i + j], out[j]);
-      }
+  for (; i + 4 <= n; i += 4) {
+    double out[4];
+    kernels.squared_euclidean_x4(c, x + i * d, d, d, out);
+    for (size_t j = 0; j < 4; ++j) {
+      (*min_d2)[i + j] = std::min((*min_d2)[i + j], out[j]);
     }
   }
   for (; i < n; ++i) {
@@ -585,7 +582,7 @@ Result<MpckMeansResult> RunMpckMeans(const Matrix& points,
 
   // One kernel-table lookup per run, shared by the init and every
   // iteration.
-  const DistanceKernels& kernels = GetDistanceKernels(config.kernel);
+  const DistanceKernels& kernels = GetDistanceKernels();
   MpckState state(points, constraints, config, kernels);
   if (config.neighborhood_init) {
     CVCP_ASSIGN_OR_RETURN(Matrix init,
@@ -593,8 +590,7 @@ Result<MpckMeansResult> RunMpckMeans(const Matrix& points,
                                            config.k, rng));
     state.SetCentroids(std::move(init));
   } else {
-    state.SetCentroids(KMeansPlusPlusInit(points, config.k, rng,
-                                          config.kernel));
+    state.SetCentroids(KMeansPlusPlusInit(points, config.k, rng));
   }
 
   double prev_obj = std::numeric_limits<double>::infinity();

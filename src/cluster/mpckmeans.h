@@ -51,9 +51,9 @@ struct MpckMeansConfig {
   /// Seed centroids from must-link neighborhoods (paper's initialization);
   /// false falls back to k-means++.
   bool neighborhood_init = true;
-  /// Distance-kernel implementation for the assignment/metric loops
-  /// (common/kernel_policy.h); kDefault = the process default.
-  DistanceKernelPolicy kernel = DistanceKernelPolicy::kDefault;
+  /// Inert: RunMpckMeans never reads it. It remains until the repository
+  /// benchmark stops setting it (common/kernel_policy.h).
+  DistanceKernelPolicy kernel = DistanceKernelPolicy::kFixedLane;
 };
 
 /// Output of an MPCKMeans run.

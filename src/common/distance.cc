@@ -9,61 +9,46 @@
 
 namespace cvcp {
 
-void SetUnrolledDistanceKernels(bool enabled) {
-  SetDefaultDistanceKernelPolicy(enabled ? DistanceKernelPolicy::kUnrolled
-                                         : DistanceKernelPolicy::kFixedLane);
-}
-
-bool UnrolledDistanceKernelsEnabled() {
-  return DefaultDistanceKernelPolicy() == DistanceKernelPolicy::kUnrolled;
-}
-
 double SquaredEuclideanDistance(std::span<const double> a,
-                                std::span<const double> b,
-                                DistanceKernelPolicy policy) {
+                                std::span<const double> b) {
   CVCP_DCHECK_EQ(a.size(), b.size());
-  return GetDistanceKernels(policy).squared_euclidean(a.data(), b.data(),
-                                                      a.size());
+  return GetDistanceKernels().squared_euclidean(a.data(), b.data(), a.size());
 }
 
-double EuclideanDistance(std::span<const double> a, std::span<const double> b,
-                         DistanceKernelPolicy policy) {
-  return std::sqrt(SquaredEuclideanDistance(a, b, policy));
+double EuclideanDistance(std::span<const double> a, std::span<const double> b) {
+  return std::sqrt(SquaredEuclideanDistance(a, b));
 }
 
-double ManhattanDistance(std::span<const double> a, std::span<const double> b,
-                         DistanceKernelPolicy policy) {
+double ManhattanDistance(std::span<const double> a, std::span<const double> b) {
   CVCP_DCHECK_EQ(a.size(), b.size());
-  return GetDistanceKernels(policy).manhattan(a.data(), b.data(), a.size());
+  return GetDistanceKernels().manhattan(a.data(), b.data(), a.size());
 }
 
-double CosineDistance(std::span<const double> a, std::span<const double> b,
-                      DistanceKernelPolicy policy) {
+double CosineDistance(std::span<const double> a, std::span<const double> b) {
   CVCP_DCHECK_EQ(a.size(), b.size());
-  return GetDistanceKernels(policy).cosine(a.data(), b.data(), a.size());
+  return GetDistanceKernels().cosine(a.data(), b.data(), a.size());
 }
 
 double WeightedSquaredEuclidean(std::span<const double> a,
                                 std::span<const double> b,
-                                std::span<const double> weights,
-                                DistanceKernelPolicy policy) {
+                                std::span<const double> weights) {
   CVCP_DCHECK_EQ(a.size(), b.size());
   CVCP_DCHECK_EQ(a.size(), weights.size());
-  return GetDistanceKernels(policy).weighted_squared_euclidean(
+  return GetDistanceKernels().weighted_squared_euclidean(
       a.data(), b.data(), weights.data(), a.size());
 }
 
 double Distance(std::span<const double> a, std::span<const double> b,
-                Metric metric, DistanceKernelPolicy policy) {
+                Metric metric) {
   switch (metric) {
     case Metric::kEuclidean:
-      return EuclideanDistance(a, b, policy);
+      return EuclideanDistance(a, b);
     case Metric::kSquaredEuclidean:
-      return SquaredEuclideanDistance(a, b, policy);
+      return SquaredEuclideanDistance(a, b);
     case Metric::kManhattan:
-      return ManhattanDistance(a, b, policy);
+      return ManhattanDistance(a, b);
     case Metric::kCosine:
-      return CosineDistance(a, b, policy);
+      return CosineDistance(a, b);
   }
   CVCP_CHECK_MSG(false, "unreachable metric");
   return 0.0;
@@ -85,16 +70,16 @@ using PairKernel = double (*)(const double*, const double*, size_t);
 using BatchKernel = void (*)(const double*, const double*, size_t, size_t,
                              double[4]);
 
-/// The (kernel, post-sqrt) pair one metric needs under one policy, plus
-/// the strided batch form when the policy has one for this metric.
+/// The (kernel, post-sqrt) pair one metric needs, plus the strided
+/// batch form when the metric has one.
 struct MetricKernel {
   PairKernel fn;
   bool sqrt_after;
   BatchKernel batch4 = nullptr;
 };
 
-MetricKernel SelectMetricKernel(Metric metric, DistanceKernelPolicy policy) {
-  const DistanceKernels& kernels = GetDistanceKernels(policy);
+MetricKernel SelectMetricKernel(Metric metric) {
+  const DistanceKernels& kernels = GetDistanceKernels();
   switch (metric) {
     case Metric::kEuclidean:
       return {kernels.squared_euclidean, true, kernels.squared_euclidean_x4};
@@ -138,7 +123,7 @@ DistanceMatrix DistanceMatrix::Compute(const Matrix& points, Metric metric,
   dm.data_.resize(n * (n - 1) / 2);
   double* out = dm.data_.data();
 
-  const MetricKernel kernel = SelectMetricKernel(metric, exec.distance_kernel);
+  const MetricKernel kernel = SelectMetricKernel(metric);
   const size_t d = points.cols();
 
   // Upper-triangular tile grid: panel (pi) × panel (pj >= pi). Diagonal
@@ -192,32 +177,6 @@ DistanceMatrix DistanceMatrix::Compute(const Matrix& points, Metric metric,
         if (kernel.sqrt_after) value = std::sqrt(value);
         out[idx++] = value;
       }
-    }
-  });
-  return dm;
-}
-
-DistanceMatrix DistanceMatrix::ComputeUntiled(const Matrix& points,
-                                              Metric metric,
-                                              const ExecutionContext& exec) {
-  DistanceMatrix dm;
-  const size_t n = points.rows();
-  dm.n_ = n;
-  if (n < 2) return dm;
-  dm.data_.resize(n * (n - 1) / 2);
-  double* out = dm.data_.data();
-  const MetricKernel kernel = SelectMetricKernel(metric, exec.distance_kernel);
-  const size_t d = points.cols();
-  // One task per row i fills the contiguous condensed block for pairs
-  // (i, i+1..n-1); rows shrink toward the end, and ParallelFor's dynamic
-  // index claiming balances that triangular load.
-  ParallelFor(exec, n - 1, [&](size_t i) {
-    size_t idx = i * n - i * (i + 1) / 2;  // CondensedIndex(i, i + 1)
-    const double* row = points.Row(i).data();
-    for (size_t j = i + 1; j < n; ++j) {
-      double value = kernel.fn(row, points.Row(j).data(), d);
-      if (kernel.sqrt_after) value = std::sqrt(value);
-      out[idx++] = value;
     }
   });
   return dm;

@@ -1,10 +1,7 @@
 #include "common/distance_kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 namespace cvcp {
 
@@ -193,108 +190,6 @@ const RowKernels kPortableRowKernels = {
     RowClampedRatio,
 };
 
-// ---------------------------------------------------------------------------
-// Legacy scalar kernels (the pre-SIMD left-to-right byte baseline)
-// ---------------------------------------------------------------------------
-
-double LegacySquaredEuclidean(const double* a, const double* b, size_t n) {
-  double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double d = a[i] - b[i];
-    sum += d * d;
-  }
-  return sum;
-}
-
-double LegacyManhattan(const double* a, const double* b, size_t n) {
-  double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    sum += std::fabs(a[i] - b[i]);
-  }
-  return sum;
-}
-
-double LegacyCosine(const double* a, const double* b, size_t n) {
-  double dot = 0.0, na = 0.0, nb = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    dot += a[i] * b[i];
-    na += a[i] * a[i];
-    nb += b[i] * b[i];
-  }
-  if (na == 0.0 || nb == 0.0) return 1.0;
-  return 1.0 - dot / (std::sqrt(na) * std::sqrt(nb));
-}
-
-double LegacyWeightedSquaredEuclidean(const double* a, const double* b,
-                                      const double* w, size_t n) {
-  double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double d = a[i] - b[i];
-    sum += w[i] * d * d;
-  }
-  return sum;
-}
-
-// ---------------------------------------------------------------------------
-// Unrolled scalar kernels (4 accumulators, reassociated; opt-in)
-// ---------------------------------------------------------------------------
-
-double UnrolledSquaredEuclidean(const double* a, const double* b, size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double d0 = a[i] - b[i];
-    const double d1 = a[i + 1] - b[i + 1];
-    const double d2 = a[i + 2] - b[i + 2];
-    const double d3 = a[i + 3] - b[i + 3];
-    s0 += d0 * d0;
-    s1 += d1 * d1;
-    s2 += d2 * d2;
-    s3 += d3 * d3;
-  }
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    s0 += d * d;
-  }
-  return (s0 + s1) + (s2 + s3);
-}
-
-double UnrolledManhattan(const double* a, const double* b, size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += std::fabs(a[i] - b[i]);
-    s1 += std::fabs(a[i + 1] - b[i + 1]);
-    s2 += std::fabs(a[i + 2] - b[i + 2]);
-    s3 += std::fabs(a[i + 3] - b[i + 3]);
-  }
-  for (; i < n; ++i) {
-    s0 += std::fabs(a[i] - b[i]);
-  }
-  return (s0 + s1) + (s2 + s3);
-}
-
-double UnrolledWeightedSquaredEuclidean(const double* a, const double* b,
-                                        const double* w, size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double d0 = a[i] - b[i];
-    const double d1 = a[i + 1] - b[i + 1];
-    const double d2 = a[i + 2] - b[i + 2];
-    const double d3 = a[i + 3] - b[i + 3];
-    s0 += w[i] * d0 * d0;
-    s1 += w[i + 1] * d1 * d1;
-    s2 += w[i + 2] * d2 * d2;
-    s3 += w[i + 3] * d3 * d3;
-  }
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    s0 += w[i] * d * d;
-  }
-  return (s0 + s1) + (s2 + s3);
-}
-
 const DistanceKernels kPortableFixedLane = {
     FixedSquaredEuclidean,
     FixedManhattan,
@@ -303,28 +198,6 @@ const DistanceKernels kPortableFixedLane = {
     FixedSquaredEuclideanX4,
     FixedWeightedSquaredEuclideanX4,
     FixedWeightedSquaredEuclideanRows,
-};
-
-const DistanceKernels kScalarLegacy = {
-    LegacySquaredEuclidean,
-    LegacyManhattan,
-    LegacyCosine,
-    LegacyWeightedSquaredEuclidean,
-    nullptr,
-    nullptr,
-    nullptr,
-};
-
-// The unrolled set never had a reassociated cosine; it keeps the legacy
-// single-pass loop (pinned by the shim test).
-const DistanceKernels kUnrolled = {
-    UnrolledSquaredEuclidean,
-    UnrolledManhattan,
-    LegacyCosine,
-    UnrolledWeightedSquaredEuclidean,
-    nullptr,
-    nullptr,
-    nullptr,
 };
 
 }  // namespace
@@ -373,83 +246,11 @@ const FixedLaneChoice& FixedLane() {
   return choice;
 }
 
-DistanceKernelPolicy PolicyFromEnv() {
-  DistanceKernelPolicy policy = DistanceKernelPolicy::kFixedLane;
-  if (const char* v = std::getenv("CVCP_DISTANCE_KERNEL")) {
-    ParseDistanceKernelPolicy(v, &policy);
-  }
-  return policy;
-}
-
-std::atomic<DistanceKernelPolicy>& DefaultPolicySlot() {
-  static std::atomic<DistanceKernelPolicy> slot{PolicyFromEnv()};
-  return slot;
-}
-
 }  // namespace
 
-DistanceKernelPolicy DefaultDistanceKernelPolicy() {
-  return DefaultPolicySlot().load(std::memory_order_relaxed);
-}
-
-void SetDefaultDistanceKernelPolicy(DistanceKernelPolicy policy) {
-  if (policy == DistanceKernelPolicy::kDefault) return;  // nothing to resolve to
-  DefaultPolicySlot().store(policy, std::memory_order_relaxed);
-}
-
-DistanceKernelPolicy ResolveDistanceKernelPolicy(DistanceKernelPolicy policy) {
-  return policy == DistanceKernelPolicy::kDefault ? DefaultDistanceKernelPolicy()
-                                                  : policy;
-}
-
-const char* DistanceKernelPolicyName(DistanceKernelPolicy policy) {
-  switch (policy) {
-    case DistanceKernelPolicy::kDefault:
-      return "default";
-    case DistanceKernelPolicy::kFixedLane:
-      return "fixed-lane";
-    case DistanceKernelPolicy::kScalarLegacy:
-      return "scalar-legacy";
-    case DistanceKernelPolicy::kUnrolled:
-      return "unrolled";
-  }
-  return "unknown";
-}
-
-bool ParseDistanceKernelPolicy(const char* name, DistanceKernelPolicy* out) {
-  if (name == nullptr) return false;
-  if (std::strcmp(name, "fixed") == 0 || std::strcmp(name, "fixed-lane") == 0) {
-    *out = DistanceKernelPolicy::kFixedLane;
-    return true;
-  }
-  if (std::strcmp(name, "scalar-legacy") == 0 ||
-      std::strcmp(name, "scalar") == 0) {
-    *out = DistanceKernelPolicy::kScalarLegacy;
-    return true;
-  }
-  if (std::strcmp(name, "unrolled") == 0) {
-    *out = DistanceKernelPolicy::kUnrolled;
-    return true;
-  }
-  return false;
-}
-
-const DistanceKernels& GetDistanceKernels(DistanceKernelPolicy policy) {
-  switch (ResolveDistanceKernelPolicy(policy)) {
-    case DistanceKernelPolicy::kScalarLegacy:
-      return kScalarLegacy;
-    case DistanceKernelPolicy::kUnrolled:
-      return kUnrolled;
-    case DistanceKernelPolicy::kDefault:  // unreachable after resolution
-    case DistanceKernelPolicy::kFixedLane:
-      break;
-  }
-  return *FixedLane().kernels;
-}
+const DistanceKernels& GetDistanceKernels() { return *FixedLane().kernels; }
 
 const DistanceKernels& FixedLaneKernelsPortable() { return kPortableFixedLane; }
-
-const DistanceKernels& FixedLaneKernelsNative() { return *FixedLane().kernels; }
 
 const char* DistanceKernelArch() { return FixedLane().arch; }
 

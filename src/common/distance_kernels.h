@@ -3,16 +3,17 @@
 
 /// \file
 /// The low-level distance kernels behind common/distance.h: one table of
-/// raw-pointer inner loops per `DistanceKernelPolicy`, plus the runtime
-/// dispatch that picks a SIMD implementation of the fixed-lane kernels
-/// and of the policy-independent row kernels (MPCKMeans' M-step loops).
+/// raw-pointer fixed-lane inner loops per instruction set (AVX2, NEON,
+/// portable scalar) and one of row kernels (MPCKMeans' M-step loops),
+/// plus the dispatch that picks the widest table this CPU supports, once
+/// per process. These tables are the engine's only numerics.
 ///
 /// ## The fixed-lane contract
 ///
 /// Every fixed-lane implementation — the portable scalar reference, the
 /// AVX2 one, the NEON one — commits to the identical floating-point
-/// evaluation order, so their results are bitwise equal and the policy
-/// is deterministic across hardware:
+/// evaluation order, so their results are bitwise equal and every report
+/// is the same on every host:
 ///
 ///   * 8 virtual accumulator lanes; lane k sums the per-element terms at
 ///     indices ≡ k (mod 8), in increasing index order;
@@ -29,12 +30,10 @@
 ///     term) — the kernel translation units are compiled with
 ///     `-ffp-contract=off` so the compiler cannot introduce it either.
 ///
-/// Within one policy the kernels are pure functions of their inputs:
-/// thread count, tiling, caching, and hardware never change a bit.
+/// The kernels are pure functions of their inputs: thread count, tiling,
+/// caching, and hardware never change a bit.
 
 #include <cstddef>
-
-#include "common/kernel_policy.h"
 
 namespace cvcp {
 
@@ -53,17 +52,14 @@ struct DistanceKernels {
   /// single-pair op sequence — the batch exists so the matrix build can
   /// run four independent accumulator chains at once (the single-pair
   /// kernel is latency-bound on its lane adds) and reuse the `a` loads.
-  /// Null for policies without a batched form; callers fall back to four
-  /// single-pair calls, which produce the same bits.
   void (*squared_euclidean_x4)(const double* a, const double* b, size_t stride,
                                size_t n, double out[4]);
   /// Gathered batch of the weighted form: out[k] =
   /// weighted_squared_euclidean(rows[k], b, w, n) for k = 0..3 — four
   /// rows at unrelated addresses (MPCKMeans' objects) against one `b`
   /// (a centroid) under one weight row. Each pair keeps the single-pair
-  /// lane order. Null where `squared_euclidean_x4` is null, and on NEON;
-  /// callers fall back to four single-pair calls, which give the same
-  /// bits.
+  /// lane order. Null on NEON; callers fall back to four single-pair
+  /// calls, which give the same bits.
   void (*weighted_squared_euclidean_x4)(const double* const rows[4],
                                         const double* b, const double* w,
                                         size_t n, double out[4]);
@@ -82,10 +78,10 @@ struct DistanceKernels {
 /// Per-dimension row loops — the setup and M-step of MPCKMeans. Each
 /// output element is its own accumulator and receives the same IEEE
 /// operations in the same order in every implementation, so the
-/// dispatched (AVX2) table and the portable one are bitwise equal and
-/// independent of the distance-kernel policy. `rows` holds `count`
-/// pointers to rows of `n` contiguous doubles; the rows are consumed in
-/// array order. Outputs may not alias inputs except where stated.
+/// dispatched (AVX2) table and the portable one are bitwise equal. `rows`
+/// holds `count` pointers to rows of `n` contiguous doubles; the rows are
+/// consumed in array order. Outputs may not alias inputs except where
+/// stated.
 struct RowKernels {
   /// out[m] = (((+0.0 + rows[0][m]) + rows[1][m]) + ...).
   void (*sum_rows)(double* out, const double* const* rows, size_t count,
@@ -115,18 +111,14 @@ struct RowKernels {
                         double hi, size_t n);
 };
 
-/// The kernel table for a policy. `policy` may be `kDefault` (resolved
-/// through the process default). `kFixedLane` returns the dispatched
-/// native table (AVX2/NEON when the CPU supports it, the portable
-/// reference otherwise) — bitwise-identical either way.
-const DistanceKernels& GetDistanceKernels(DistanceKernelPolicy policy);
+/// The dispatched fixed-lane table: AVX2 or NEON when the CPU supports
+/// it, the portable reference otherwise — bitwise-identical either way.
+/// Resolved once per process.
+const DistanceKernels& GetDistanceKernels();
 
 /// The portable scalar fixed-lane reference — the pinning oracle the
 /// equivalence tests compare every SIMD implementation against.
 const DistanceKernels& FixedLaneKernelsPortable();
-
-/// The dispatched fixed-lane table (what `kFixedLane` uses).
-const DistanceKernels& FixedLaneKernelsNative();
 
 /// Which fixed-lane implementation dispatch selected on this machine:
 /// "avx2", "neon", or "portable".

@@ -36,14 +36,9 @@ struct ExecutionContext {
   /// 1 ⇒ the exact serial code path, never touching the pool.
   int threads = 0;
 
-  /// Which distance-kernel implementation computations under this
-  /// context use (common/kernel_policy.h). `kDefault` resolves to the
-  /// env-initialized process default. Like `threads`, this never changes
-  /// *what* is computed within a policy — only fixed-lane vs legacy vs
-  /// unrolled rounding; every caller of one run must agree on it for the
-  /// byte-identity contract to hold (the harness threads one value
-  /// through every layer).
-  DistanceKernelPolicy distance_kernel = DistanceKernelPolicy::kDefault;
+  /// Inert: nothing in the engine reads it. It remains until the
+  /// repository benchmark stops copying it (common/kernel_policy.h).
+  DistanceKernelPolicy distance_kernel = DistanceKernelPolicy::kFixedLane;
 
   /// Cooperative cancellation for the work under this context. The
   /// default token never fires, so existing callers pay one null check.

@@ -7,13 +7,12 @@
 namespace cvcp {
 
 namespace {
-thread_local bool tls_on_worker_thread = false;
 
 /// Runs an adopted task on a waiting thread. An exception escaping here
 /// would unwind the waiter's ParallelFor frame while its other lanes
 /// still reference it (use-after-free), so the no-throw contract of
-/// Post/Submit-wrapped tasks is enforced, not assumed — mirroring how an
-/// exception escaping a worker thread would std::terminate anyway.
+/// posted tasks is enforced, not assumed — mirroring how an exception
+/// escaping a worker thread would std::terminate anyway.
 void RunAdoptedTask(const std::function<void()>& task) {
   try {
     task();
@@ -43,25 +42,13 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::Enqueue(std::function<void()> fn) {
+void ThreadPool::Post(std::function<void()> fn) {
   {
     MutexLock lock(&mu_);
-    CVCP_CHECK_MSG(!stop_, "Submit on a stopped ThreadPool");
+    CVCP_CHECK_MSG(!stop_, "Post on a stopped ThreadPool");
     queue_.push_back(std::move(fn));
   }
   cv_.NotifyOne();
-}
-
-bool ThreadPool::TryRunOneTask() {
-  std::function<void()> task;
-  {
-    MutexLock lock(&mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.back());
-    queue_.pop_back();
-  }
-  RunAdoptedTask(task);
-  return true;
 }
 
 void ThreadPool::HelpWhileWaiting(const std::function<bool()>& done) {
@@ -75,7 +62,7 @@ void ThreadPool::HelpWhileWaiting(const std::function<bool()>& done) {
       std::function<void()> task = std::move(queue_.back());
       queue_.pop_back();
       mu_.Unlock();
-      RunAdoptedTask(task);  // may recursively submit + HelpWhileWaiting
+      RunAdoptedTask(task);  // may recursively post + HelpWhileWaiting
       mu_.Lock();
       continue;
     }
@@ -98,13 +85,12 @@ void ThreadPool::NotifyCompletion() {
 }
 
 void ThreadPool::WorkerLoop() {
-  tls_on_worker_thread = true;
   for (;;) {
     std::function<void()> task;
     {
       MutexLock lock(&mu_);
       while (!stop_ && queue_.empty()) cv_.Wait(&mu_);
-      // Drain the queue even when stopping so submitted futures complete.
+      // Drain the queue even when stopping so every posted task runs.
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
@@ -112,8 +98,6 @@ void ThreadPool::WorkerLoop() {
     task();
   }
 }
-
-bool ThreadPool::OnWorkerThread() { return tls_on_worker_thread; }
 
 ThreadPool& ThreadPool::Shared() {
   // Leaked on purpose: worker threads must not outlive the pool, and

@@ -4,13 +4,13 @@
 /// \file
 /// Fixed-size worker thread pool with help-while-waiting scheduling. This
 /// is the process's parallel execution substrate: higher layers never
-/// spawn raw threads, they submit tasks here (usually via ParallelFor,
+/// spawn raw threads, they post tasks here (via ParallelFor,
 /// parallel.h).
 ///
 /// Nesting contract: the pool is *help-while-waiting* — a thread that has
-/// to wait for submitted tasks (HelpWhileWaiting) pops queued tasks and
+/// to wait for posted tasks (HelpWhileWaiting) pops queued tasks and
 /// executes them on its own stack instead of blocking. Because every
-/// waiting thread is also an executor, tasks may freely submit more tasks
+/// waiting thread is also an executor, tasks may freely post more tasks
 /// and wait for them from any thread, including pool workers; nested
 /// fan-outs can never deadlock (any unfinished task is either queued —
 /// and will be picked up by a waiter — or already running on a thread
@@ -27,9 +27,7 @@
 
 #include <deque>
 #include <functional>
-#include <future>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,7 +37,7 @@
 namespace cvcp {
 
 /// Fixed-size worker pool. Workers are started in the constructor and
-/// joined in the destructor; tasks submitted after shutdown begins are a
+/// joined in the destructor; tasks posted after shutdown begins are a
 /// programming error (checked).
 class ThreadPool {
  public:
@@ -52,42 +50,26 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues `fn` and returns a future for its result. Exceptions thrown
-  /// by `fn` surface from future::get().
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    Enqueue([task] { (*task)(); });
-    return future;
-  }
-
   /// Fire-and-forget enqueue: no future, no exception channel — `fn` must
   /// not throw (enforced: a task that leaks an exception into a helping
   /// waiter aborts with a diagnostic rather than unwinding the waiter's
   /// stack frame, which other lanes still reference). This is what
-  /// ParallelFor uses for its claim-loop lanes
-  /// (completion is signalled through the loop's own counter +
-  /// NotifyCompletion, which is cheaper than one promise per lane and
-  /// composes with HelpWhileWaiting).
-  void Post(std::function<void()> fn) { Enqueue(std::move(fn)); }
-
-  /// Pops one queued task (newest first) and runs it on the calling
-  /// thread; returns false when the queue was empty. Waiters drain
-  /// newest-first because the newest tasks belong to the deepest,
-  /// finest-grained fan-outs — short tasks that keep the adopted-work
-  /// latency low — while workers drain oldest-first (coarse outer lanes).
-  bool TryRunOneTask();
+  /// ParallelFor uses for its claim-loop lanes (completion is signalled
+  /// through the loop's own counter + NotifyCompletion, which composes
+  /// with HelpWhileWaiting).
+  void Post(std::function<void()> fn);
 
   /// Help-while-waiting: runs queued tasks on the calling thread until
   /// `done()` returns true, blocking on the pool's condition variable when
   /// the queue is empty. `done` must be a cheap, thread-safe predicate
   /// (typically a relaxed/acquire atomic load); whoever makes it true must
-  /// call NotifyCompletion() afterwards. Note the latency caveat: once a
-  /// task is adopted it runs to completion, so the caller may return
-  /// after `done()` became true by up to one adopted task's duration.
+  /// call NotifyCompletion() afterwards. Waiters pop the newest task
+  /// first: the newest tasks belong to the deepest, finest-grained
+  /// fan-outs — short tasks that keep the adopted-work latency low —
+  /// while workers drain oldest-first (coarse outer lanes). Note the
+  /// latency caveat: once a task is adopted it runs to completion, so the
+  /// caller may return after `done()` became true by up to one adopted
+  /// task's duration.
   void HelpWhileWaiting(const std::function<bool()>& done);
 
   /// Wakes threads blocked in HelpWhileWaiting so they re-check their
@@ -95,20 +77,12 @@ class ThreadPool {
   /// `done()` true.
   void NotifyCompletion();
 
-  /// True when the calling thread is a worker of *any* ThreadPool.
-  /// Diagnostic only since the help-while-waiting scheduler landed:
-  /// ParallelFor no longer needs to special-case worker threads (nested
-  /// fan-outs enqueue like any other and waiters help), so nothing
-  /// load-bearing reads this anymore.
-  static bool OnWorkerThread();
-
   /// Process-wide shared pool, sized to the hardware concurrency (at least
   /// one worker), created on first use and intentionally kept alive for
   /// the process lifetime.
   static ThreadPool& Shared();
 
  private:
-  void Enqueue(std::function<void()> fn);
   void WorkerLoop();
 
   Mutex mu_;

@@ -50,10 +50,9 @@ Result<Clustering> FoscOpticsDendClusterer::DoCluster(
 
 Result<Clustering> MpckMeansClusterer::DoCluster(
     const Dataset& data, const Supervision& supervision, int param, Rng* rng,
-    const ClusterContext& context) const {
+    const ClusterContext& /*context*/) const {
   MpckMeansConfig config = base_;
   config.k = param;
-  config.kernel = context.exec.distance_kernel;
   CVCP_ASSIGN_OR_RETURN(
       MpckMeansResult result,
       RunMpckMeans(data.points(), supervision.constraints(), config, rng));
@@ -62,10 +61,9 @@ Result<Clustering> MpckMeansClusterer::DoCluster(
 
 Result<Clustering> CopKMeansClusterer::DoCluster(
     const Dataset& data, const Supervision& supervision, int param, Rng* rng,
-    const ClusterContext& context) const {
+    const ClusterContext& /*context*/) const {
   CopKMeansConfig config = base_;
   config.k = param;
-  config.kernel = context.exec.distance_kernel;
   Result<CopKMeansResult> result =
       RunCopKMeans(data.points(), supervision.constraints(), config, rng);
   if (result.ok()) return std::move(result).value().clustering;
@@ -76,7 +74,6 @@ Result<Clustering> CopKMeansClusterer::DoCluster(
   // than aborting the whole model-selection sweep.
   KMeansConfig km;
   km.k = param;
-  km.kernel = config.kernel;
   CVCP_ASSIGN_OR_RETURN(KMeansResult fallback,
                         RunKMeans(data.points(), km, rng));
   return fallback.clustering;
@@ -84,11 +81,10 @@ Result<Clustering> CopKMeansClusterer::DoCluster(
 
 Result<Clustering> KMeansClusterer::DoCluster(
     const Dataset& data, const Supervision& supervision, int param, Rng* rng,
-    const ClusterContext& context) const {
+    const ClusterContext& /*context*/) const {
   (void)supervision;
   KMeansConfig config = base_;
   config.k = param;
-  config.kernel = context.exec.distance_kernel;
   CVCP_ASSIGN_OR_RETURN(KMeansResult result,
                         RunKMeans(data.points(), config, rng));
   return result.clustering;

@@ -4,7 +4,6 @@
 #include <limits>
 #include <string>
 
-#include "common/hash.h"
 #include "common/strings.h"
 
 namespace cvcp {
@@ -44,17 +43,9 @@ DatasetCache::DatasetCache(const Matrix& points, DatasetCacheTiers tiers)
   }
 }
 
-uint64_t DatasetCache::KeyHash(DistanceKernelPolicy kernel) const {
-  const DistanceKernelPolicy resolved = ResolveDistanceKernelPolicy(kernel);
-  if (resolved == DistanceKernelPolicy::kFixedLane) return content_hash_;
-  const uint64_t parts[] = {content_hash_, static_cast<uint64_t>(resolved)};
-  return Hash64(parts, sizeof(parts));
-}
-
 std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
     Metric metric, const ExecutionContext& exec) {
-  const uint64_t key_hash = KeyHash(exec.distance_kernel);
-  const std::string key = DistanceKey(key_hash, metric);
+  const std::string key = DistanceKey(metric);
   if (auto resident = memory_->LookupAs<DistanceMatrix>(key)) {
     distance_hits_.fetch_add(1, std::memory_order_relaxed);
     return resident;
@@ -66,7 +57,8 @@ std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
   // discarded.
   if (store_ != nullptr) {
     const auto start = std::chrono::steady_clock::now();
-    Result<DistanceMatrix> loaded = store_->LoadDistances(key_hash, metric);
+    Result<DistanceMatrix> loaded =
+        store_->LoadDistances(content_hash_, metric);
     if (loaded.ok()) {
       auto value = std::make_shared<const DistanceMatrix>(
           std::move(loaded).value());
@@ -98,22 +90,22 @@ std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
   // Persist only from the winning publisher, so racing builders do not
   // queue redundant (byte-identical) writes.
   if (store_ != nullptr && published == built &&
-      store_->SaveDistances(key_hash, metric, *published).ok()) {
+      store_->SaveDistances(content_hash_, metric, *published).ok()) {
     MutexLock lock(&mu_);
     persisted_distances_.insert(key);
   }
   return published;
 }
 
-std::string DatasetCache::DistanceKey(uint64_t key_hash, Metric metric) {
-  return Format("%016llx-m%d-dist", static_cast<unsigned long long>(key_hash),
+std::string DatasetCache::DistanceKey(Metric metric) const {
+  return Format("%016llx-m%d-dist",
+                static_cast<unsigned long long>(content_hash_),
                 static_cast<int>(metric));
 }
 
-std::string DatasetCache::ModelKey(uint64_t key_hash, Metric metric,
-                                   int min_pts) {
+std::string DatasetCache::ModelKey(Metric metric, int min_pts) const {
   return Format("%016llx-m%d-mp%d-model",
-                static_cast<unsigned long long>(key_hash),
+                static_cast<unsigned long long>(content_hash_),
                 static_cast<int>(metric), min_pts);
 }
 
@@ -130,13 +122,12 @@ std::optional<Result<DatasetCache::ModelPtr>> DatasetCache::ResidentModel(
   return it->second;
 }
 
-DatasetCache::ModelPtr DatasetCache::StoredModel(uint64_t key_hash,
-                                                 const std::string& key,
+DatasetCache::ModelPtr DatasetCache::StoredModel(const std::string& key,
                                                  Metric metric, int min_pts) {
   if (store_ == nullptr) return nullptr;
   const auto start = std::chrono::steady_clock::now();
   Result<OpticsResult> loaded =
-      store_->LoadOpticsModel(key_hash, metric, min_pts);
+      store_->LoadOpticsModel(content_hash_, metric, min_pts);
   if (!loaded.ok()) return nullptr;
   auto model = std::make_shared<FoscOpticsModel>();
   model->optics = std::move(loaded).value();
@@ -154,7 +145,7 @@ DatasetCache::ModelPtr DatasetCache::StoredModel(uint64_t key_hash,
 }
 
 Result<DatasetCache::ModelPtr> DatasetCache::BuildModel(
-    uint64_t key_hash, const std::string& key, Metric metric, int min_pts,
+    const std::string& key, Metric metric, int min_pts,
     const ExecutionContext& exec) {
   // The distance build is *not* part of the model wall time: it is shared
   // by every param and reported as its own stage.
@@ -189,47 +180,41 @@ Result<DatasetCache::ModelPtr> DatasetCache::BuildModel(
     model_build_ms_ += ms;
   }
   if (store_ != nullptr && published == built) {
-    store_->SaveOpticsModel(key_hash, metric, min_pts, published->optics);
+    store_->SaveOpticsModel(content_hash_, metric, min_pts,
+                            published->optics);
   }
   return ModelPtr(published);
 }
 
 Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
     Metric metric, int min_pts, const ExecutionContext& exec) {
-  const uint64_t key_hash = KeyHash(exec.distance_kernel);
-  const std::string key = ModelKey(key_hash, metric, min_pts);
+  const std::string key = ModelKey(metric, min_pts);
   if (auto resident = ResidentModel(key, metric, min_pts)) {
     return *std::move(resident);
   }
-  if (ModelPtr stored = StoredModel(key_hash, key, metric, min_pts)) {
-    return stored;
-  }
-  return BuildModel(key_hash, key, metric, min_pts, exec);
+  if (ModelPtr stored = StoredModel(key, metric, min_pts)) return stored;
+  return BuildModel(key, metric, min_pts, exec);
 }
 
 void DatasetCache::Prewarm(Metric metric, std::span<const int> min_pts_grid,
                            const ExecutionContext& exec) {
-  const uint64_t key_hash = KeyHash(exec.distance_kernel);
   // Memory first: a resident grid costs G lookups and no fan-out.
   std::vector<int> absent;
   for (int min_pts : min_pts_grid) {
-    if (!ResidentModel(ModelKey(key_hash, metric, min_pts), metric, min_pts)) {
+    if (!ResidentModel(ModelKey(metric, min_pts), metric, min_pts)) {
       absent.push_back(min_pts);
     }
   }
   if (absent.empty()) return;
-  // Each lane runs serially inside. Only the thread budget drops to 1 —
-  // the rest of the context (notably the distance-kernel policy) must
-  // survive, or a prewarmed model could be built under a different
-  // policy than the lazy path would use.
+  // Each lane runs serially inside; only the thread budget drops to 1.
   ExecutionContext serial = exec;
   serial.threads = 1;
   // Then the store. Only models it cannot serve need the matrix.
   std::vector<char> loaded(absent.size(), 0);
   if (store_ != nullptr) {
     ParallelFor(exec, absent.size(), [&](size_t i) {
-      loaded[i] = StoredModel(key_hash, ModelKey(key_hash, metric, absent[i]),
-                              metric, absent[i]) != nullptr;
+      loaded[i] = StoredModel(ModelKey(metric, absent[i]), metric,
+                              absent[i]) != nullptr;
     });
   }
   std::vector<int> missing;
@@ -239,14 +224,14 @@ void DatasetCache::Prewarm(Metric metric, std::span<const int> min_pts_grid,
   if (missing.empty() || exec.cancel.Cancelled()) return;
   // Build the rest over one matrix, one lane per grid value. A lane that
   // finds its model published meanwhile (a racing job) adopts it.
-  const std::string distance_key = DistanceKey(key_hash, metric);
+  const std::string distance_key = DistanceKey(metric);
   {
     const std::shared_ptr<const DistanceMatrix> distances =
         Distances(metric, exec);
     ParallelFor(exec, missing.size(), [&](size_t i) {
-      const std::string key = ModelKey(key_hash, metric, missing[i]);
+      const std::string key = ModelKey(metric, missing[i]);
       if (!ResidentModel(key, metric, missing[i])) {
-        BuildModel(key_hash, key, metric, missing[i], serial);
+        BuildModel(key, metric, missing[i], serial);
       }
     });
   }

@@ -53,11 +53,9 @@
 /// byte-identical cold or warm, shared or private (pinned against the
 /// cache-less oracles of tests/geometry_oracle.h).
 ///
-/// Keys: the kernel policy of the caller's `exec.distance_kernel` changes
-/// distance bits, so it is part of every key. Under the default
-/// fixed-lane policy the key is the content hash itself; any other policy
-/// mixes itself into it, so its artifacts never serve a fixed-lane caller
-/// (or the reverse).
+/// Keys: every memory key and store file name derives from the dataset's
+/// content hash, the metric and (for models) MinPts — nothing else can
+/// change a distance bit.
 ///
 /// Lifetime: a cache instance borrows the points matrix and the tier
 /// objects; it must not outlive any of them. All methods are thread-safe.
@@ -110,8 +108,8 @@ struct DatasetCacheTiers {
 class DatasetCache {
  public:
   /// Borrows `points` (no copy) and the tier objects. The cache must not
-  /// outlive them. Hashes the dataset content once, up front — that hash,
-  /// with the kernel policy, keys every artifact in both tiers.
+  /// outlive them. Hashes the dataset content once, up front — that hash
+  /// keys every artifact in both tiers.
   explicit DatasetCache(const Matrix& points, DatasetCacheTiers tiers = {});
 
   DatasetCache(const DatasetCache&) = delete;
@@ -119,16 +117,15 @@ class DatasetCache {
 
   const Matrix& points() const { return *points_; }
 
-  /// The dataset's content hash — the cross-process artifact key under
-  /// the fixed-lane kernel policy.
+  /// The dataset's content hash — the cross-process artifact key.
   uint64_t content_hash() const { return content_hash_; }
 
-  /// The condensed pairwise distance matrix under `metric` and
-  /// `exec.distance_kernel`. Resolution order: memory LRU, then disk
-  /// store, then `DistanceMatrix::Compute` on `exec.threads` workers
-  /// (publishing to both tiers). Racing first-touch callers each resolve
-  /// independently and the first publisher wins (see file comment). The
-  /// returned pointer keeps the matrix alive independent of the cache.
+  /// The condensed pairwise distance matrix under `metric`. Resolution
+  /// order: memory LRU, then disk store, then `DistanceMatrix::Compute` on
+  /// `exec.threads` workers (publishing to both tiers). Racing first-touch
+  /// callers each resolve independently and the first publisher wins (see
+  /// file comment). The returned pointer keeps the matrix alive
+  /// independent of the cache.
   std::shared_ptr<const DistanceMatrix> Distances(
       Metric metric, const ExecutionContext& exec);
 
@@ -179,13 +176,9 @@ class DatasetCache {
  private:
   using ModelPtr = std::shared_ptr<const FoscOpticsModel>;
 
-  /// The artifact key hash under `kernel`: `content_hash_` for fixed-lane,
-  /// a hash of (content hash, resolved policy) otherwise.
-  uint64_t KeyHash(DistanceKernelPolicy kernel) const;
-
   /// Memory-tier keys.
-  static std::string DistanceKey(uint64_t key_hash, Metric metric);
-  static std::string ModelKey(uint64_t key_hash, Metric metric, int min_pts);
+  std::string DistanceKey(Metric metric) const;
+  std::string ModelKey(Metric metric, int min_pts) const;
 
   /// The model (or memoized build error) from memory, counting a hit;
   /// nullopt when neither holds the key.
@@ -193,13 +186,11 @@ class DatasetCache {
                                                 Metric metric, int min_pts);
   /// The model loaded from the store and published, counting a load;
   /// null on any miss (counted by the store).
-  ModelPtr StoredModel(uint64_t key_hash, const std::string& key,
-                       Metric metric, int min_pts);
+  ModelPtr StoredModel(const std::string& key, Metric metric, int min_pts);
   /// Runs OPTICS over the matrix and publishes the model (first
   /// publisher wins, and only it persists); memoizes a build error.
-  Result<ModelPtr> BuildModel(uint64_t key_hash, const std::string& key,
-                              Metric metric, int min_pts,
-                              const ExecutionContext& exec);
+  Result<ModelPtr> BuildModel(const std::string& key, Metric metric,
+                              int min_pts, const ExecutionContext& exec);
 
   const Matrix* points_;
   uint64_t content_hash_;

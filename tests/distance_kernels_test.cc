@@ -7,17 +7,14 @@
 //  * the strided x4 batch must be bitwise equal to four single-pair
 //    calls, packed or padded stride; the weighted gathered x4 and
 //    weighted rows batches bitwise equal to the portable single-pair
-//    weighted kernel, and null wherever the policy has no batched form;
+//    weighted kernel (the NEON table has no weighted batches);
 //  * the row-update table (the MPCKMeans M-step loops): dispatched
 //    bitwise equal to portable;
-//  * fixed-lane vs the legacy left-to-right kernels: equal within
-//    rounding (they reassociate), never relied on for bit equality;
-//  * policy parsing/naming, the env-independent process default
-//    machinery, and the deprecated SetUnrolledDistanceKernels shim
-//    (true -> kUnrolled, false -> kFixedLane — pinned so old callers
-//    keep their exact behavior);
-//  * the tiled DistanceMatrix::Compute against the untiled oracle:
-//    bitwise per policy, for ragged multi-tile sizes and any thread
+//  * fixed-lane vs a left-to-right sum (the pre-SIMD order): equal
+//    within rounding (they reassociate), never relied on for bit
+//    equality;
+//  * the tiled DistanceMatrix::Compute against the untiled serial row
+//    sweep below: bitwise, for ragged multi-tile sizes and any thread
 //    count.
 
 #include "common/distance_kernels.h"
@@ -27,6 +24,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/distance.h"
@@ -49,21 +48,8 @@ std::vector<double> Irregular(size_t n, double seed) {
   return v;
 }
 
-// Restores the process-default kernel policy on scope exit — whatever it
-// was, including an env-selected scalar-legacy (the CI sweep runs this
-// whole binary under CVCP_DISTANCE_KERNEL=scalar-legacy, and a guard
-// that "restored" a hardcoded default would clobber that mid-binary).
-class PolicyGuard {
- public:
-  PolicyGuard() : previous_(DefaultDistanceKernelPolicy()) {}
-  ~PolicyGuard() { SetDefaultDistanceKernelPolicy(previous_); }
-
- private:
-  DistanceKernelPolicy previous_;
-};
-
 TEST(DistanceKernelsFixedLane, NativeBitwiseEqualsPortableAllLengths) {
-  const DistanceKernels& native = FixedLaneKernelsNative();
+  const DistanceKernels& native = GetDistanceKernels();
   const DistanceKernels& portable = FixedLaneKernelsPortable();
   for (size_t n = 0; n <= 2 * kFixedLaneWidth + 3; ++n) {
     const std::vector<double> a = Irregular(n, 0.3);
@@ -89,7 +75,7 @@ TEST(DistanceKernelsFixedLane, NativeBitwiseEqualsPortableAllLengths) {
 
 TEST(DistanceKernelsFixedLane, BatchX4BitwiseEqualsFourSingleCalls) {
   for (const DistanceKernels* table :
-       {&FixedLaneKernelsNative(), &FixedLaneKernelsPortable()}) {
+       {&GetDistanceKernels(), &FixedLaneKernelsPortable()}) {
     ASSERT_NE(table->squared_euclidean_x4, nullptr);
     for (size_t n = 0; n <= 2 * kFixedLaneWidth + 3; ++n) {
       // Packed (stride == n) and padded (stride > n) column layouts.
@@ -111,7 +97,7 @@ TEST(DistanceKernelsFixedLane, BatchX4BitwiseEqualsFourSingleCalls) {
 TEST(DistanceKernelsFixedLane, WeightedX4BitwiseEqualsPortableSingle) {
   const DistanceKernels& portable = FixedLaneKernelsPortable();
   for (const DistanceKernels* table :
-       {&FixedLaneKernelsNative(), &FixedLaneKernelsPortable()}) {
+       {&GetDistanceKernels(), &FixedLaneKernelsPortable()}) {
     if (table->weighted_squared_euclidean_x4 == nullptr) {
       // A native table without the batch (NEON) falls back by design.
       EXPECT_NE(table, &portable);
@@ -144,7 +130,7 @@ TEST(DistanceKernelsFixedLane, WeightedX4BitwiseEqualsPortableSingle) {
 TEST(DistanceKernelsFixedLane, WeightedRowsBitwiseEqualsPortableSingle) {
   const DistanceKernels& portable = FixedLaneKernelsPortable();
   for (const DistanceKernels* table :
-       {&FixedLaneKernelsNative(), &FixedLaneKernelsPortable()}) {
+       {&GetDistanceKernels(), &FixedLaneKernelsPortable()}) {
     if (table->weighted_squared_euclidean_rows == nullptr) {
       EXPECT_NE(table, &portable);
       continue;
@@ -248,100 +234,47 @@ TEST(DistanceKernelsRows, NativeBitwiseEqualsPortable) {
 }
 
 TEST(DistanceKernelsFixedLane, MatchesLegacyWithinRounding) {
-  const DistanceKernels& fixed = GetDistanceKernels(
-      DistanceKernelPolicy::kFixedLane);
-  const DistanceKernels& legacy = GetDistanceKernels(
-      DistanceKernelPolicy::kScalarLegacy);
+  const DistanceKernels& fixed = GetDistanceKernels();
   const size_t n = 19;
   const std::vector<double> a = Irregular(n, 0.3);
   const std::vector<double> b = Irregular(n, 1.7);
-  const std::vector<double> w = Irregular(n, 5.5);
-  std::vector<double> w_pos = w;
-  for (double& x : w_pos) x = std::fabs(x);
-  const double sq = legacy.squared_euclidean(a.data(), b.data(), n);
+  std::vector<double> w = Irregular(n, 5.5);
+  for (double& x : w) x = std::fabs(x);
+  // The pre-SIMD (legacy) order: left-to-right sums, one element at a time.
+  double sq = 0.0, man = 0.0, wsq = 0.0, dot = 0.0, na = 0.0, nb = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double d = a[i] - b[i];
+    sq += d * d;
+    man += std::fabs(d);
+    wsq += w[i] * d * d;
+    dot += a[i] * b[i];
+    na += a[i] * a[i];
+    nb += b[i] * b[i];
+  }
+  const double cos = 1.0 - dot / (std::sqrt(na) * std::sqrt(nb));
   EXPECT_NEAR(fixed.squared_euclidean(a.data(), b.data(), n), sq,
               1e-12 * std::fabs(sq));
-  const double man = legacy.manhattan(a.data(), b.data(), n);
   EXPECT_NEAR(fixed.manhattan(a.data(), b.data(), n), man,
               1e-12 * std::fabs(man));
-  const double cos = legacy.cosine(a.data(), b.data(), n);
   EXPECT_NEAR(fixed.cosine(a.data(), b.data(), n), cos, 1e-12);
-  const double wsq =
-      legacy.weighted_squared_euclidean(a.data(), b.data(), w_pos.data(), n);
-  EXPECT_NEAR(
-      fixed.weighted_squared_euclidean(a.data(), b.data(), w_pos.data(), n),
-      wsq, 1e-12 * std::fabs(wsq));
+  EXPECT_NEAR(fixed.weighted_squared_euclidean(a.data(), b.data(), w.data(), n),
+              wsq, 1e-12 * std::fabs(wsq));
 }
 
 TEST(DistanceKernelsDispatch, ArchIsKnownAndFixedLaneUsesNativeTable) {
   const std::string arch = DistanceKernelArch();
   EXPECT_TRUE(arch == "avx2" || arch == "neon" || arch == "portable") << arch;
-  EXPECT_EQ(&GetDistanceKernels(DistanceKernelPolicy::kFixedLane),
-            &FixedLaneKernelsNative());
-  // Legacy and unrolled tables have no batched form; the matrix build
-  // falls back to single-pair calls for them.
-  EXPECT_EQ(GetDistanceKernels(DistanceKernelPolicy::kScalarLegacy)
-                .squared_euclidean_x4,
-            nullptr);
-  EXPECT_EQ(
-      GetDistanceKernels(DistanceKernelPolicy::kUnrolled).squared_euclidean_x4,
-      nullptr);
-  // Nor the weighted batches: MPCKMeans falls back to single-pair calls.
-  for (DistanceKernelPolicy policy : {DistanceKernelPolicy::kScalarLegacy,
-                                      DistanceKernelPolicy::kUnrolled}) {
-    EXPECT_EQ(GetDistanceKernels(policy).weighted_squared_euclidean_x4,
-              nullptr);
-    EXPECT_EQ(GetDistanceKernels(policy).weighted_squared_euclidean_rows,
-              nullptr);
-  }
-  // The portable reference has both.
+  // Every table has the strided batch the matrix build and MPCKMeans'
+  // seeding call unconditionally.
+  EXPECT_NE(GetDistanceKernels().squared_euclidean_x4, nullptr);
+  EXPECT_NE(FixedLaneKernelsPortable().squared_euclidean_x4, nullptr);
+  // The portable reference has both weighted batches.
   EXPECT_NE(FixedLaneKernelsPortable().weighted_squared_euclidean_x4, nullptr);
   EXPECT_NE(FixedLaneKernelsPortable().weighted_squared_euclidean_rows,
             nullptr);
-}
-
-TEST(DistanceKernelsPolicy, ParseNamesRoundTrip) {
-  DistanceKernelPolicy p = DistanceKernelPolicy::kDefault;
-  EXPECT_TRUE(ParseDistanceKernelPolicy("fixed-lane", &p));
-  EXPECT_EQ(p, DistanceKernelPolicy::kFixedLane);
-  EXPECT_TRUE(ParseDistanceKernelPolicy("scalar-legacy", &p));
-  EXPECT_EQ(p, DistanceKernelPolicy::kScalarLegacy);
-  EXPECT_TRUE(ParseDistanceKernelPolicy("unrolled", &p));
-  EXPECT_EQ(p, DistanceKernelPolicy::kUnrolled);
-  EXPECT_FALSE(ParseDistanceKernelPolicy("turbo", &p));
-  EXPECT_EQ(p, DistanceKernelPolicy::kUnrolled);  // unchanged on failure
-
-  EXPECT_STREQ(DistanceKernelPolicyName(DistanceKernelPolicy::kFixedLane),
-               "fixed-lane");
-  EXPECT_STREQ(DistanceKernelPolicyName(DistanceKernelPolicy::kScalarLegacy),
-               "scalar-legacy");
-}
-
-TEST(DistanceKernelsPolicy, DefaultSlotResolvesAndIgnoresKDefault) {
-  PolicyGuard guard;
-  SetDefaultDistanceKernelPolicy(DistanceKernelPolicy::kScalarLegacy);
-  EXPECT_EQ(DefaultDistanceKernelPolicy(),
-            DistanceKernelPolicy::kScalarLegacy);
-  EXPECT_EQ(ResolveDistanceKernelPolicy(DistanceKernelPolicy::kDefault),
-            DistanceKernelPolicy::kScalarLegacy);
-  EXPECT_EQ(ResolveDistanceKernelPolicy(DistanceKernelPolicy::kFixedLane),
-            DistanceKernelPolicy::kFixedLane);
-  // Setting kDefault is a no-op: there is nothing to resolve it to.
-  SetDefaultDistanceKernelPolicy(DistanceKernelPolicy::kDefault);
-  EXPECT_EQ(DefaultDistanceKernelPolicy(),
-            DistanceKernelPolicy::kScalarLegacy);
-}
-
-TEST(DistanceKernelsShim, SetUnrolledPinnedToPolicyValues) {
-  PolicyGuard guard;
-  SetUnrolledDistanceKernels(true);
-  EXPECT_EQ(DefaultDistanceKernelPolicy(), DistanceKernelPolicy::kUnrolled);
-  EXPECT_TRUE(UnrolledDistanceKernelsEnabled());
-  // The shim's "off" state is the modern default, not the legacy scalar:
-  // callers that toggled the old global get the SIMD default back.
-  SetUnrolledDistanceKernels(false);
-  EXPECT_EQ(DefaultDistanceKernelPolicy(), DistanceKernelPolicy::kFixedLane);
-  EXPECT_FALSE(UnrolledDistanceKernelsEnabled());
+  if (arch == "portable") {
+    EXPECT_EQ(&GetDistanceKernels(), &FixedLaneKernelsPortable());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -361,26 +294,34 @@ Matrix TilingFixture() {
   return m;
 }
 
-TEST(DistanceMatrixTiled, BitwiseEqualsUntiledPerPolicyAndThreads) {
+// The pre-tiling build: one serial row sweep of single-pair kernel calls
+// in condensed order — the oracle of the tiled, batched, parallel build.
+DistanceMatrix UntiledEuclidean(const Matrix& points) {
+  const DistanceKernels& kernels = GetDistanceKernels();
+  const size_t n = points.rows();
+  std::vector<double> condensed;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      condensed.push_back(std::sqrt(kernels.squared_euclidean(
+          points.Row(i).data(), points.Row(j).data(), points.cols())));
+    }
+  }
+  return DistanceMatrix::FromCondensed(n, std::move(condensed));
+}
+
+TEST(DistanceMatrixTiled, BitwiseEqualsUntiledAtEveryThreadCount) {
   const Matrix points = TilingFixture();
-  for (DistanceKernelPolicy policy : {DistanceKernelPolicy::kFixedLane,
-                                      DistanceKernelPolicy::kScalarLegacy}) {
-    ExecutionContext serial = ExecutionContext::Serial();
-    serial.distance_kernel = policy;
-    const DistanceMatrix oracle =
-        DistanceMatrix::ComputeUntiled(points, Metric::kEuclidean, serial);
-    for (int threads : {1, 2, 8}) {
-      ExecutionContext exec = serial;
-      exec.threads = threads;
-      const DistanceMatrix tiled =
-          DistanceMatrix::Compute(points, Metric::kEuclidean, exec);
-      ASSERT_EQ(tiled.n(), oracle.n());
-      ASSERT_EQ(tiled.condensed().size(), oracle.condensed().size());
-      for (size_t i = 0; i < oracle.condensed().size(); ++i) {
-        ASSERT_EQ(Bits(tiled.condensed()[i]), Bits(oracle.condensed()[i]))
-            << "policy=" << DistanceKernelPolicyName(policy)
-            << " threads=" << threads << " slot=" << i;
-      }
+  const DistanceMatrix oracle = UntiledEuclidean(points);
+  for (int threads : {1, 2, 8}) {
+    ExecutionContext exec;
+    exec.threads = threads;
+    const DistanceMatrix tiled =
+        DistanceMatrix::Compute(points, Metric::kEuclidean, exec);
+    ASSERT_EQ(tiled.n(), oracle.n());
+    ASSERT_EQ(tiled.condensed().size(), oracle.condensed().size());
+    for (size_t i = 0; i < oracle.condensed().size(); ++i) {
+      ASSERT_EQ(Bits(tiled.condensed()[i]), Bits(oracle.condensed()[i]))
+          << "threads=" << threads << " slot=" << i;
     }
   }
 }

@@ -59,64 +59,6 @@ TEST(DistanceTest, DispatchMatchesDirectCalls) {
   EXPECT_DOUBLE_EQ(Distance(kA, kB, Metric::kCosine), CosineDistance(kA, kB));
 }
 
-// RAII guard so a failing kernel test can't leak the process-wide
-// default into unrelated tests. Saves and restores the policy itself
-// (not the shim's bool): restoring via SetUnrolledDistanceKernels(false)
-// would force kFixedLane and clobber an env-selected scalar-legacy
-// default when this binary runs under CVCP_DISTANCE_KERNEL.
-class UnrolledKernelGuard {
- public:
-  explicit UnrolledKernelGuard(bool enabled)
-      : previous_(DefaultDistanceKernelPolicy()) {
-    SetUnrolledDistanceKernels(enabled);
-  }
-  ~UnrolledKernelGuard() { SetDefaultDistanceKernelPolicy(previous_); }
-
- private:
-  DistanceKernelPolicy previous_;
-};
-
-TEST(DistanceKernelTest, ScalarIsTheDefault) {
-  EXPECT_FALSE(UnrolledDistanceKernelsEnabled());
-}
-
-TEST(DistanceKernelTest, UnrolledMatchesScalarWithinRounding) {
-  std::vector<double> a, b, w;
-  for (int i = 0; i < 19; ++i) {  // odd length exercises the tail loop
-    a.push_back(0.37 * i - 2.1);
-    b.push_back(1.0 / (i + 1.0));
-    w.push_back(0.5 + 0.1 * i);
-  }
-  const double sq_scalar = SquaredEuclideanDistance(a, b);
-  const double man_scalar = ManhattanDistance(a, b);
-  const double wsq_scalar = WeightedSquaredEuclidean(a, b, w);
-  {
-    UnrolledKernelGuard guard(true);
-    EXPECT_TRUE(UnrolledDistanceKernelsEnabled());
-    // The unrolled kernels reassociate the sum: equal up to rounding, not
-    // necessarily bitwise (which is why they are opt-in).
-    EXPECT_NEAR(SquaredEuclideanDistance(a, b), sq_scalar,
-                1e-12 * std::abs(sq_scalar));
-    EXPECT_NEAR(ManhattanDistance(a, b), man_scalar,
-                1e-12 * std::abs(man_scalar));
-    EXPECT_NEAR(WeightedSquaredEuclidean(a, b, w), wsq_scalar,
-                1e-12 * std::abs(wsq_scalar));
-  }
-  // Guard restored the bitwise-compat default: scalar results again.
-  EXPECT_FALSE(UnrolledDistanceKernelsEnabled());
-  EXPECT_EQ(SquaredEuclideanDistance(a, b), sq_scalar);
-}
-
-TEST(DistanceKernelTest, UnrolledHandlesShortAndEmptyInputs) {
-  UnrolledKernelGuard guard(true);
-  std::vector<double> empty;
-  EXPECT_DOUBLE_EQ(SquaredEuclideanDistance(empty, empty), 0.0);
-  std::vector<double> a = {1.0, 2.0, 3.0};  // shorter than the unroll width
-  std::vector<double> b = {0.0, 0.0, 0.0};
-  EXPECT_DOUBLE_EQ(SquaredEuclideanDistance(a, b), 14.0);
-  EXPECT_DOUBLE_EQ(ManhattanDistance(a, b), 6.0);
-}
-
 TEST(DistanceMatrixTest, MatchesDirectComputation) {
   Matrix points = Matrix::FromRows({{0, 0}, {3, 4}, {6, 8}, {-1, 0}});
   DistanceMatrix dm = DistanceMatrix::Compute(points, Metric::kEuclidean);

@@ -22,9 +22,8 @@
 namespace cvcp {
 
 /// FOSC-OPTICSDend without a cache: every call runs OPTICS on the points
-/// (on-the-fly distances under `context.exec.distance_kernel`), builds the
-/// OPTICSDend dendrogram, and extracts under the supervision. Ignores
-/// `context.cache`.
+/// (on-the-fly distances), builds the OPTICSDend dendrogram, and extracts
+/// under the supervision. Ignores `context`.
 class UncachedFoscClusterer : public SemiSupervisedClusterer {
  public:
   std::string name() const override { return inner_.name(); }
@@ -34,12 +33,11 @@ class UncachedFoscClusterer : public SemiSupervisedClusterer {
   Result<Clustering> DoCluster(const Dataset& data,
                                const Supervision& supervision, int param,
                                Rng* rng,
-                               const ClusterContext& context) const override {
+                               const ClusterContext& /*context*/) const override {
     (void)rng;  // the pipeline is deterministic
     OpticsConfig config;
     config.min_pts = param;
     config.metric = inner_.metric();
-    config.kernel = context.exec.distance_kernel;
     CVCP_ASSIGN_OR_RETURN(OpticsResult optics,
                           RunOptics(data.points(), config));
     FoscOpticsModel model;

@@ -224,6 +224,10 @@ TEST(BenchOptionsTest, UnknownFlagPrintsUsageAndExits2) {
   const char* argv[] = {"bench", "--no-such-flag", "sideways"};
   EXPECT_EXIT(ParseBenchOptions(3, const_cast<char**>(argv)),
               ::testing::ExitedWithCode(2), "usage:");
+  // A retired flag fails the same way instead of running at defaults.
+  const char* retired[] = {"bench", "--distance-kernel", "fixed"};
+  EXPECT_EXIT(ParseBenchOptions(3, const_cast<char**>(retired)),
+              ::testing::ExitedWithCode(2), "usage:");
 }
 
 TEST(BenchOptionsTest, PaperFlagRestoresPaperScale) {

@@ -101,8 +101,7 @@ class MpckState {
 
   double WeightedDist(std::span<const double> a, std::span<const double> b,
                       size_t cluster) const {
-    return WeightedSquaredEuclidean(a, b, weights_.Row(cluster),
-                                    config_.kernel);
+    return WeightedSquaredEuclidean(a, b, weights_.Row(cluster));
   }
 
   /// Cannot-link penalty scale for a cluster: metric-weighted squared
@@ -327,9 +326,8 @@ class MpckState {
 /// Neighborhood-based initialization: centroids of the lambda largest
 /// must-link neighborhoods, topped up by D^2-weighted sampling.
 inline Result<Matrix> NeighborhoodInit(const Matrix& points,
-                                DistanceKernelPolicy kernel,
-                                const ConstraintSet& constraints, int k,
-                                Rng* rng) {
+                                       const ConstraintSet& constraints, int k,
+                                       Rng* rng) {
   CVCP_ASSIGN_OR_RETURN(ConstraintComponents comps,
                         BuildConstraintComponents(constraints));
   // Only multi-object components are informative neighborhoods.
@@ -359,7 +357,7 @@ inline Result<Matrix> NeighborhoodInit(const Matrix& points,
       for (size_t h = 0; h < filled; ++h) {
         min_d2[i] = std::min(
             min_d2[i], SquaredEuclideanDistance(points.Row(i),
-                                                centroids.Row(h), kernel));
+                                                centroids.Row(h)));
       }
     }
     while (filled < uk) {
@@ -381,10 +379,9 @@ inline Result<Matrix> NeighborhoodInit(const Matrix& points,
       }
       centroids.SetRow(filled, points.Row(chosen));
       for (size_t i = 0; i < n; ++i) {
-        min_d2[i] =
-            std::min(min_d2[i],
-                     SquaredEuclideanDistance(points.Row(i),
-                                              points.Row(chosen), kernel));
+        min_d2[i] = std::min(
+            min_d2[i], SquaredEuclideanDistance(points.Row(i),
+                                                points.Row(chosen)));
       }
       ++filled;
     }
@@ -417,12 +414,11 @@ inline Result<MpckMeansResult> OracleRunMpckMeans(
   MpckState state(points, constraints, config);
   if (config.neighborhood_init) {
     CVCP_ASSIGN_OR_RETURN(Matrix init,
-                          NeighborhoodInit(points, config.kernel, constraints,
-                                           config.k, rng));
+                          NeighborhoodInit(points, constraints, config.k,
+                                           rng));
     state.SetCentroids(std::move(init));
   } else {
-    state.SetCentroids(KMeansPlusPlusInit(points, config.k, rng,
-                                          config.kernel));
+    state.SetCentroids(KMeansPlusPlusInit(points, config.k, rng));
   }
 
   double prev_obj = std::numeric_limits<double>::infinity();

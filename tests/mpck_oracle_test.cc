@@ -5,8 +5,7 @@
 // implementation it replaced. Rng-driven instances assert bit equality of
 // the assignment, centroids, metric weights, objective, iteration count,
 // `converged` and the caller's Rng stream, and equal statuses for
-// rejected inputs — under every kernel policy, so the null batched
-// entries of scalar-legacy and unrolled run their fallbacks too.
+// rejected inputs.
 
 #include <gtest/gtest.h>
 
@@ -27,9 +26,6 @@
 namespace cvcp {
 namespace {
 
-constexpr DistanceKernelPolicy kPolicies[] = {
-    DistanceKernelPolicy::kFixedLane, DistanceKernelPolicy::kScalarLegacy,
-    DistanceKernelPolicy::kUnrolled};
 constexpr MetricMode kModes[] = {MetricMode::kNone,
                                  MetricMode::kSingleDiagonal,
                                  MetricMode::kPerClusterDiagonal};
@@ -79,10 +75,9 @@ Result<MpckMeansResult> ExpectSameRun(const Matrix& points,
 }
 
 std::string Describe(const MpckMeansConfig& config, size_t d) {
-  return Format("k=%d d=%zu mode=%d init=%d policy=%s", config.k, d,
+  return Format("k=%d d=%zu mode=%d init=%d", config.k, d,
                 static_cast<int>(config.metric_mode),
-                config.neighborhood_init ? 1 : 0,
-                DistanceKernelPolicyName(config.kernel));
+                config.neighborhood_init ? 1 : 0);
 }
 
 /// n x d Gaussian blobs around `centers` random centres; the columns in
@@ -150,7 +145,6 @@ TEST(MpckOracleTest, AloiLabelConstraintsBitEqual) {
         config.k = k;
         config.metric_mode = kModes[case_index % 3];
         config.neighborhood_init = (case_index / 3) % 2 == 0;
-        config.kernel = kPolicies[(case_index / 6) % 3];
         ExpectSameRun(data.points(), constraints, config, rng.NextUint64(),
                       Format("set=%zu level=%.2f ", set, fraction) +
                           Describe(config, 144));
@@ -159,21 +153,18 @@ TEST(MpckOracleTest, AloiLabelConstraintsBitEqual) {
   }
 }
 
-TEST(MpckOracleTest, EveryPolicyModeAndInitOnAloiShape) {
+TEST(MpckOracleTest, EveryModeAndInitOnAloiShape) {
   const Dataset data = MakeAloiK5Like(7, 3);
   Rng rng(0xA102);
   const ConstraintSet constraints = LabelConstraints(data, 0.10, &rng);
-  for (DistanceKernelPolicy policy : kPolicies) {
-    for (MetricMode mode : kModes) {
-      for (bool init : {true, false}) {
-        MpckMeansConfig config;
-        config.k = 5;
-        config.metric_mode = mode;
-        config.neighborhood_init = init;
-        config.kernel = policy;
-        ExpectSameRun(data.points(), constraints, config, rng.NextUint64(),
-                      Describe(config, 144));
-      }
+  for (MetricMode mode : kModes) {
+    for (bool init : {true, false}) {
+      MpckMeansConfig config;
+      config.k = 5;
+      config.metric_mode = mode;
+      config.neighborhood_init = init;
+      ExpectSameRun(data.points(), constraints, config, rng.NextUint64(),
+                    Describe(config, 144));
     }
   }
 }
@@ -248,23 +239,20 @@ TEST(MpckOracleTest, RandomConstraintSetsEveryLaneTail) {
   for (size_t d = 1; d <= 20; ++d) {
     const size_t n = 24 + d;
     const Matrix points = RandomPoints(n, d, 4, &rng);
-    for (DistanceKernelPolicy policy : kPolicies) {
-      for (MetricMode mode : kModes) {
-        for (bool init : {true, false}) {
-          // Mostly cannot-links like label data, sometimes must-heavy.
-          const double must_share = rng.NextDouble() < 0.5 ? 0.2 : 0.6;
-          const ConstraintSet constraints =
-              RandomConstraints(n, rng.Index(3 * n), must_share, &rng);
-          MpckMeansConfig config;
-          config.k = 2 + static_cast<int>(rng.Index(5));
-          config.metric_mode = mode;
-          config.neighborhood_init = init;
-          config.kernel = policy;
-          config.must_link_weight = rng.NextDouble() < 0.5 ? 1.0 : 2.5;
-          config.cannot_link_weight = rng.NextDouble() < 0.5 ? 1.0 : 0.3;
-          ExpectSameRun(points, constraints, config, rng.NextUint64(),
-                        Describe(config, d));
-        }
+    for (MetricMode mode : kModes) {
+      for (bool init : {true, false}) {
+        // Mostly cannot-links like label data, sometimes must-heavy.
+        const double must_share = rng.NextDouble() < 0.5 ? 0.2 : 0.6;
+        const ConstraintSet constraints =
+            RandomConstraints(n, rng.Index(3 * n), must_share, &rng);
+        MpckMeansConfig config;
+        config.k = 2 + static_cast<int>(rng.Index(5));
+        config.metric_mode = mode;
+        config.neighborhood_init = init;
+        config.must_link_weight = rng.NextDouble() < 0.5 ? 1.0 : 2.5;
+        config.cannot_link_weight = rng.NextDouble() < 0.5 ? 1.0 : 0.3;
+        ExpectSameRun(points, constraints, config, rng.NextUint64(),
+                      Describe(config, d));
       }
     }
   }
@@ -329,17 +317,14 @@ TEST(MpckOracleTest, EmptyClusterIsReseeded) {
     }
   }
   Rng rng(0xA106);
-  for (DistanceKernelPolicy policy : kPolicies) {
-    for (MetricMode mode : kModes) {
-      for (bool init : {true, false}) {
-        MpckMeansConfig config;
-        config.k = 3;
-        config.metric_mode = mode;
-        config.neighborhood_init = init;
-        config.kernel = policy;
-        ExpectSameRun(points, ConstraintSet(), config, rng.NextUint64(),
-                      Describe(config, 6));
-      }
+  for (MetricMode mode : kModes) {
+    for (bool init : {true, false}) {
+      MpckMeansConfig config;
+      config.k = 3;
+      config.metric_mode = mode;
+      config.neighborhood_init = init;
+      ExpectSameRun(points, ConstraintSet(), config, rng.NextUint64(),
+                    Describe(config, 6));
     }
   }
 }

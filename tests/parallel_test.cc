@@ -88,37 +88,18 @@ TEST(FirstErrorTrackerTest, SkipsNothingUnderConcurrentRecords) {
   EXPECT_TRUE(tracker.ShouldSkip(4));
 }
 
-TEST(ThreadPoolTest, SubmitReturnsFutureWithValue) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.num_threads(), 2);
-  auto future = pool.Submit([] { return 41 + 1; });
-  EXPECT_EQ(future.get(), 42);
-}
-
 TEST(ThreadPoolTest, RunsManyTasksToCompletion) {
   ThreadPool pool(4);
+  EXPECT_EQ(pool.num_threads(), 4);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
   for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.Submit([&counter] { ++counter; }));
+    pool.Post([&counter, &pool] {
+      counter.fetch_add(1);
+      pool.NotifyCompletion();
+    });
   }
-  for (auto& future : futures) future.get();
+  pool.HelpWhileWaiting([&counter] { return counter.load() == 200; });
   EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPoolTest, ExceptionsSurfaceThroughFuture) {
-  ThreadPool pool(1);
-  auto future = pool.Submit([]() -> int {
-    throw std::runtime_error("task failed");
-  });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, OnWorkerThreadFlagsPoolThreadsOnly) {
-  EXPECT_FALSE(ThreadPool::OnWorkerThread());
-  ThreadPool pool(1);
-  auto future = pool.Submit([] { return ThreadPool::OnWorkerThread(); });
-  EXPECT_TRUE(future.get());
 }
 
 TEST(ThreadPoolTest, SharedPoolHasAtLeastOneWorker) {
@@ -254,11 +235,6 @@ TEST(ThreadPoolTest, HelpWhileWaitingRunsPostedTasksOnTheCallingThread) {
       [&done] { return done.load(std::memory_order_relaxed) == kTasks; });
   EXPECT_EQ(done.load(), kTasks);
   release.store(true);
-}
-
-TEST(ThreadPoolTest, TryRunOneTaskReportsAnEmptyQueue) {
-  ThreadPool pool(1);
-  EXPECT_FALSE(pool.TryRunOneTask());
 }
 
 TEST(ParallelForTest, BodyExceptionPropagates) {
