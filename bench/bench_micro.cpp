@@ -606,11 +606,21 @@ void PrintDistanceKernelTable(int threads) {
     for (int rep = 0; rep < 5; ++rep) {
       const auto start = std::chrono::steady_clock::now();
       build();
-      best = std::min(best, std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - start)
-                                .count());
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      best = std::min(best, ms);
     }
     return best;
+  };
+  auto same_f64 = [](const DistanceMatrix& a, const DistanceMatrix& b) {
+    const std::vector<double>& x = a.condensed();
+    const std::vector<double>& y = b.condensed();
+    if (x.size() != y.size()) return false;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (!BitsEqual(x[i], y[i])) return false;
+    }
+    return true;
   };
 
   ExecutionContext wide;
@@ -626,12 +636,7 @@ void PrintDistanceKernelTable(int threads) {
       [&] { parallel = DistanceMatrix::Compute(pts, metric, wide); });
   benchmark::DoNotOptimize(naive);
 
-  const std::vector<double>& x = serial->condensed();
-  const std::vector<double>& y = parallel->condensed();
-  bool threads_ok = x.size() == y.size();
-  for (size_t i = 0; threads_ok && i < x.size(); ++i) {
-    threads_ok = BitsEqual(x[i], y[i]);
-  }
+  const bool threads_ok = same_f64(*parallel, *serial);
   if (!threads_ok) g_determinism_ok = false;
 
   auto emit = [&](const char* label, int width, double ms, const char* values,

@@ -300,6 +300,7 @@ DistanceMatrix UntiledEuclidean(const Matrix& points) {
   const DistanceKernels& kernels = GetDistanceKernels();
   const size_t n = points.rows();
   std::vector<double> condensed;
+  condensed.reserve(n * (n - 1) / 2);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
       condensed.push_back(std::sqrt(kernels.squared_euclidean(

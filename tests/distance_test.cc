@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <vector>
 
 namespace cvcp {
 namespace {
