@@ -592,7 +592,6 @@ void PrintDistanceKernelTable(int threads) {
   Dataset data = MakeBlobs("kernel-bench", /*k=*/8, /*per_cluster=*/64,
                            /*dims=*/64, 10.0, 1.0, &rng);
   const Matrix& pts = data.points();
-  const Metric metric = Metric::kEuclidean;
 
   std::printf(
       "=== Distance-matrix build (n=%zu, d=%zu, euclidean, arch=%s) ===\n",
@@ -630,10 +629,12 @@ void PrintDistanceKernelTable(int threads) {
   const double ms_naive =
       time_best([&] { naive = NaiveEuclideanCondensed(pts); });
   const double ms_serial = time_best([&] {
-    serial = DistanceMatrix::Compute(pts, metric, ExecutionContext::Serial());
+    serial = DistanceMatrix::Compute(pts, Metric::kEuclidean,
+                                     ExecutionContext::Serial());
   });
-  const double ms_parallel = time_best(
-      [&] { parallel = DistanceMatrix::Compute(pts, metric, wide); });
+  const double ms_parallel = time_best([&] {
+    parallel = DistanceMatrix::Compute(pts, Metric::kEuclidean, wide);
+  });
   benchmark::DoNotOptimize(naive);
 
   const bool threads_ok = same_f64(*parallel, *serial);

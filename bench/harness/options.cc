@@ -1,38 +1,56 @@
 #include "harness/options.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 namespace cvcp::bench {
 
 namespace {
 
-long EnvLong(const char* name, long fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
+/// Parses all of `text` as a base-10 long; false when it is empty, has
+/// trailing characters or is out of range.
+bool ParseLong(const char* text, long* out) {
   char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
+  errno = 0;
+  const long parsed = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) return false;
+  *out = parsed;
+  return true;
 }
 
 /// Seeds are full 64-bit values: strtoull, not strtol, which would clamp
 /// every seed >= 2^63 to INT64_MAX.
-uint64_t EnvSeed(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
+bool ParseSeed(const char* text, uint64_t* out) {
   char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) return false;
+  *out = parsed;
+  return true;
 }
 
-[[noreturn]] void UsageExit(const char* argv0, const char* flag) {
+long EnvLong(const char* name, long fallback) {
+  const char* v = std::getenv(name);
+  long parsed = 0;
+  return v != nullptr && ParseLong(v, &parsed) ? parsed : fallback;
+}
+
+uint64_t EnvSeed(const char* name, uint64_t fallback) {
+  const char* v = std::getenv(name);
+  uint64_t parsed = 0;
+  return v != nullptr && ParseSeed(v, &parsed) ? parsed : fallback;
+}
+
+[[noreturn]] void UsageExit(const char* argv0, const std::string& problem) {
   std::fprintf(stderr,
-               "%s: unknown flag '%s'\n"
+               "%s: %s\n"
                "usage: %s [--paper] [--trials N] [--aloi N] [--folds N] "
                "[--seed N]\n"
                "       [--threads N] [--store DIR] [--store-capacity-mb N]\n",
-               argv0, flag, argv0);
+               argv0, problem.c_str(), argv0);
   std::exit(2);
 }
 
@@ -52,30 +70,44 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   o.store_capacity_mb = static_cast<int>(
       EnvLong("CVCP_STORE_CAPACITY_MB", o.store_capacity_mb));
   for (int i = 1; i < argc; ++i) {
-    auto next_long = [&](long fallback) {
-      return i + 1 < argc ? std::strtol(argv[++i], nullptr, 10) : fallback;
+    const char* flag = argv[i];
+    // The value after a value flag; a missing one is a usage error.
+    auto next_value = [&] {
+      if (i + 1 >= argc) {
+        UsageExit(argv[0], std::string("missing value for ") + flag);
+      }
+      return argv[++i];
     };
-    if (std::strcmp(argv[i], "--paper") == 0) {
+    auto bad_value = [&](const char* value) {
+      UsageExit(argv[0], std::string("bad value '") + value + "' for " + flag);
+    };
+    auto next_long = [&] {
+      const char* value = next_value();
+      long parsed = 0;
+      if (!ParseLong(value, &parsed)) bad_value(value);
+      return parsed;
+    };
+    if (std::strcmp(flag, "--paper") == 0) {
       o.trials = 50;
       o.aloi_datasets = 100;
       o.n_folds = 10;
-    } else if (std::strcmp(argv[i], "--trials") == 0) {
-      o.trials = static_cast<int>(next_long(o.trials));
-    } else if (std::strcmp(argv[i], "--aloi") == 0) {
-      o.aloi_datasets = static_cast<std::size_t>(next_long(
-          static_cast<long>(o.aloi_datasets)));
-    } else if (std::strcmp(argv[i], "--folds") == 0) {
-      o.n_folds = static_cast<int>(next_long(o.n_folds));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      if (i + 1 < argc) o.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      o.threads = static_cast<int>(next_long(o.threads));
-    } else if (std::strcmp(argv[i], "--store") == 0) {
-      if (i + 1 < argc) o.store_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--store-capacity-mb") == 0) {
-      o.store_capacity_mb = static_cast<int>(next_long(o.store_capacity_mb));
+    } else if (std::strcmp(flag, "--trials") == 0) {
+      o.trials = static_cast<int>(next_long());
+    } else if (std::strcmp(flag, "--aloi") == 0) {
+      o.aloi_datasets = static_cast<std::size_t>(next_long());
+    } else if (std::strcmp(flag, "--folds") == 0) {
+      o.n_folds = static_cast<int>(next_long());
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      const char* value = next_value();
+      if (!ParseSeed(value, &o.seed)) bad_value(value);
+    } else if (std::strcmp(flag, "--threads") == 0) {
+      o.threads = static_cast<int>(next_long());
+    } else if (std::strcmp(flag, "--store") == 0) {
+      o.store_dir = next_value();
+    } else if (std::strcmp(flag, "--store-capacity-mb") == 0) {
+      o.store_capacity_mb = static_cast<int>(next_long());
     } else {
-      UsageExit(argv[0], argv[i]);
+      UsageExit(argv[0], std::string("unknown flag '") + flag + "'");
     }
   }
   if (o.trials < 2) o.trials = 2;  // paired t-test needs >= 2

@@ -38,9 +38,10 @@ struct BenchOptions {
 /// Parses env vars, then `--paper` / `--trials N` / `--aloi N` /
 /// `--folds N` / `--seed N` / `--threads N` /
 /// `--store DIR` / `--store-capacity-mb N` flags (flags win).
-/// The seed is a full 64-bit unsigned value. Any other argument prints
-/// the usage text to stderr and exits with status 2, so a mistyped or
-/// retired flag can never run silently at default settings.
+/// The seed is a full 64-bit unsigned value. Any other argument, and a
+/// value flag whose value is missing or not a whole base-10 number,
+/// prints the usage text to stderr and exits with status 2, so a
+/// mistyped or retired flag can never run silently at default settings.
 BenchOptions ParseBenchOptions(int argc, char** argv);
 
 /// One-line banner describing the reproduction target and the scale.

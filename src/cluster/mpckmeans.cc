@@ -373,13 +373,11 @@ class MpckState {
     const double* c = centroids_.Row(h).data();
     const double* w = weights_.Row(h).data();
     size_t j = 0;
-    if (kernels_.weighted_squared_euclidean_x4 != nullptr) {
-      for (; j + 4 <= count; j += 4) {
-        double out[4];
-        kernels_.weighted_squared_euclidean_x4(rows + j, c, w, d_, out);
-        for (size_t q = 0; q < 4; ++q) {
-          object_dist_[ids[j + q] * k_ + h] = out[q];
-        }
+    for (; j + 4 <= count; j += 4) {
+      double out[4];
+      kernels_.weighted_squared_euclidean_x4(rows + j, c, w, d_, out);
+      for (size_t q = 0; q < 4; ++q) {
+        object_dist_[ids[j + q] * k_ + h] = out[q];
       }
     }
     for (; j < count; ++j) {
@@ -394,15 +392,8 @@ class MpckState {
     if (must_row_stamp_[c] == weights_gen_) return row;
     const double* a = Point(adj_.end_a[c]);
     const double* b = Point(adj_.end_b[c]);
-    if (kernels_.weighted_squared_euclidean_rows != nullptr) {
-      kernels_.weighted_squared_euclidean_rows(a, b, weights_.Row(0).data(),
-                                               d_, k_, d_, row);
-    } else {
-      for (size_t h = 0; h < k_; ++h) {
-        row[h] = kernels_.weighted_squared_euclidean(
-            a, b, weights_.Row(h).data(), d_);
-      }
-    }
+    kernels_.weighted_squared_euclidean_rows(a, b, weights_.Row(0).data(), d_,
+                                             k_, d_, row);
     must_row_stamp_[c] = weights_gen_;
     return row;
   }

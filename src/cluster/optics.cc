@@ -103,9 +103,8 @@ Result<OpticsResult> OpticsImpl(size_t n, const OpticsConfig& config,
 
 Result<OpticsResult> RunOptics(const Matrix& points,
                                const OpticsConfig& config) {
-  const Metric metric = config.metric;
   return OpticsImpl(points.rows(), config, [&](size_t i, size_t j) {
-    return Distance(points.Row(i), points.Row(j), metric);
+    return EuclideanDistance(points.Row(i), points.Row(j));
   });
 }
 

@@ -25,6 +25,7 @@ struct OpticsConfig {
   int min_pts = 5;
   /// Generating radius; infinity processes everything in one component.
   double eps = std::numeric_limits<double>::infinity();
+  /// Unread: distances are Euclidean (see Metric).
   Metric metric = Metric::kEuclidean;
 };
 

@@ -20,8 +20,8 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 /// fixed object x and group g, the rescan added members in ascending-id
 /// order skipping x, i.e. all o < x ascending, then all o > x ascending —
 /// exactly the order the pair pass feeds sums[x][g] (contributions from
-/// pairs (o, x), o ascending, then pairs (x, j), j ascending), and every
-/// metric shipped here is argument-symmetric down to the bit.
+/// pairs (o, x), o ascending, then pairs (x, j), j ascending), and the
+/// Euclidean kernel is argument-symmetric down to the bit.
 double SilhouetteCoefficient(const DistanceMatrix& distances,
                              const Clustering& clustering) {
   CVCP_CHECK_EQ(distances.n(), clustering.size());

@@ -19,16 +19,6 @@ double EuclideanDistance(std::span<const double> a, std::span<const double> b) {
   return std::sqrt(SquaredEuclideanDistance(a, b));
 }
 
-double ManhattanDistance(std::span<const double> a, std::span<const double> b) {
-  CVCP_DCHECK_EQ(a.size(), b.size());
-  return GetDistanceKernels().manhattan(a.data(), b.data(), a.size());
-}
-
-double CosineDistance(std::span<const double> a, std::span<const double> b) {
-  CVCP_DCHECK_EQ(a.size(), b.size());
-  return GetDistanceKernels().cosine(a.data(), b.data(), a.size());
-}
-
 double WeightedSquaredEuclidean(std::span<const double> a,
                                 std::span<const double> b,
                                 std::span<const double> weights) {
@@ -36,22 +26,6 @@ double WeightedSquaredEuclidean(std::span<const double> a,
   CVCP_DCHECK_EQ(a.size(), weights.size());
   return GetDistanceKernels().weighted_squared_euclidean(
       a.data(), b.data(), weights.data(), a.size());
-}
-
-double Distance(std::span<const double> a, std::span<const double> b,
-                Metric metric) {
-  switch (metric) {
-    case Metric::kEuclidean:
-      return EuclideanDistance(a, b);
-    case Metric::kSquaredEuclidean:
-      return SquaredEuclideanDistance(a, b);
-    case Metric::kManhattan:
-      return ManhattanDistance(a, b);
-    case Metric::kCosine:
-      return CosineDistance(a, b);
-  }
-  CVCP_CHECK_MSG(false, "unreachable metric");
-  return 0.0;
 }
 
 DistanceMatrix DistanceMatrix::FromCondensed(size_t n,
@@ -64,35 +38,6 @@ DistanceMatrix DistanceMatrix::FromCondensed(size_t n,
 }
 
 namespace {
-
-using PairKernel = double (*)(const double*, const double*, size_t);
-
-using BatchKernel = void (*)(const double*, const double*, size_t, size_t,
-                             double[4]);
-
-/// The (kernel, post-sqrt) pair one metric needs, plus the strided
-/// batch form when the metric has one.
-struct MetricKernel {
-  PairKernel fn;
-  bool sqrt_after;
-  BatchKernel batch4 = nullptr;
-};
-
-MetricKernel SelectMetricKernel(Metric metric) {
-  const DistanceKernels& kernels = GetDistanceKernels();
-  switch (metric) {
-    case Metric::kEuclidean:
-      return {kernels.squared_euclidean, true, kernels.squared_euclidean_x4};
-    case Metric::kSquaredEuclidean:
-      return {kernels.squared_euclidean, false, kernels.squared_euclidean_x4};
-    case Metric::kManhattan:
-      return {kernels.manhattan, false};
-    case Metric::kCosine:
-      return {kernels.cosine, false};
-  }
-  CVCP_CHECK_MSG(false, "unreachable metric");
-  return {nullptr, false};
-}
 
 /// Rows per panel such that two packed panels (row + column) fit in
 /// roughly an L2's worth of cache, clamped so tiny dimensions still get
@@ -107,7 +52,7 @@ size_t PanelRows(size_t dims) {
 
 }  // namespace
 
-DistanceMatrix DistanceMatrix::Compute(const Matrix& points, Metric metric,
+DistanceMatrix DistanceMatrix::Compute(const Matrix& points, Metric,
                                        const ExecutionContext& exec_in) {
   // Artifact builds are all-or-nothing: the matrix may be published into
   // the shared DatasetCache / artifact store, where another (non-cancelled)
@@ -123,7 +68,7 @@ DistanceMatrix DistanceMatrix::Compute(const Matrix& points, Metric metric,
   dm.data_.resize(n * (n - 1) / 2);
   double* out = dm.data_.data();
 
-  const MetricKernel kernel = SelectMetricKernel(metric);
+  const DistanceKernels& kernels = GetDistanceKernels();
   const size_t d = points.cols();
 
   // Upper-triangular tile grid: panel (pi) × panel (pj >= pi). Diagonal
@@ -160,22 +105,15 @@ DistanceMatrix DistanceMatrix::Compute(const Matrix& points, Metric metric,
       size_t idx = i * n - i * (i + 1) / 2 + (j_begin - i - 1);
       const double* col = col_panel.data() + (j_begin - c0) * d;
       size_t j = j_begin;
-      if (kernel.batch4 != nullptr) {
-        // Four packed columns per call: same bits as four single-pair
-        // calls, but the batch runs four accumulator chains at once.
-        for (; j + 4 <= c1; j += 4, col += 4 * d) {
-          double values[4];
-          kernel.batch4(row_i, col, d, d, values);
-          for (double value : values) {
-            if (kernel.sqrt_after) value = std::sqrt(value);
-            out[idx++] = value;
-          }
-        }
+      // Four packed columns per call: same bits as four single-pair
+      // calls, but the batch runs four accumulator chains at once.
+      for (; j + 4 <= c1; j += 4, col += 4 * d) {
+        double values[4];
+        kernels.squared_euclidean_x4(row_i, col, d, d, values);
+        for (double value : values) out[idx++] = std::sqrt(value);
       }
       for (; j < c1; ++j, col += d) {
-        double value = kernel.fn(row_i, col, d);
-        if (kernel.sqrt_after) value = std::sqrt(value);
-        out[idx++] = value;
+        out[idx++] = std::sqrt(kernels.squared_euclidean(row_i, col, d));
       }
     }
   });

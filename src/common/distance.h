@@ -2,7 +2,7 @@
 #define CVCP_COMMON_DISTANCE_H_
 
 /// \file
-/// Distance metrics and a condensed pairwise distance matrix. Weighted
+/// Euclidean distances and a condensed pairwise distance matrix. Weighted
 /// squared Euclidean (diagonal Mahalanobis) is the form MPCKMeans learns.
 ///
 /// Every entry point runs the dispatched fixed-lane kernels
@@ -19,23 +19,17 @@
 
 namespace cvcp {
 
-/// Supported point-to-point metrics.
-enum class Metric {
-  kEuclidean,
-  kSquaredEuclidean,
-  kManhattan,
-  kCosine,  ///< 1 - cosine similarity; zero vectors are at distance 1.
-};
-
-/// Distance between two equal-length vectors under `metric`.
-double Distance(std::span<const double> a, std::span<const double> b,
-                Metric metric);
+/// The engine's point metric: Euclidean is the only one. The enum is
+/// one-valued and never read; it survives as an argument or field of
+/// five names the repository benchmark uses (`DistanceMatrix::Compute`,
+/// `DatasetCache::Distances` and `FoscModel`,
+/// `FoscOpticsDendClusterer::metric()`, `OpticsConfig::metric`), and the
+/// benchmark change of ROADMAP item 2(a) deletes it with them.
+enum class Metric { kEuclidean };
 
 double EuclideanDistance(std::span<const double> a, std::span<const double> b);
 double SquaredEuclideanDistance(std::span<const double> a,
                                 std::span<const double> b);
-double ManhattanDistance(std::span<const double> a, std::span<const double> b);
-double CosineDistance(std::span<const double> a, std::span<const double> b);
 
 /// Diagonal-Mahalanobis squared distance: sum_m w[m] * (a[m]-b[m])^2.
 /// Weights must be non-negative.
@@ -49,15 +43,15 @@ class DistanceMatrix {
  public:
   DistanceMatrix() : n_(0) {}
 
-  /// Computes all pairwise distances between rows of `points` with a
-  /// tiled (cache-blocked) sweep: row-panel × column-panel tiles sized
-  /// to L2, the column panel repacked into a contiguous scratch buffer,
-  /// one parallel task per tile. Each pair's value is a pure function of
-  /// its two rows, and every entry lands in its own condensed slot, so
-  /// the result is bit-identical for any thread count and any tile shape
-  /// (pinned against the untiled row sweep in
-  /// tests/distance_kernels_test.cc).
-  static DistanceMatrix Compute(const Matrix& points, Metric metric,
+  /// Computes all pairwise Euclidean distances between rows of `points`
+  /// with a tiled (cache-blocked) sweep: row-panel × column-panel tiles
+  /// sized to L2, the column panel repacked into a contiguous scratch
+  /// buffer, one parallel task per tile. Each pair's value is a pure
+  /// function of its two rows, and every entry lands in its own condensed
+  /// slot, so the result is bit-identical for any thread count and any
+  /// tile shape (pinned against the untiled row sweep in
+  /// tests/distance_kernels_test.cc). The `Metric` is unread (see Metric).
+  static DistanceMatrix Compute(const Matrix& points, Metric,
                                 const ExecutionContext& exec = {});
 
   /// Rehydrates a matrix from condensed storage (the artifact store's

@@ -1,7 +1,6 @@
 #include "common/distance_kernels.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace cvcp {
 
@@ -47,44 +46,6 @@ void FixedSquaredEuclideanX4(const double* a, const double* b, size_t stride,
   }
 }
 
-double FixedManhattan(const double* a, const double* b, size_t n) {
-  double lanes[kFixedLaneWidth] = {};
-  const size_t base = n - n % kFixedLaneWidth;
-  for (size_t i = 0; i < base; i += kFixedLaneWidth) {
-    for (size_t k = 0; k < kFixedLaneWidth; ++k) {
-      lanes[k] += std::fabs(a[i + k] - b[i + k]);
-    }
-  }
-  for (size_t i = base; i < n; ++i) {
-    lanes[i - base] += std::fabs(a[i] - b[i]);
-  }
-  return ReduceLanes(lanes);
-}
-
-double FixedCosine(const double* a, const double* b, size_t n) {
-  double dot[kFixedLaneWidth] = {};
-  double na[kFixedLaneWidth] = {};
-  double nb[kFixedLaneWidth] = {};
-  const size_t base = n - n % kFixedLaneWidth;
-  for (size_t i = 0; i < base; i += kFixedLaneWidth) {
-    for (size_t k = 0; k < kFixedLaneWidth; ++k) {
-      dot[k] += a[i + k] * b[i + k];
-      na[k] += a[i + k] * a[i + k];
-      nb[k] += b[i + k] * b[i + k];
-    }
-  }
-  for (size_t i = base; i < n; ++i) {
-    dot[i - base] += a[i] * b[i];
-    na[i - base] += a[i] * a[i];
-    nb[i - base] += b[i] * b[i];
-  }
-  const double sum_dot = ReduceLanes(dot);
-  const double sum_na = ReduceLanes(na);
-  const double sum_nb = ReduceLanes(nb);
-  if (sum_na == 0.0 || sum_nb == 0.0) return 1.0;
-  return 1.0 - sum_dot / (std::sqrt(sum_na) * std::sqrt(sum_nb));
-}
-
 double FixedWeightedSquaredEuclidean(const double* a, const double* b,
                                      const double* w, size_t n) {
   double lanes[kFixedLaneWidth] = {};
@@ -102,21 +63,31 @@ double FixedWeightedSquaredEuclidean(const double* a, const double* b,
   return ReduceLanes(lanes);
 }
 
-void FixedWeightedSquaredEuclideanX4(const double* const rows[4],
-                                     const double* b, const double* w,
-                                     size_t n, double out[4]) {
+}  // namespace
+
+// The weighted batches have external linkage because the NEON table,
+// which has no NEON form of them, shares them (distance_kernels_neon.cc).
+namespace internal {
+
+void PortableWeightedSquaredEuclideanX4(const double* const rows[4],
+                                        const double* b, const double* w,
+                                        size_t n, double out[4]) {
   for (size_t k = 0; k < 4; ++k) {
     out[k] = FixedWeightedSquaredEuclidean(rows[k], b, w, n);
   }
 }
 
-void FixedWeightedSquaredEuclideanRows(const double* a, const double* b,
-                                       const double* w, size_t w_stride,
-                                       size_t rows, size_t n, double* out) {
+void PortableWeightedSquaredEuclideanRows(const double* a, const double* b,
+                                          const double* w, size_t w_stride,
+                                          size_t rows, size_t n, double* out) {
   for (size_t r = 0; r < rows; ++r) {
     out[r] = FixedWeightedSquaredEuclidean(a, b, w + r * w_stride, n);
   }
 }
+
+}  // namespace internal
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Portable row updates (the pin for the dispatched RowKernels table)
@@ -191,13 +162,13 @@ const RowKernels kPortableRowKernels = {
 };
 
 const DistanceKernels kPortableFixedLane = {
-    FixedSquaredEuclidean,
-    FixedManhattan,
-    FixedCosine,
-    FixedWeightedSquaredEuclidean,
-    FixedSquaredEuclideanX4,
-    FixedWeightedSquaredEuclideanX4,
-    FixedWeightedSquaredEuclideanRows,
+    .squared_euclidean = FixedSquaredEuclidean,
+    .weighted_squared_euclidean = FixedWeightedSquaredEuclidean,
+    .squared_euclidean_x4 = FixedSquaredEuclideanX4,
+    .weighted_squared_euclidean_x4 =
+        internal::PortableWeightedSquaredEuclideanX4,
+    .weighted_squared_euclidean_rows =
+        internal::PortableWeightedSquaredEuclideanRows,
 };
 
 }  // namespace

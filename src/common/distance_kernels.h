@@ -38,13 +38,10 @@
 namespace cvcp {
 
 /// One set of distance inner loops. All pointers are non-null; vectors
-/// are `n` contiguous doubles. `cosine` returns 1 - cosine similarity
-/// with zero vectors at distance 1; `weighted_squared_euclidean` is the
+/// are `n` contiguous doubles. `weighted_squared_euclidean` is the
 /// diagonal-Mahalanobis form sum_m w[m]*(a[m]-b[m])^2.
 struct DistanceKernels {
   double (*squared_euclidean)(const double* a, const double* b, size_t n);
-  double (*manhattan)(const double* a, const double* b, size_t n);
-  double (*cosine)(const double* a, const double* b, size_t n);
   double (*weighted_squared_euclidean)(const double* a, const double* b,
                                        const double* w, size_t n);
   /// Strided batch form: out[k] = squared_euclidean(a, b + k*stride, n)
@@ -58,8 +55,7 @@ struct DistanceKernels {
   /// weighted_squared_euclidean(rows[k], b, w, n) for k = 0..3 — four
   /// rows at unrelated addresses (MPCKMeans' objects) against one `b`
   /// (a centroid) under one weight row. Each pair keeps the single-pair
-  /// lane order. Null on NEON; callers fall back to four single-pair
-  /// calls, which give the same bits.
+  /// lane order.
   void (*weighted_squared_euclidean_x4)(const double* const rows[4],
                                         const double* b, const double* w,
                                         size_t n, double out[4]);
@@ -68,8 +64,6 @@ struct DistanceKernels {
   /// r = 0..rows-1 (an MPCKMeans must-link under every cluster's metric).
   /// The squared differences are formed once per 8-element block for up
   /// to four rows at a time; each row keeps the single-pair lane order.
-  /// Null exactly where `weighted_squared_euclidean_x4` is; callers fall
-  /// back to one single-pair call per row.
   void (*weighted_squared_euclidean_rows)(const double* a, const double* b,
                                           const double* w, size_t w_stride,
                                           size_t rows, size_t n, double* out);

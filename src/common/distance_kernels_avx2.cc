@@ -20,8 +20,6 @@
 
 #include <immintrin.h>
 
-#include <cmath>
-
 namespace cvcp::internal {
 
 namespace {
@@ -53,12 +51,6 @@ inline void SpillLanes(__m256d acc0, __m256d acc1,
                        double lanes[kFixedLaneWidth]) {
   _mm256_storeu_pd(lanes, acc0);
   _mm256_storeu_pd(lanes + 4, acc1);
-}
-
-/// Clears the sign bit (|x|) without a branch; bit-identical to fabs.
-inline __m256d Abs(__m256d x) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  return _mm256_andnot_pd(sign_mask, x);
 }
 
 double Avx2SquaredEuclidean(const double* a, const double* b, size_t n) {
@@ -119,59 +111,6 @@ void Avx2SquaredEuclideanX4(const double* a, const double* b, size_t stride,
     }
     out[p] = ReduceLanes(lanes);
   }
-}
-
-double Avx2Manhattan(const double* a, const double* b, size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  const size_t base = n - n % kFixedLaneWidth;
-  for (size_t i = 0; i < base; i += kFixedLaneWidth) {
-    const __m256d d0 =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    const __m256d d1 =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i + 4), _mm256_loadu_pd(b + i + 4));
-    acc0 = _mm256_add_pd(acc0, Abs(d0));
-    acc1 = _mm256_add_pd(acc1, Abs(d1));
-  }
-  double lanes[kFixedLaneWidth];
-  SpillLanes(acc0, acc1, lanes);
-  for (size_t i = base; i < n; ++i) {
-    lanes[i - base] += std::fabs(a[i] - b[i]);
-  }
-  return ReduceLanes(lanes);
-}
-
-double Avx2Cosine(const double* a, const double* b, size_t n) {
-  __m256d dot0 = _mm256_setzero_pd(), dot1 = _mm256_setzero_pd();
-  __m256d na0 = _mm256_setzero_pd(), na1 = _mm256_setzero_pd();
-  __m256d nb0 = _mm256_setzero_pd(), nb1 = _mm256_setzero_pd();
-  const size_t base = n - n % kFixedLaneWidth;
-  for (size_t i = 0; i < base; i += kFixedLaneWidth) {
-    const __m256d va0 = _mm256_loadu_pd(a + i);
-    const __m256d va1 = _mm256_loadu_pd(a + i + 4);
-    const __m256d vb0 = _mm256_loadu_pd(b + i);
-    const __m256d vb1 = _mm256_loadu_pd(b + i + 4);
-    dot0 = _mm256_add_pd(dot0, _mm256_mul_pd(va0, vb0));
-    dot1 = _mm256_add_pd(dot1, _mm256_mul_pd(va1, vb1));
-    na0 = _mm256_add_pd(na0, _mm256_mul_pd(va0, va0));
-    na1 = _mm256_add_pd(na1, _mm256_mul_pd(va1, va1));
-    nb0 = _mm256_add_pd(nb0, _mm256_mul_pd(vb0, vb0));
-    nb1 = _mm256_add_pd(nb1, _mm256_mul_pd(vb1, vb1));
-  }
-  double dot[kFixedLaneWidth], na[kFixedLaneWidth], nb[kFixedLaneWidth];
-  SpillLanes(dot0, dot1, dot);
-  SpillLanes(na0, na1, na);
-  SpillLanes(nb0, nb1, nb);
-  for (size_t i = base; i < n; ++i) {
-    dot[i - base] += a[i] * b[i];
-    na[i - base] += a[i] * a[i];
-    nb[i - base] += b[i] * b[i];
-  }
-  const double sum_dot = ReduceLanes(dot);
-  const double sum_na = ReduceLanes(na);
-  const double sum_nb = ReduceLanes(nb);
-  if (sum_na == 0.0 || sum_nb == 0.0) return 1.0;
-  return 1.0 - sum_dot / (std::sqrt(sum_na) * std::sqrt(sum_nb));
 }
 
 double Avx2WeightedSquaredEuclidean(const double* a, const double* b,
@@ -481,13 +420,11 @@ void Avx2RowClampedRatio(double* out, double num, const double* den,
 }
 
 const DistanceKernels kAvx2FixedLane = {
-    Avx2SquaredEuclidean,
-    Avx2Manhattan,
-    Avx2Cosine,
-    Avx2WeightedSquaredEuclidean,
-    Avx2SquaredEuclideanX4,
-    Avx2WeightedSquaredEuclideanX4,
-    Avx2WeightedSquaredEuclideanRows,
+    .squared_euclidean = Avx2SquaredEuclidean,
+    .weighted_squared_euclidean = Avx2WeightedSquaredEuclidean,
+    .squared_euclidean_x4 = Avx2SquaredEuclideanX4,
+    .weighted_squared_euclidean_x4 = Avx2WeightedSquaredEuclideanX4,
+    .weighted_squared_euclidean_rows = Avx2WeightedSquaredEuclideanRows,
 };
 
 const RowKernels kAvx2RowKernels = {

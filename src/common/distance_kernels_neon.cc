@@ -19,9 +19,16 @@
 
 #include <arm_neon.h>
 
-#include <cmath>
-
 namespace cvcp::internal {
+
+// The portable weighted batches (distance_kernels.cc). Under the
+// fixed-lane contract they give the NEON single-pair kernel's bits.
+void PortableWeightedSquaredEuclideanX4(const double* const rows[4],
+                                        const double* b, const double* w,
+                                        size_t n, double out[4]);
+void PortableWeightedSquaredEuclideanRows(const double* a, const double* b,
+                                          const double* w, size_t w_stride,
+                                          size_t rows, size_t n, double* out);
 
 namespace {
 
@@ -109,67 +116,6 @@ void NeonSquaredEuclideanX4(const double* a, const double* b, size_t stride,
   }
 }
 
-double NeonManhattan(const double* a, const double* b, size_t n) {
-  Acc8 acc;
-  const size_t base = n - n % kFixedLaneWidth;
-  for (size_t i = 0; i < base; i += kFixedLaneWidth) {
-    const float64x2_t d01 = vsubq_f64(vld1q_f64(a + i), vld1q_f64(b + i));
-    const float64x2_t d23 =
-        vsubq_f64(vld1q_f64(a + i + 2), vld1q_f64(b + i + 2));
-    const float64x2_t d45 =
-        vsubq_f64(vld1q_f64(a + i + 4), vld1q_f64(b + i + 4));
-    const float64x2_t d67 =
-        vsubq_f64(vld1q_f64(a + i + 6), vld1q_f64(b + i + 6));
-    acc.v01 = vaddq_f64(acc.v01, vabsq_f64(d01));
-    acc.v23 = vaddq_f64(acc.v23, vabsq_f64(d23));
-    acc.v45 = vaddq_f64(acc.v45, vabsq_f64(d45));
-    acc.v67 = vaddq_f64(acc.v67, vabsq_f64(d67));
-  }
-  double lanes[kFixedLaneWidth];
-  acc.Spill(lanes);
-  for (size_t i = base; i < n; ++i) {
-    lanes[i - base] += std::fabs(a[i] - b[i]);
-  }
-  return ReduceLanes(lanes);
-}
-
-double NeonCosine(const double* a, const double* b, size_t n) {
-  Acc8 dot_acc, na_acc, nb_acc;
-  const size_t base = n - n % kFixedLaneWidth;
-  for (size_t i = 0; i < base; i += kFixedLaneWidth) {
-    const float64x2_t a01 = vld1q_f64(a + i), b01 = vld1q_f64(b + i);
-    const float64x2_t a23 = vld1q_f64(a + i + 2), b23 = vld1q_f64(b + i + 2);
-    const float64x2_t a45 = vld1q_f64(a + i + 4), b45 = vld1q_f64(b + i + 4);
-    const float64x2_t a67 = vld1q_f64(a + i + 6), b67 = vld1q_f64(b + i + 6);
-    dot_acc.v01 = vaddq_f64(dot_acc.v01, vmulq_f64(a01, b01));
-    dot_acc.v23 = vaddq_f64(dot_acc.v23, vmulq_f64(a23, b23));
-    dot_acc.v45 = vaddq_f64(dot_acc.v45, vmulq_f64(a45, b45));
-    dot_acc.v67 = vaddq_f64(dot_acc.v67, vmulq_f64(a67, b67));
-    na_acc.v01 = vaddq_f64(na_acc.v01, vmulq_f64(a01, a01));
-    na_acc.v23 = vaddq_f64(na_acc.v23, vmulq_f64(a23, a23));
-    na_acc.v45 = vaddq_f64(na_acc.v45, vmulq_f64(a45, a45));
-    na_acc.v67 = vaddq_f64(na_acc.v67, vmulq_f64(a67, a67));
-    nb_acc.v01 = vaddq_f64(nb_acc.v01, vmulq_f64(b01, b01));
-    nb_acc.v23 = vaddq_f64(nb_acc.v23, vmulq_f64(b23, b23));
-    nb_acc.v45 = vaddq_f64(nb_acc.v45, vmulq_f64(b45, b45));
-    nb_acc.v67 = vaddq_f64(nb_acc.v67, vmulq_f64(b67, b67));
-  }
-  double dot[kFixedLaneWidth], na[kFixedLaneWidth], nb[kFixedLaneWidth];
-  dot_acc.Spill(dot);
-  na_acc.Spill(na);
-  nb_acc.Spill(nb);
-  for (size_t i = base; i < n; ++i) {
-    dot[i - base] += a[i] * b[i];
-    na[i - base] += a[i] * a[i];
-    nb[i - base] += b[i] * b[i];
-  }
-  const double sum_dot = ReduceLanes(dot);
-  const double sum_na = ReduceLanes(na);
-  const double sum_nb = ReduceLanes(nb);
-  if (sum_na == 0.0 || sum_nb == 0.0) return 1.0;
-  return 1.0 - sum_dot / (std::sqrt(sum_na) * std::sqrt(sum_nb));
-}
-
 double NeonWeightedSquaredEuclidean(const double* a, const double* b,
                                     const double* w, size_t n) {
   Acc8 acc;
@@ -201,15 +147,13 @@ double NeonWeightedSquaredEuclidean(const double* a, const double* b,
 }
 
 const DistanceKernels kNeonFixedLane = {
-    NeonSquaredEuclidean,
-    NeonManhattan,
-    NeonCosine,
-    NeonWeightedSquaredEuclidean,
-    NeonSquaredEuclideanX4,
+    .squared_euclidean = NeonSquaredEuclidean,
+    .weighted_squared_euclidean = NeonWeightedSquaredEuclidean,
+    .squared_euclidean_x4 = NeonSquaredEuclideanX4,
     // No NEON form of the weighted batches until one is built and tested
-    // on AArch64; callers fall back to single-pair calls (same bits).
-    nullptr,
-    nullptr,
+    // on AArch64.
+    .weighted_squared_euclidean_x4 = PortableWeightedSquaredEuclideanX4,
+    .weighted_squared_euclidean_rows = PortableWeightedSquaredEuclideanRows,
 };
 
 }  // namespace

@@ -19,40 +19,36 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Filesystem-safe tag for a metric, part of every artifact filename.
-const char* MetricTag(Metric metric) {
-  switch (metric) {
-    case Metric::kEuclidean:
-      return "euc";
-    case Metric::kSquaredEuclidean:
-      return "sqeuc";
-    case Metric::kManhattan:
-      return "man";
-    case Metric::kCosine:
-      return "cos";
-  }
-  return "unknown";
+/// The metric record of every block this build writes and reads: 0,
+/// Euclidean. Earlier builds also wrote records 1-3, for metrics since
+/// retired, under other file tags; those files are never read.
+constexpr uint32_t kEuclideanRecord = 0;
+
+// The `euc` tag in both names is the Euclidean one earlier builds used,
+// so the stores they wrote stay warm.
+std::string DistanceFileName(uint64_t hash) {
+  return Format("%016llx-euc-dist.cvcp", static_cast<unsigned long long>(hash));
 }
 
-std::string DistanceFileName(uint64_t hash, Metric metric) {
-  return Format("%016llx-%s-dist.cvcp", static_cast<unsigned long long>(hash),
-                MetricTag(metric));
-}
-
-std::string OpticsFileName(uint64_t hash, Metric metric, int min_pts) {
-  return Format("%016llx-%s-mp%03d-optics.cvcp",
-                static_cast<unsigned long long>(hash), MetricTag(metric),
-                min_pts);
+std::string OpticsFileName(uint64_t hash, int min_pts) {
+  return Format("%016llx-euc-mp%03d-optics.cvcp",
+                static_cast<unsigned long long>(hash), min_pts);
 }
 
 /// Fills `decoded_key` of a listed file from its validated block records.
-/// A kind this build does not read (including the reserved legacy kinds)
-/// or a record-level read failure (encoder/decoder schema drift) marks
-/// the file invalid, so `store_inspect verify` fails on it.
+/// A kind this build does not read (including the reserved legacy kinds),
+/// a metric record other than Euclidean's or a record-level read failure
+/// (encoder/decoder schema drift) marks the file invalid, so
+/// `store_inspect verify` fails on it.
 void DescribeArtifact(BlockReader* reader, ArtifactFileInfo* info) {
   auto fail = [&](std::string why) {
     info->valid = false;
     info->detail = std::move(why);
+  };
+  auto metric_field = [&](uint32_t metric) -> std::string {
+    if (metric == kEuclideanRecord) return "euc";
+    fail(Format("metric %u is no longer read", metric));
+    return Format("%u", metric);
   };
   switch (static_cast<ArtifactKind>(info->kind)) {
     case ArtifactKind::kDistanceMatrix: {
@@ -65,7 +61,7 @@ void DescribeArtifact(BlockReader* reader, ArtifactFileInfo* info) {
       info->decoded_key =
           Format("hash=%016llx metric=%s n=%llu",
                  static_cast<unsigned long long>(*hash),
-                 MetricTag(static_cast<Metric>(*metric)),
+                 metric_field(*metric).c_str(),
                  static_cast<unsigned long long>(*n));
       break;
     }
@@ -83,7 +79,7 @@ void DescribeArtifact(BlockReader* reader, ArtifactFileInfo* info) {
       info->decoded_key = Format(
           "hash=%016llx metric=%s mp=%03u n=%zu",
           static_cast<unsigned long long>(*hash),
-          MetricTag(static_cast<Metric>(*metric)), *min_pts, order->size());
+          metric_field(*metric).c_str(), *min_pts, order->size());
       if (reader->remaining() > 0) fail("unexpected optics trailing records");
       break;
     }
@@ -114,27 +110,25 @@ uint64_t HashMatrixContent(const Matrix& points) {
   return Hash64(data.data(), data.size() * sizeof(double), h);
 }
 
-std::string EncodeDistanceMatrix(uint64_t dataset_hash, Metric metric,
+std::string EncodeDistanceMatrix(uint64_t dataset_hash,
                                  const DistanceMatrix& matrix) {
   BlockBuilder builder(static_cast<uint32_t>(ArtifactKind::kDistanceMatrix));
   builder.AppendU64(dataset_hash);
-  builder.AppendU32(static_cast<uint32_t>(metric));
+  builder.AppendU32(kEuclideanRecord);
   builder.AppendU64(matrix.n());
   builder.AppendDoubles(matrix.condensed());
   return builder.Finish();
 }
 
 Result<DistanceMatrix> DecodeDistanceMatrix(std::string bytes,
-                                            uint64_t dataset_hash,
-                                            Metric metric) {
+                                            uint64_t dataset_hash) {
   CVCP_ASSIGN_OR_RETURN(
       BlockReader reader,
       BlockReader::Open(std::move(bytes),
                         static_cast<uint32_t>(ArtifactKind::kDistanceMatrix)));
   CVCP_ASSIGN_OR_RETURN(uint64_t stored_hash, reader.ReadU64());
   CVCP_ASSIGN_OR_RETURN(uint32_t stored_metric, reader.ReadU32());
-  if (stored_hash != dataset_hash ||
-      stored_metric != static_cast<uint32_t>(metric)) {
+  if (stored_hash != dataset_hash || stored_metric != kEuclideanRecord) {
     return Status::Corruption(
         "distance block is keyed to a different (dataset, metric)");
   }
@@ -151,11 +145,11 @@ Result<DistanceMatrix> DecodeDistanceMatrix(std::string bytes,
                                        std::move(condensed));
 }
 
-std::string EncodeOpticsModel(uint64_t dataset_hash, Metric metric,
-                              int min_pts, const OpticsResult& optics) {
+std::string EncodeOpticsModel(uint64_t dataset_hash, int min_pts,
+                              const OpticsResult& optics) {
   BlockBuilder builder(static_cast<uint32_t>(ArtifactKind::kOpticsModel));
   builder.AppendU64(dataset_hash);
-  builder.AppendU32(static_cast<uint32_t>(metric));
+  builder.AppendU32(kEuclideanRecord);
   builder.AppendU32(static_cast<uint32_t>(min_pts));
   builder.AppendSizes(optics.order);
   builder.AppendDoubles(optics.reachability);
@@ -164,8 +158,7 @@ std::string EncodeOpticsModel(uint64_t dataset_hash, Metric metric,
 }
 
 Result<OpticsResult> DecodeOpticsModel(std::string bytes,
-                                       uint64_t dataset_hash, Metric metric,
-                                       int min_pts) {
+                                       uint64_t dataset_hash, int min_pts) {
   CVCP_ASSIGN_OR_RETURN(
       BlockReader reader,
       BlockReader::Open(std::move(bytes),
@@ -173,8 +166,7 @@ Result<OpticsResult> DecodeOpticsModel(std::string bytes,
   CVCP_ASSIGN_OR_RETURN(uint64_t stored_hash, reader.ReadU64());
   CVCP_ASSIGN_OR_RETURN(uint32_t stored_metric, reader.ReadU32());
   CVCP_ASSIGN_OR_RETURN(uint32_t stored_min_pts, reader.ReadU32());
-  if (stored_hash != dataset_hash ||
-      stored_metric != static_cast<uint32_t>(metric) ||
+  if (stored_hash != dataset_hash || stored_metric != kEuclideanRecord ||
       stored_min_pts != static_cast<uint32_t>(min_pts)) {
     return Status::Corruption(
         "optics block is keyed to a different (dataset, metric, MinPts)");
@@ -242,42 +234,37 @@ Status ArtifactStore::WriteFileAtomic(const std::string& filename,
   return Status::OK();
 }
 
-Result<DistanceMatrix> ArtifactStore::LoadDistances(uint64_t dataset_hash,
-                                                    Metric metric) {
-  Result<std::string> bytes = ReadFile(DistanceFileName(dataset_hash, metric));
+Result<DistanceMatrix> ArtifactStore::LoadDistances(uint64_t dataset_hash) {
+  Result<std::string> bytes = ReadFile(DistanceFileName(dataset_hash));
   if (!bytes.ok()) return ClassifyMiss(bytes.status());
   Result<DistanceMatrix> decoded =
-      DecodeDistanceMatrix(std::move(bytes).value(), dataset_hash, metric);
+      DecodeDistanceMatrix(std::move(bytes).value(), dataset_hash);
   if (!decoded.ok()) return ClassifyMiss(decoded.status());
   disk_hits_.fetch_add(1, std::memory_order_relaxed);
   return decoded;
 }
 
-Status ArtifactStore::SaveDistances(uint64_t dataset_hash, Metric metric,
+Status ArtifactStore::SaveDistances(uint64_t dataset_hash,
                                     const DistanceMatrix& matrix) {
-  return WriteFileAtomic(DistanceFileName(dataset_hash, metric),
-                         EncodeDistanceMatrix(dataset_hash, metric, matrix));
+  return WriteFileAtomic(DistanceFileName(dataset_hash),
+                         EncodeDistanceMatrix(dataset_hash, matrix));
 }
 
 Result<OpticsResult> ArtifactStore::LoadOpticsModel(uint64_t dataset_hash,
-                                                    Metric metric,
                                                     int min_pts) {
-  Result<std::string> bytes =
-      ReadFile(OpticsFileName(dataset_hash, metric, min_pts));
+  Result<std::string> bytes = ReadFile(OpticsFileName(dataset_hash, min_pts));
   if (!bytes.ok()) return ClassifyMiss(bytes.status());
-  Result<OpticsResult> decoded = DecodeOpticsModel(
-      std::move(bytes).value(), dataset_hash, metric, min_pts);
+  Result<OpticsResult> decoded =
+      DecodeOpticsModel(std::move(bytes).value(), dataset_hash, min_pts);
   if (!decoded.ok()) return ClassifyMiss(decoded.status());
   disk_hits_.fetch_add(1, std::memory_order_relaxed);
   return decoded;
 }
 
-Status ArtifactStore::SaveOpticsModel(uint64_t dataset_hash, Metric metric,
-                                      int min_pts,
+Status ArtifactStore::SaveOpticsModel(uint64_t dataset_hash, int min_pts,
                                       const OpticsResult& optics) {
-  return WriteFileAtomic(OpticsFileName(dataset_hash, metric, min_pts),
-                         EncodeOpticsModel(dataset_hash, metric, min_pts,
-                                           optics));
+  return WriteFileAtomic(OpticsFileName(dataset_hash, min_pts),
+                         EncodeOpticsModel(dataset_hash, min_pts, optics));
 }
 
 Result<std::vector<ArtifactFileInfo>> ArtifactStore::List() const {

@@ -4,19 +4,24 @@
 /// \file
 /// The persistent (disk) tier of the compute-cache stack: serialized
 /// supervision-independent artifacts — condensed distance matrices and
-/// OPTICS models — in one block-format file each (common/block_format.h), so bench invocations and separate processes
+/// OPTICS models — in one block-format file each
+/// (common/block_format.h), so bench invocations and separate processes
 /// warm-start each other instead of recomputing identical geometry.
 ///
-/// Key scheme: every artifact is addressed by
+/// Key scheme: every artifact is Euclidean and addressed by
 ///
 ///   dataset content hash (Hash64 over dims + raw point bytes)
-///   × metric × artifact kind [× MinPts]
+///   × artifact kind [× MinPts]
 ///
-/// and the key is both the filename (`<hash>-<metric>-...cvcp`) and
-/// embedded in the payload, so a renamed or cross-linked file can never
-/// satisfy the wrong key. The format version lives in every block
-/// header; a version bump turns the whole store into misses, never into
-/// misreads.
+/// and the key is both the filename (`<hash16>-euc-dist.cvcp`,
+/// `<hash16>-euc-mpNNN-optics.cvcp`) and embedded in the payload, so a
+/// renamed or cross-linked file can never satisfy the wrong key. Names
+/// and payloads keep the metric field earlier builds keyed by: the `euc`
+/// tag, and a metric record written as 0 and checked on decode. Stores
+/// those builds wrote therefore stay warm; their files under another
+/// metric are never read, and `List` reports them invalid. The format
+/// version lives in every block header; a version bump turns the whole
+/// store into misses, never into misreads.
 ///
 /// Write discipline: serialize to `<name>.tmp.<pid>.<seq>`, then
 /// atomically rename over the final name. Readers therefore only ever
@@ -69,17 +74,15 @@ uint64_t HashMatrixContent(const Matrix& points);
 /// Serializers (exposed for tests and tools; the store wraps them in
 /// file IO). Encoded bytes are a sealed block; decoding validates the
 /// frame and the embedded key fields.
-std::string EncodeDistanceMatrix(uint64_t dataset_hash, Metric metric,
+std::string EncodeDistanceMatrix(uint64_t dataset_hash,
                                  const DistanceMatrix& matrix);
 Result<DistanceMatrix> DecodeDistanceMatrix(std::string bytes,
-                                            uint64_t dataset_hash,
-                                            Metric metric);
+                                            uint64_t dataset_hash);
 /// The optics decoder rejects blocks with records past the three arrays.
-std::string EncodeOpticsModel(uint64_t dataset_hash, Metric metric,
-                              int min_pts, const OpticsResult& optics);
+std::string EncodeOpticsModel(uint64_t dataset_hash, int min_pts,
+                              const OpticsResult& optics);
 Result<OpticsResult> DecodeOpticsModel(std::string bytes,
-                                       uint64_t dataset_hash, Metric metric,
-                                       int min_pts);
+                                       uint64_t dataset_hash, int min_pts);
 
 /// One file of a store directory, as seen by `List` (tools/store_inspect).
 struct ArtifactFileInfo {
@@ -116,22 +119,20 @@ class ArtifactStore {
 
   const std::string& directory() const { return directory_; }
 
-  /// Loads the condensed distance matrix for (dataset, metric). Errors:
+  /// Loads the condensed distance matrix for a dataset. Errors:
   /// kNotFound (cold key), kCorruption (damaged bytes, key mismatch),
   /// kFailedPrecondition (format-version skew) — all counted and all
   /// meaning "recompute".
-  Result<DistanceMatrix> LoadDistances(uint64_t dataset_hash, Metric metric);
-  Status SaveDistances(uint64_t dataset_hash, Metric metric,
-                       const DistanceMatrix& matrix);
+  Result<DistanceMatrix> LoadDistances(uint64_t dataset_hash);
+  Status SaveDistances(uint64_t dataset_hash, const DistanceMatrix& matrix);
 
   /// Loads / saves the supervision-independent OPTICS stage of a
   /// FOSC-OPTICSDend model. Only the OPTICS result is stored: the
   /// dendrogram is a deterministic pure function of it
   /// (Dendrogram::FromReachability), so the reader rebuilds it and the
   /// bytes stay minimal.
-  Result<OpticsResult> LoadOpticsModel(uint64_t dataset_hash, Metric metric,
-                                       int min_pts);
-  Status SaveOpticsModel(uint64_t dataset_hash, Metric metric, int min_pts,
+  Result<OpticsResult> LoadOpticsModel(uint64_t dataset_hash, int min_pts);
+  Status SaveOpticsModel(uint64_t dataset_hash, int min_pts,
                          const OpticsResult& optics);
 
   /// Every `*.cvcp` file in the directory with its validation outcome.

@@ -22,7 +22,7 @@ void FoscOpticsDendClusterer::PrewarmCache(const Dataset& data,
                                            const ExecutionContext& exec) const {
   (void)data;  // the cache already fronts the dataset's points
   if (cache == nullptr) return;
-  cache->Prewarm(metric_, param_grid, exec);
+  cache->Prewarm(param_grid, exec);
 }
 
 Result<Clustering> FoscOpticsDendClusterer::ExtractWithSupervision(
@@ -39,12 +39,13 @@ Result<Clustering> FoscOpticsDendClusterer::DoCluster(
   (void)rng;  // the pipeline is deterministic
   // The supervision-independent model comes from the dataset cache — one
   // private to this call when none is shared — so a shared cache runs
-  // OPTICS once per (metric, MinPts) instead of once per fold×trial.
+  // OPTICS once per MinPts instead of once per fold×trial.
   std::optional<DatasetCache> own;
   DatasetCache* cache = context.cache;
   if (cache == nullptr) cache = &own.emplace(data.points());
   CVCP_ASSIGN_OR_RETURN(std::shared_ptr<const FoscOpticsModel> model,
-                        cache->FoscModel(metric_, param, context.exec));
+                        cache->FoscModel(Metric::kEuclidean, param,
+                                         context.exec));
   return ExtractWithSupervision(*model, supervision);
 }
 

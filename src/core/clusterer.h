@@ -106,9 +106,7 @@ class SemiSupervisedClusterer {
 /// the constraints.
 class FoscOpticsDendClusterer : public SemiSupervisedClusterer {
  public:
-  explicit FoscOpticsDendClusterer(FoscConfig fosc = {},
-                                   Metric metric = Metric::kEuclidean)
-      : fosc_(fosc), metric_(metric) {}
+  explicit FoscOpticsDendClusterer(FoscConfig fosc = {}) : fosc_(fosc) {}
 
   std::string name() const override { return "FOSC-OPTICSDend"; }
   std::string param_name() const override { return "MinPts"; }
@@ -118,7 +116,8 @@ class FoscOpticsDendClusterer : public SemiSupervisedClusterer {
   Result<Clustering> ExtractWithSupervision(
       const FoscOpticsModel& model, const Supervision& supervision) const;
 
-  Metric metric() const { return metric_; }
+  /// Always Euclidean; kept for the repository benchmark (see Metric).
+  Metric metric() const { return Metric::kEuclidean; }
 
   /// Warms the cache's distance matrix and every grid model — the whole
   /// supervision-independent phase — before the fan-out.
@@ -134,7 +133,6 @@ class FoscOpticsDendClusterer : public SemiSupervisedClusterer {
 
  private:
   FoscConfig fosc_;
-  Metric metric_;
 };
 
 /// MPCKMeans (param = k).

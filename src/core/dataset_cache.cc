@@ -3,6 +3,7 @@
 #include <chrono>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/strings.h"
 
@@ -44,8 +45,8 @@ DatasetCache::DatasetCache(const Matrix& points, DatasetCacheTiers tiers)
 }
 
 std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
-    Metric metric, const ExecutionContext& exec) {
-  const std::string key = DistanceKey(metric);
+    Metric, const ExecutionContext& exec) {
+  const std::string key = DistanceKey();
   if (auto resident = memory_->LookupAs<DistanceMatrix>(key)) {
     distance_hits_.fetch_add(1, std::memory_order_relaxed);
     return resident;
@@ -57,8 +58,7 @@ std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
   // discarded.
   if (store_ != nullptr) {
     const auto start = std::chrono::steady_clock::now();
-    Result<DistanceMatrix> loaded =
-        store_->LoadDistances(content_hash_, metric);
+    Result<DistanceMatrix> loaded = store_->LoadDistances(content_hash_);
     if (loaded.ok()) {
       auto value = std::make_shared<const DistanceMatrix>(
           std::move(loaded).value());
@@ -77,7 +77,7 @@ std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
   }
   const auto start = std::chrono::steady_clock::now();
   auto built = std::make_shared<const DistanceMatrix>(
-      DistanceMatrix::Compute(*points_, metric, exec));
+      DistanceMatrix::Compute(*points_, Metric::kEuclidean, exec));
   const double ms = MsSince(start);
   const size_t charge = DistanceCharge(*built);
   auto published = std::static_pointer_cast<const DistanceMatrix>(
@@ -90,44 +90,41 @@ std::shared_ptr<const DistanceMatrix> DatasetCache::Distances(
   // Persist only from the winning publisher, so racing builders do not
   // queue redundant (byte-identical) writes.
   if (store_ != nullptr && published == built &&
-      store_->SaveDistances(content_hash_, metric, *published).ok()) {
+      store_->SaveDistances(content_hash_, *published).ok()) {
     MutexLock lock(&mu_);
     persisted_distances_.insert(key);
   }
   return published;
 }
 
-std::string DatasetCache::DistanceKey(Metric metric) const {
-  return Format("%016llx-m%d-dist",
-                static_cast<unsigned long long>(content_hash_),
-                static_cast<int>(metric));
+std::string DatasetCache::DistanceKey() const {
+  return Format("%016llx-dist", static_cast<unsigned long long>(content_hash_));
 }
 
-std::string DatasetCache::ModelKey(Metric metric, int min_pts) const {
-  return Format("%016llx-m%d-mp%d-model",
-                static_cast<unsigned long long>(content_hash_),
-                static_cast<int>(metric), min_pts);
+std::string DatasetCache::ModelKey(int min_pts) const {
+  return Format("%016llx-mp%d-model",
+                static_cast<unsigned long long>(content_hash_), min_pts);
 }
 
 std::optional<Result<DatasetCache::ModelPtr>> DatasetCache::ResidentModel(
-    const std::string& key, Metric metric, int min_pts) {
+    const std::string& key, int min_pts) {
   if (auto resident = memory_->LookupAs<FoscOpticsModel>(key)) {
     model_hits_.fetch_add(1, std::memory_order_relaxed);
     return ModelPtr(resident);
   }
   MutexLock lock(&mu_);
-  auto it = model_errors_memo_.find({static_cast<int>(metric), min_pts});
+  auto it = model_errors_memo_.find(min_pts);
   if (it == model_errors_memo_.end()) return std::nullopt;
   model_hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second;
 }
 
 DatasetCache::ModelPtr DatasetCache::StoredModel(const std::string& key,
-                                                 Metric metric, int min_pts) {
+                                                 int min_pts) {
   if (store_ == nullptr) return nullptr;
   const auto start = std::chrono::steady_clock::now();
   Result<OpticsResult> loaded =
-      store_->LoadOpticsModel(content_hash_, metric, min_pts);
+      store_->LoadOpticsModel(content_hash_, min_pts);
   if (!loaded.ok()) return nullptr;
   auto model = std::make_shared<FoscOpticsModel>();
   model->optics = std::move(loaded).value();
@@ -145,16 +142,14 @@ DatasetCache::ModelPtr DatasetCache::StoredModel(const std::string& key,
 }
 
 Result<DatasetCache::ModelPtr> DatasetCache::BuildModel(
-    const std::string& key, Metric metric, int min_pts,
-    const ExecutionContext& exec) {
+    const std::string& key, int min_pts, const ExecutionContext& exec) {
   // The distance build is *not* part of the model wall time: it is shared
   // by every param and reported as its own stage.
   const std::shared_ptr<const DistanceMatrix> distances =
-      Distances(metric, exec);
+      Distances(Metric::kEuclidean, exec);
   const auto start = std::chrono::steady_clock::now();
   OpticsConfig config;
   config.min_pts = min_pts;
-  config.metric = metric;
   Result<OpticsResult> optics = RunOptics(*distances, config);
   if (!optics.ok()) {
     model_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -162,9 +157,8 @@ Result<DatasetCache::ModelPtr> DatasetCache::BuildModel(
     MutexLock lock(&mu_);
     model_build_ms_ += ms;
     // First publisher wins for errors too (identical statuses anyway).
-    auto [it, inserted] = model_errors_memo_.emplace(
-        std::pair<int, int>{static_cast<int>(metric), min_pts},
-        optics.status());
+    auto [it, inserted] =
+        model_errors_memo_.emplace(min_pts, optics.status());
     return it->second;
   }
   auto model = std::make_shared<FoscOpticsModel>();
@@ -180,28 +174,27 @@ Result<DatasetCache::ModelPtr> DatasetCache::BuildModel(
     model_build_ms_ += ms;
   }
   if (store_ != nullptr && published == built) {
-    store_->SaveOpticsModel(content_hash_, metric, min_pts,
-                            published->optics);
+    store_->SaveOpticsModel(content_hash_, min_pts, published->optics);
   }
   return ModelPtr(published);
 }
 
 Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
-    Metric metric, int min_pts, const ExecutionContext& exec) {
-  const std::string key = ModelKey(metric, min_pts);
-  if (auto resident = ResidentModel(key, metric, min_pts)) {
+    Metric, int min_pts, const ExecutionContext& exec) {
+  const std::string key = ModelKey(min_pts);
+  if (auto resident = ResidentModel(key, min_pts)) {
     return *std::move(resident);
   }
-  if (ModelPtr stored = StoredModel(key, metric, min_pts)) return stored;
-  return BuildModel(key, metric, min_pts, exec);
+  if (ModelPtr stored = StoredModel(key, min_pts)) return stored;
+  return BuildModel(key, min_pts, exec);
 }
 
-void DatasetCache::Prewarm(Metric metric, std::span<const int> min_pts_grid,
+void DatasetCache::Prewarm(std::span<const int> min_pts_grid,
                            const ExecutionContext& exec) {
   // Memory first: a resident grid costs G lookups and no fan-out.
   std::vector<int> absent;
   for (int min_pts : min_pts_grid) {
-    if (!ResidentModel(ModelKey(metric, min_pts), metric, min_pts)) {
+    if (!ResidentModel(ModelKey(min_pts), min_pts)) {
       absent.push_back(min_pts);
     }
   }
@@ -213,8 +206,7 @@ void DatasetCache::Prewarm(Metric metric, std::span<const int> min_pts_grid,
   std::vector<char> loaded(absent.size(), 0);
   if (store_ != nullptr) {
     ParallelFor(exec, absent.size(), [&](size_t i) {
-      loaded[i] = StoredModel(ModelKey(metric, absent[i]), metric,
-                              absent[i]) != nullptr;
+      loaded[i] = StoredModel(ModelKey(absent[i]), absent[i]) != nullptr;
     });
   }
   std::vector<int> missing;
@@ -224,14 +216,14 @@ void DatasetCache::Prewarm(Metric metric, std::span<const int> min_pts_grid,
   if (missing.empty() || exec.cancel.Cancelled()) return;
   // Build the rest over one matrix, one lane per grid value. A lane that
   // finds its model published meanwhile (a racing job) adopts it.
-  const std::string distance_key = DistanceKey(metric);
+  const std::string distance_key = DistanceKey();
   {
     const std::shared_ptr<const DistanceMatrix> distances =
-        Distances(metric, exec);
+        Distances(Metric::kEuclidean, exec);
     ParallelFor(exec, missing.size(), [&](size_t i) {
-      const std::string key = ModelKey(metric, missing[i]);
-      if (!ResidentModel(key, metric, missing[i])) {
-        BuildModel(key, metric, missing[i], serial);
+      const std::string key = ModelKey(missing[i]);
+      if (!ResidentModel(key, missing[i])) {
+        BuildModel(key, missing[i], serial);
       }
     });
   }

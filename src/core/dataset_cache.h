@@ -6,14 +6,14 @@
 /// CVCP pipeline. The paper's protocol runs one dataset through
 /// G grid values × F folds × T trials, but the expensive geometry —
 /// pairwise distances, OPTICS reachability, the OPTICSDend dendrogram —
-/// depends only on (points, metric, param), never on the supervision or
-/// the RNG. A `DatasetCache` therefore memoizes:
+/// depends only on (points, param), never on the supervision or the RNG.
+/// A `DatasetCache` therefore memoizes:
 ///
-///   * one condensed `DistanceMatrix` per metric, built lazily by the
+///   * one condensed Euclidean `DistanceMatrix`, built lazily by the
 ///     first caller (parallel `DistanceMatrix::Compute`) and shared by
 ///     every CVCP cell, selector sweep, and trial lane that follows;
-///   * one `FoscOpticsModel` (OPTICS result + dendrogram) per
-///     (metric, MinPts) key — with the cache, `ScoreGridOnFolds` runs
+///   * one `FoscOpticsModel` (OPTICS result + dendrogram) per MinPts
+///     — with the cache, `ScoreGridOnFolds` runs
 ///     OPTICS once per grid value instead of once per (grid value, fold)
 ///     cell per trial.
 ///
@@ -46,16 +46,18 @@
 /// call) builds one private to that call.
 ///
 /// Determinism contract: the cache returns the *same doubles* as a
-/// computation from the points — `DistanceMatrix::Compute` calls the same
-/// `Distance()` an on-the-fly scan calls, OPTICS over the matrix is the
+/// computation from the points — `DistanceMatrix::Compute` runs the same
+/// squared-Euclidean kernel and square root an on-the-fly
+/// `EuclideanDistance` scan runs, OPTICS over the matrix is the
 /// same algorithm over the same values, and a disk round trip preserves
 /// every IEEE-754 bit pattern (block_format.h) — so every report is
 /// byte-identical cold or warm, shared or private (pinned against the
 /// cache-less oracles of tests/geometry_oracle.h).
 ///
 /// Keys: every memory key and store file name derives from the dataset's
-/// content hash, the metric and (for models) MinPts — nothing else can
-/// change a distance bit.
+/// content hash and (for models) MinPts — nothing else can change a
+/// distance bit. The `Metric` arguments of `Distances` and `FoscModel`
+/// are unread (see Metric).
 ///
 /// Lifetime: a cache instance borrows the points matrix and the tier
 /// objects; it must not outlive any of them. All methods are thread-safe.
@@ -68,7 +70,6 @@
 #include <set>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cluster/dendrogram.h"
@@ -86,7 +87,7 @@ namespace cvcp {
 
 /// The supervision-independent model of one FOSC-OPTICSDend run: the
 /// OPTICS cluster ordering and the reachability dendrogram built from it.
-/// Identical for every fold and trial at the same (metric, MinPts), which
+/// Identical for every fold and trial at the same MinPts, which
 /// is exactly what makes it cacheable: constraints only enter at the FOSC
 /// extraction stage (see FoscOpticsDendClusterer::ExtractWithSupervision).
 struct FoscOpticsModel {
@@ -120,23 +121,23 @@ class DatasetCache {
   /// The dataset's content hash — the cross-process artifact key.
   uint64_t content_hash() const { return content_hash_; }
 
-  /// The condensed pairwise distance matrix under `metric`. Resolution
+  /// The condensed pairwise Euclidean distance matrix. Resolution
   /// order: memory LRU, then disk store, then `DistanceMatrix::Compute` on
   /// `exec.threads` workers (publishing to both tiers). Racing first-touch
   /// callers each resolve independently and the first publisher wins (see
   /// file comment). The returned pointer keeps the matrix alive
   /// independent of the cache.
   std::shared_ptr<const DistanceMatrix> Distances(
-      Metric metric, const ExecutionContext& exec);
+      Metric, const ExecutionContext& exec);
 
-  /// The memoized FOSC-OPTICSDend model for (metric, min_pts): OPTICS over
+  /// The memoized FOSC-OPTICSDend model for `min_pts`: OPTICS over
   /// the cached distance matrix plus the dendrogram. The disk tier stores
   /// only the OPTICS stage; the dendrogram is rebuilt deterministically on
   /// load. Build errors (e.g. min_pts out of range) are memoized
   /// per-dataset — never persisted — so every caller sees exactly the
   /// status `RunOptics` returns.
   Result<std::shared_ptr<const FoscOpticsModel>> FoscModel(
-      Metric metric, int min_pts, const ExecutionContext& exec);
+      Metric, int min_pts, const ExecutionContext& exec);
 
   /// Resolves every grid model up front, so the trial fan-out that
   /// follows only ever hits: first from memory, then from the store in
@@ -147,7 +148,7 @@ class DatasetCache {
   /// it, and a later `Distances()` caller reloads identical bits from
   /// disk. Per-param build errors are memoized exactly as a lazy first
   /// call would memoize them and do not abort the warm-up.
-  void Prewarm(Metric metric, std::span<const int> min_pts_grid,
+  void Prewarm(std::span<const int> min_pts_grid,
                const ExecutionContext& exec);
 
   /// Cache effectiveness counters (for the bench_micro cache table). A
@@ -177,20 +178,20 @@ class DatasetCache {
   using ModelPtr = std::shared_ptr<const FoscOpticsModel>;
 
   /// Memory-tier keys.
-  std::string DistanceKey(Metric metric) const;
-  std::string ModelKey(Metric metric, int min_pts) const;
+  std::string DistanceKey() const;
+  std::string ModelKey(int min_pts) const;
 
   /// The model (or memoized build error) from memory, counting a hit;
   /// nullopt when neither holds the key.
   std::optional<Result<ModelPtr>> ResidentModel(const std::string& key,
-                                                Metric metric, int min_pts);
+                                                int min_pts);
   /// The model loaded from the store and published, counting a load;
   /// null on any miss (counted by the store).
-  ModelPtr StoredModel(const std::string& key, Metric metric, int min_pts);
+  ModelPtr StoredModel(const std::string& key, int min_pts);
   /// Runs OPTICS over the matrix and publishes the model (first
   /// publisher wins, and only it persists); memoizes a build error.
-  Result<ModelPtr> BuildModel(const std::string& key, Metric metric,
-                              int min_pts, const ExecutionContext& exec);
+  Result<ModelPtr> BuildModel(const std::string& key, int min_pts,
+                              const ExecutionContext& exec);
 
   const Matrix* points_;
   uint64_t content_hash_;
@@ -200,9 +201,9 @@ class DatasetCache {
 
   // Error memo: per-dataset, unbounded (a handful of bad params at most),
   // deliberately outside the LRU so an eviction can never flip an errored
-  // key back to a rebuild with different stats.
+  // key back to a rebuild with different stats. Keyed by MinPts.
   mutable Mutex mu_;
-  std::map<std::pair<int, int>, Status> model_errors_memo_ GUARDED_BY(mu_);
+  std::map<int, Status> model_errors_memo_ GUARDED_BY(mu_);
   // Distance keys this front-end loaded from, or saved to, the store.
   std::set<std::string> persisted_distances_ GUARDED_BY(mu_);
 

@@ -108,8 +108,9 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "cvcp_serve: listening on %s\n",
                config.socket_path.c_str());
 
-  // The CondVar shim has no timed wait, so the main thread polls the two
-  // shutdown signals (OS signal, client request) at a human-scale period.
+  // A signal handler may only set a flag (it cannot notify a condition
+  // variable), so the main thread polls the two shutdown signals (OS
+  // signal, client request) at a human-scale period.
   while (g_signal == 0 && !server.ShutdownRequested()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }

@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/block_format.h"
@@ -74,8 +76,8 @@ TEST(ArtifactStoreTest, DistanceMatrixRoundTripsBitExact) {
   const uint64_t hash = HashMatrixContent(points);
   const DistanceMatrix dm = DistanceMatrix::Compute(points, Metric::kEuclidean);
 
-  ASSERT_TRUE(store.SaveDistances(hash, Metric::kEuclidean, dm).ok());
-  auto loaded = store.LoadDistances(hash, Metric::kEuclidean);
+  ASSERT_TRUE(store.SaveDistances(hash, dm).ok());
+  auto loaded = store.LoadDistances(hash);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->n(), dm.n());
   ASSERT_EQ(loaded->condensed().size(), dm.condensed().size());
@@ -93,9 +95,8 @@ TEST(ArtifactStoreTest, DistanceMatrixRoundTripsBitExact) {
 TEST(ArtifactStoreTest, OpticsModelRoundTripsBitExact) {
   ArtifactStore store(FreshDir("optics"));
   const OpticsResult optics = FixtureOptics();
-  ASSERT_TRUE(
-      store.SaveOpticsModel(0xABCDEF01u, Metric::kEuclidean, 5, optics).ok());
-  auto loaded = store.LoadOpticsModel(0xABCDEF01u, Metric::kEuclidean, 5);
+  ASSERT_TRUE(store.SaveOpticsModel(0xABCDEF01u, 5, optics).ok());
+  auto loaded = store.LoadOpticsModel(0xABCDEF01u, 5);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->order, optics.order);
   for (size_t i = 0; i < optics.reachability.size(); ++i) {
@@ -109,7 +110,7 @@ TEST(ArtifactStoreTest, OpticsModelRoundTripsBitExact) {
 
 TEST(ArtifactStoreTest, ColdKeyIsNotFoundMiss) {
   ArtifactStore store(FreshDir("cold"));
-  auto loaded = store.LoadOpticsModel(1, Metric::kEuclidean, 3);
+  auto loaded = store.LoadOpticsModel(1, 3);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
   const auto stats = store.stats();
@@ -120,13 +121,12 @@ TEST(ArtifactStoreTest, ColdKeyIsNotFoundMiss) {
 TEST(ArtifactStoreTest, TruncatedFileIsCountedCorruptMiss) {
   const std::string dir = FreshDir("truncated");
   ArtifactStore store(dir);
-  ASSERT_TRUE(
-      store.SaveOpticsModel(7, Metric::kEuclidean, 4, FixtureOptics()).ok());
+  ASSERT_TRUE(store.SaveOpticsModel(7, 4, FixtureOptics()).ok());
   const std::string file = OnlyFile(dir);
   const auto full_size = fs::file_size(file);
   fs::resize_file(file, full_size / 2);
 
-  auto loaded = store.LoadOpticsModel(7, Metric::kEuclidean, 4);
+  auto loaded = store.LoadOpticsModel(7, 4);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   EXPECT_EQ(store.stats().corrupt_misses, 1u);
@@ -135,8 +135,7 @@ TEST(ArtifactStoreTest, TruncatedFileIsCountedCorruptMiss) {
 TEST(ArtifactStoreTest, FlippedBitIsCountedCorruptMiss) {
   const std::string dir = FreshDir("flipped");
   ArtifactStore store(dir);
-  ASSERT_TRUE(
-      store.SaveOpticsModel(8, Metric::kEuclidean, 4, FixtureOptics()).ok());
+  ASSERT_TRUE(store.SaveOpticsModel(8, 4, FixtureOptics()).ok());
   const std::string file = OnlyFile(dir);
   {
     std::fstream io(file, std::ios::in | std::ios::out | std::ios::binary);
@@ -146,7 +145,7 @@ TEST(ArtifactStoreTest, FlippedBitIsCountedCorruptMiss) {
     io.seekp(30);
     io.put(static_cast<char>(byte ^ 0x04));
   }
-  auto loaded = store.LoadOpticsModel(8, Metric::kEuclidean, 4);
+  auto loaded = store.LoadOpticsModel(8, 4);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   EXPECT_EQ(store.stats().corrupt_misses, 1u);
@@ -157,8 +156,7 @@ TEST(ArtifactStoreTest, RenamedFileFailsTheEmbeddedKeyCheck) {
   ArtifactStore store(dir);
   // Save under MinPts 4, then move the file onto MinPts 9's name: the
   // frame is intact, but the embedded key must refuse to serve it.
-  ASSERT_TRUE(
-      store.SaveOpticsModel(9, Metric::kEuclidean, 4, FixtureOptics()).ok());
+  ASSERT_TRUE(store.SaveOpticsModel(9, 4, FixtureOptics()).ok());
   const std::string mp4_file = OnlyFile(dir);
   std::string mp9_file = mp4_file;
   const size_t pos = mp9_file.find("mp004");
@@ -166,7 +164,7 @@ TEST(ArtifactStoreTest, RenamedFileFailsTheEmbeddedKeyCheck) {
   mp9_file.replace(pos, 5, "mp009");
   fs::rename(mp4_file, mp9_file);
 
-  auto loaded = store.LoadOpticsModel(9, Metric::kEuclidean, 9);
+  auto loaded = store.LoadOpticsModel(9, 9);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   EXPECT_EQ(store.stats().corrupt_misses, 1u);
@@ -175,8 +173,7 @@ TEST(ArtifactStoreTest, RenamedFileFailsTheEmbeddedKeyCheck) {
 TEST(ArtifactStoreTest, VersionSkewIsCountedVersionMiss) {
   const std::string dir = FreshDir("version");
   ArtifactStore store(dir);
-  ASSERT_TRUE(
-      store.SaveOpticsModel(10, Metric::kEuclidean, 4, FixtureOptics()).ok());
+  ASSERT_TRUE(store.SaveOpticsModel(10, 4, FixtureOptics()).ok());
   // Re-seal the file as a future format version (patch version field,
   // recompute the CRC) — a downgrade scenario.
   const std::string file = OnlyFile(dir);
@@ -197,7 +194,7 @@ TEST(ArtifactStoreTest, VersionSkewIsCountedVersionMiss) {
     std::ofstream out(file, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  auto loaded = store.LoadOpticsModel(10, Metric::kEuclidean, 4);
+  auto loaded = store.LoadOpticsModel(10, 4);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(store.stats().version_misses, 1u);
@@ -213,10 +210,9 @@ TEST(ArtifactStoreTest, ConcurrentSameKeyWritersConverge) {
   // Deterministic artifacts: racing writers produce byte-identical files,
   // so whichever rename lands last, the stored bytes decode identically.
   ParallelFor(exec, 16, [&](size_t) {
-    ASSERT_TRUE(
-        store.SaveOpticsModel(11, Metric::kEuclidean, 4, optics).ok());
+    ASSERT_TRUE(store.SaveOpticsModel(11, 4, optics).ok());
   });
-  auto loaded = store.LoadOpticsModel(11, Metric::kEuclidean, 4);
+  auto loaded = store.LoadOpticsModel(11, 4);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->order, optics.order);
   EXPECT_EQ(store.stats().writes, 16u);
@@ -235,16 +231,11 @@ TEST(ArtifactStoreTest, ListReportsKindsAndValidity) {
   const Matrix points = FixturePoints();
   const uint64_t hash = HashMatrixContent(points);
   ASSERT_TRUE(store
-                  .SaveDistances(hash, Metric::kEuclidean,
-                                 DistanceMatrix::Compute(points,
-                                                         Metric::kEuclidean))
+                  .SaveDistances(hash, DistanceMatrix::Compute(
+                                           points, Metric::kEuclidean))
                   .ok());
-  ASSERT_TRUE(
-      store.SaveOpticsModel(hash, Metric::kEuclidean, 4, FixtureOptics())
-          .ok());
-  ASSERT_TRUE(
-      store.SaveOpticsModel(hash, Metric::kEuclidean, 5, FixtureOptics())
-          .ok());
+  ASSERT_TRUE(store.SaveOpticsModel(hash, 4, FixtureOptics()).ok());
+  ASSERT_TRUE(store.SaveOpticsModel(hash, 5, FixtureOptics()).ok());
   // Damage one optics file so List flags exactly one invalid entry.
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.path().string().find("mp004-optics") == std::string::npos) {
@@ -279,11 +270,11 @@ TEST(ArtifactStoreTest, ListReportsKindsAndValidity) {
 
 // The optics block an earlier float32 distance mode wrote: the f64
 // arrays plus one trailing u32 marker record (= 1).
-std::string LegacyMarkedOpticsBlock(uint64_t hash, Metric metric,
-                                    int min_pts, const OpticsResult& optics) {
+std::string LegacyMarkedOpticsBlock(uint64_t hash, int min_pts,
+                                    const OpticsResult& optics) {
   BlockBuilder builder(static_cast<uint32_t>(ArtifactKind::kOpticsModel));
   builder.AppendU64(hash);
-  builder.AppendU32(static_cast<uint32_t>(metric));
+  builder.AppendU32(0);  // the Euclidean metric record
   builder.AppendU32(static_cast<uint32_t>(min_pts));
   builder.AppendSizes(optics.order);
   builder.AppendDoubles(optics.reachability);
@@ -294,11 +285,11 @@ std::string LegacyMarkedOpticsBlock(uint64_t hash, Metric metric,
 
 // The kind-4 block an earlier float32 distance mode wrote: the key
 // records, then every condensed value as little-endian float bits.
-std::string LegacyNarrowDistanceBlock(uint64_t hash, Metric metric,
+std::string LegacyNarrowDistanceBlock(uint64_t hash,
                                       const DistanceMatrix& dm) {
   BlockBuilder builder(4);
   builder.AppendU64(hash);
-  builder.AppendU32(static_cast<uint32_t>(metric));
+  builder.AppendU32(0);  // the Euclidean metric record
   builder.AppendU64(dm.n());
   std::string floats;
   for (double value : dm.condensed()) {
@@ -330,15 +321,15 @@ TEST(ArtifactStoreTest, MixedModeDistancesAreDisjointFamilies) {
   const std::string name =
       Format("%016llx-euc-dist-f32.cvcp", static_cast<unsigned long long>(hash));
   WriteBytes(fs::path(dir) / name,
-             LegacyNarrowDistanceBlock(hash, Metric::kEuclidean, dm));
+             LegacyNarrowDistanceBlock(hash, dm));
 
-  auto miss = store.LoadDistances(hash, Metric::kEuclidean);
+  auto miss = store.LoadDistances(hash);
   ASSERT_FALSE(miss.ok());
   EXPECT_EQ(miss.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(store.stats().disk_misses, 1u);
 
-  ASSERT_TRUE(store.SaveDistances(hash, Metric::kEuclidean, dm).ok());
-  auto hit = store.LoadDistances(hash, Metric::kEuclidean);
+  ASSERT_TRUE(store.SaveDistances(hash, dm).ok());
+  auto hit = store.LoadDistances(hash);
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   EXPECT_EQ(hit->condensed(), dm.condensed());
 
@@ -360,12 +351,12 @@ TEST(ArtifactStoreTest, OpticsStorageModesAreKeyedApart) {
   ArtifactStore store(dir);
   const OpticsResult optics = FixtureOptics();
   WriteBytes(fs::path(dir) / "0000000000000015-euc-mp004-optics-f32.cvcp",
-             LegacyMarkedOpticsBlock(21, Metric::kEuclidean, 4, optics));
-  auto miss = store.LoadOpticsModel(21, Metric::kEuclidean, 4);
+             LegacyMarkedOpticsBlock(21, 4, optics));
+  auto miss = store.LoadOpticsModel(21, 4);
   ASSERT_FALSE(miss.ok());
   EXPECT_EQ(miss.status().code(), StatusCode::kNotFound);
-  ASSERT_TRUE(store.SaveOpticsModel(21, Metric::kEuclidean, 4, optics).ok());
-  auto hit = store.LoadOpticsModel(21, Metric::kEuclidean, 4);
+  ASSERT_TRUE(store.SaveOpticsModel(21, 4, optics).ok());
+  auto hit = store.LoadOpticsModel(21, 4);
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   EXPECT_EQ(hit->order, optics.order);
   auto listed = store.List();
@@ -379,13 +370,11 @@ TEST(ArtifactStoreTest, CrossModeRenamedOpticsIsRefused) {
   // A marked (float32-derived) optics block under the f64 name: the frame
   // and CRC are intact, but the decoder refuses records past the arrays.
   // Never served, always a counted corrupt miss.
-  ASSERT_TRUE(
-      store.SaveOpticsModel(22, Metric::kEuclidean, 4, FixtureOptics()).ok());
+  ASSERT_TRUE(store.SaveOpticsModel(22, 4, FixtureOptics()).ok());
   const std::string file = OnlyFile(dir);
-  WriteBytes(file, LegacyMarkedOpticsBlock(22, Metric::kEuclidean, 4,
-                                           FixtureOptics()));
+  WriteBytes(file, LegacyMarkedOpticsBlock(22, 4, FixtureOptics()));
 
-  auto loaded = store.LoadOpticsModel(22, Metric::kEuclidean, 4);
+  auto loaded = store.LoadOpticsModel(22, 4);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   EXPECT_EQ(store.stats().corrupt_misses, 1u);
@@ -397,11 +386,24 @@ TEST(ArtifactStoreTest, CrossModeRenamedOpticsIsRefused) {
   EXPECT_FALSE((*listed)[0].detail.empty());
 }
 
+// The distance block an earlier build wrote under a metric other than
+// Euclidean (metric record 1 squared Euclidean, 2 Manhattan, 3 cosine).
+std::string RetiredMetricDistanceBlock(uint64_t hash, uint32_t metric,
+                                       const DistanceMatrix& dm) {
+  BlockBuilder builder(static_cast<uint32_t>(ArtifactKind::kDistanceMatrix));
+  builder.AppendU64(hash);
+  builder.AppendU32(metric);
+  builder.AppendU64(dm.n());
+  builder.AppendDoubles(dm.condensed());
+  return builder.Finish();
+}
+
 // Upgrade path: a directory an earlier version wrote still holds blocks of
 // kinds this build no longer reads — cell timings (kind 3), float32
-// distance matrices (kind 4) and marked optics models — under their old
-// filenames, next to f64 artifacts of the same key. The f64 artifacts are
-// served bit-exact, and List flags exactly the three leftovers.
+// distance matrices (kind 4) and marked optics models — and a distance
+// matrix under a retired metric, under their old filenames, next to f64
+// Euclidean artifacts of the same key. The Euclidean artifacts are served
+// bit-exact, and List flags exactly the four leftovers.
 TEST(ArtifactStoreTest, LegacyFilesOfRemovedKindsAreFlaggedAndNeverServed) {
   const std::string dir = FreshDir("legacy");
   ArtifactStore store(dir);
@@ -409,8 +411,8 @@ TEST(ArtifactStoreTest, LegacyFilesOfRemovedKindsAreFlaggedAndNeverServed) {
   const uint64_t hash = HashMatrixContent(points);
   const DistanceMatrix dm = DistanceMatrix::Compute(points, Metric::kEuclidean);
   const OpticsResult optics = FixtureOptics();
-  ASSERT_TRUE(store.SaveDistances(hash, Metric::kEuclidean, dm).ok());
-  ASSERT_TRUE(store.SaveOpticsModel(hash, Metric::kEuclidean, 4, optics).ok());
+  ASSERT_TRUE(store.SaveDistances(hash, dm).ok());
+  ASSERT_TRUE(store.SaveOpticsModel(hash, 4, optics).ok());
 
   const std::string prefix =
       Format("%016llx", static_cast<unsigned long long>(hash));
@@ -424,19 +426,27 @@ TEST(ArtifactStoreTest, LegacyFilesOfRemovedKindsAreFlaggedAndNeverServed) {
              timings.Finish());
 
   WriteBytes(fs::path(dir) / (prefix + "-euc-dist-f32.cvcp"),
-             LegacyNarrowDistanceBlock(hash, Metric::kEuclidean, dm));
+             LegacyNarrowDistanceBlock(hash, dm));
 
   WriteBytes(fs::path(dir) / (prefix + "-euc-mp004-optics-f32.cvcp"),
-             LegacyMarkedOpticsBlock(hash, Metric::kEuclidean, 4, optics));
+             LegacyMarkedOpticsBlock(hash, 4, optics));
 
-  auto distances = store.LoadDistances(hash, Metric::kEuclidean);
+  // Manhattan, metric record 2. Under the Euclidean name it would fail
+  // the embedded-key check as well.
+  const std::string manhattan = RetiredMetricDistanceBlock(hash, 2, dm);
+  WriteBytes(fs::path(dir) / (prefix + "-man-dist.cvcp"), manhattan);
+  const Result<DistanceMatrix> misread = DecodeDistanceMatrix(manhattan, hash);
+  ASSERT_FALSE(misread.ok());
+  EXPECT_EQ(misread.status().code(), StatusCode::kCorruption);
+
+  auto distances = store.LoadDistances(hash);
   ASSERT_TRUE(distances.ok()) << distances.status().ToString();
   ASSERT_EQ(distances->condensed().size(), dm.condensed().size());
   for (size_t i = 0; i < dm.condensed().size(); ++i) {
     EXPECT_EQ(std::bit_cast<uint64_t>(distances->condensed()[i]),
               std::bit_cast<uint64_t>(dm.condensed()[i]));
   }
-  auto model = store.LoadOpticsModel(hash, Metric::kEuclidean, 4);
+  auto model = store.LoadOpticsModel(hash, 4);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   EXPECT_EQ(model->order, optics.order);
   for (size_t i = 0; i < optics.order.size(); ++i) {
@@ -448,7 +458,7 @@ TEST(ArtifactStoreTest, LegacyFilesOfRemovedKindsAreFlaggedAndNeverServed) {
 
   auto listed = store.List();
   ASSERT_TRUE(listed.ok());
-  ASSERT_EQ(listed->size(), 5u);
+  ASSERT_EQ(listed->size(), 6u);
   std::vector<std::string> invalid;
   for (const ArtifactFileInfo& file : *listed) {
     if (file.valid) continue;
@@ -456,16 +466,55 @@ TEST(ArtifactStoreTest, LegacyFilesOfRemovedKindsAreFlaggedAndNeverServed) {
     if (file.kind == 3 || file.kind == 4) {
       EXPECT_EQ(file.detail, Format("unknown artifact kind %u", file.kind));
     }
+    if (file.filename == prefix + "-man-dist.cvcp") {
+      EXPECT_EQ(file.detail, "metric 2 is no longer read");
+    }
   }
   EXPECT_EQ(invalid,
             (std::vector<std::string>{
                 prefix + "-bench_micro_cvcp-timings.cvcp",
                 prefix + "-euc-dist-f32.cvcp",
-                prefix + "-euc-mp004-optics-f32.cvcp"}));
+                prefix + "-euc-mp004-optics-f32.cvcp",
+                prefix + "-man-dist.cvcp"}));
 
   auto purged = store.Purge();
   ASSERT_TRUE(purged.ok());
-  EXPECT_EQ(purged.value(), 5u);
+  EXPECT_EQ(purged.value(), 6u);
+}
+
+// The on-disk key of a store: the exact file names and bytes of one
+// distance matrix and one MinPts-4 OPTICS model, as written before the
+// metric parameter was removed. Stores on disk are found by these names
+// and decoded from these bytes, so a change to either turns every
+// existing store cold.
+TEST(ArtifactStoreTest, OnDiskNamesAndBytesArePinned) {
+  const std::string dir = FreshDir("format-pin");
+  ArtifactStore store(dir);
+  const Matrix points = FixturePoints();
+  const uint64_t hash = HashMatrixContent(points);
+  const DistanceMatrix dm = DistanceMatrix::Compute(points, Metric::kEuclidean);
+  OpticsConfig config;
+  config.min_pts = 4;
+  const Result<OpticsResult> optics = RunOptics(dm, config);
+  ASSERT_TRUE(optics.ok()) << optics.status().ToString();
+  ASSERT_TRUE(store.SaveDistances(hash, dm).ok());
+  ASSERT_TRUE(store.SaveOpticsModel(hash, 4, *optics).ok());
+
+  auto listed = store.List();
+  ASSERT_TRUE(listed.ok());
+  std::vector<std::pair<std::string, uint64_t>> files;
+  for (const ArtifactFileInfo& file : *listed) {
+    EXPECT_TRUE(file.valid) << file.filename << ": " << file.detail;
+    std::ifstream in(fs::path(dir) / file.filename, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    files.emplace_back(file.filename, Hash64(bytes));
+  }
+  const std::vector<std::pair<std::string, uint64_t>> pinned = {
+      {"71ba6d5b0d93189a-euc-dist.cvcp", 0xc70c91c810224829ULL},
+      {"71ba6d5b0d93189a-euc-mp004-optics.cvcp", 0x8c0f70c37f6d40faULL},
+  };
+  EXPECT_EQ(files, pinned);
 }
 
 TEST(ArtifactStoreTest, ListOnAbsentDirectoryIsEmpty) {

@@ -61,20 +61,6 @@ TEST(DatasetCacheTest, DistancesBuiltOnceAndMatchDirectCompute) {
   EXPECT_GE(stats.distance_build_ms, 0.0);
 }
 
-TEST(DatasetCacheTest, DistancesKeyedByMetric) {
-  Matrix points = FixturePoints(10);
-  DatasetCache cache(points);
-  const auto euclid =
-      cache.Distances(Metric::kEuclidean, ExecutionContext::Serial());
-  const auto manhattan =
-      cache.Distances(Metric::kManhattan, ExecutionContext::Serial());
-  EXPECT_NE(euclid.get(), manhattan.get());
-  EXPECT_EQ(cache.stats().distance_builds, 2u);
-  EXPECT_EQ(std::bit_cast<uint64_t>((*manhattan)(0, 1)),
-            std::bit_cast<uint64_t>(
-                ManhattanDistance(points.Row(0), points.Row(1))));
-}
-
 TEST(DatasetCacheTest, MatrixOutlivesReleasedCacheEntry) {
   Matrix points = FixturePoints(8);
   std::shared_ptr<const DistanceMatrix> kept;
@@ -178,7 +164,7 @@ TEST(DatasetCacheTest, ColdPrewarmWithStoreKeepsModelsAndDropsTheMatrix) {
   ArtifactStore store(FreshDir("drop"));
   ShardedLruCache memory(/*capacity_bytes=*/64 * 1024 * 1024);
   DatasetCache cache(points, DatasetCacheTiers{&memory, &store});
-  cache.Prewarm(Metric::kEuclidean, grid, exec);
+  cache.Prewarm(grid, exec);
   EXPECT_EQ(cache.stats().distance_builds, 1u);
   EXPECT_EQ(cache.stats().model_builds, grid.size());
   // Only the G models stay resident: the store holds the matrix.
@@ -191,7 +177,7 @@ TEST(DatasetCacheTest, ColdPrewarmWithStoreKeepsModelsAndDropsTheMatrix) {
   // Without a store the matrix is the only copy, so it stays.
   ShardedLruCache memory_only(/*capacity_bytes=*/64 * 1024 * 1024);
   DatasetCache unstored(points, DatasetCacheTiers{&memory_only, nullptr});
-  unstored.Prewarm(Metric::kEuclidean, grid, exec);
+  unstored.Prewarm(grid, exec);
   EXPECT_EQ(memory_only.stats().entries, grid.size() + 1);
 }
 
@@ -201,10 +187,10 @@ TEST(DatasetCacheTest, WarmStorePrewarmNeedsNoDistances) {
   ArtifactStore store(FreshDir("warm"));
   {
     DatasetCache cold(points, DatasetCacheTiers{nullptr, &store});
-    cold.Prewarm(Metric::kEuclidean, grid, ExecutionContext::Serial());
+    cold.Prewarm(grid, ExecutionContext::Serial());
   }
   DatasetCache warm(points, DatasetCacheTiers{nullptr, &store});
-  warm.Prewarm(Metric::kEuclidean, grid, ExecutionContext::Serial());
+  warm.Prewarm(grid, ExecutionContext::Serial());
   const DatasetCache::Stats stats = warm.stats();
   EXPECT_EQ(stats.model_loads, grid.size());
   EXPECT_EQ(stats.model_builds, 0u);
@@ -218,7 +204,7 @@ TEST(DatasetCacheTest, DistancesAfterTheDropReloadIdenticalBits) {
   const std::vector<int> grid = {3, 5};
   ArtifactStore store(FreshDir("reload"));
   DatasetCache cache(points, DatasetCacheTiers{nullptr, &store});
-  cache.Prewarm(Metric::kEuclidean, grid, ExecutionContext::Serial());
+  cache.Prewarm(grid, ExecutionContext::Serial());
   const auto reloaded =
       cache.Distances(Metric::kEuclidean, ExecutionContext::Serial());
   EXPECT_EQ(cache.stats().distance_builds, 1u);

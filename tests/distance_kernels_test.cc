@@ -7,7 +7,7 @@
 //  * the strided x4 batch must be bitwise equal to four single-pair
 //    calls, packed or padded stride; the weighted gathered x4 and
 //    weighted rows batches bitwise equal to the portable single-pair
-//    weighted kernel (the NEON table has no weighted batches);
+//    weighted kernel;
 //  * the row-update table (the MPCKMeans M-step loops): dispatched
 //    bitwise equal to portable;
 //  * fixed-lane vs a left-to-right sum (the pre-SIMD order): equal
@@ -58,12 +58,6 @@ TEST(DistanceKernelsFixedLane, NativeBitwiseEqualsPortableAllLengths) {
     EXPECT_EQ(Bits(native.squared_euclidean(a.data(), b.data(), n)),
               Bits(portable.squared_euclidean(a.data(), b.data(), n)))
         << "squared_euclidean n=" << n;
-    EXPECT_EQ(Bits(native.manhattan(a.data(), b.data(), n)),
-              Bits(portable.manhattan(a.data(), b.data(), n)))
-        << "manhattan n=" << n;
-    EXPECT_EQ(Bits(native.cosine(a.data(), b.data(), n)),
-              Bits(portable.cosine(a.data(), b.data(), n)))
-        << "cosine n=" << n;
     EXPECT_EQ(
         Bits(native.weighted_squared_euclidean(a.data(), b.data(), w.data(),
                                                n)),
@@ -98,11 +92,6 @@ TEST(DistanceKernelsFixedLane, WeightedX4BitwiseEqualsPortableSingle) {
   const DistanceKernels& portable = FixedLaneKernelsPortable();
   for (const DistanceKernels* table :
        {&GetDistanceKernels(), &FixedLaneKernelsPortable()}) {
-    if (table->weighted_squared_euclidean_x4 == nullptr) {
-      // A native table without the batch (NEON) falls back by design.
-      EXPECT_NE(table, &portable);
-      continue;
-    }
     for (size_t n = 0; n <= 2 * kFixedLaneWidth + 3; ++n) {
       // Four rows in separate allocations, three of them at an offset:
       // unrelated addresses, no common stride.
@@ -131,10 +120,6 @@ TEST(DistanceKernelsFixedLane, WeightedRowsBitwiseEqualsPortableSingle) {
   const DistanceKernels& portable = FixedLaneKernelsPortable();
   for (const DistanceKernels* table :
        {&GetDistanceKernels(), &FixedLaneKernelsPortable()}) {
-    if (table->weighted_squared_euclidean_rows == nullptr) {
-      EXPECT_NE(table, &portable);
-      continue;
-    }
     for (size_t n = 0; n <= 2 * kFixedLaneWidth + 3; ++n) {
       const std::vector<double> a = Irregular(n, 0.4);
       const std::vector<double> b = Irregular(n + 1, 2.2);
@@ -241,22 +226,14 @@ TEST(DistanceKernelsFixedLane, MatchesLegacyWithinRounding) {
   std::vector<double> w = Irregular(n, 5.5);
   for (double& x : w) x = std::fabs(x);
   // The pre-SIMD (legacy) order: left-to-right sums, one element at a time.
-  double sq = 0.0, man = 0.0, wsq = 0.0, dot = 0.0, na = 0.0, nb = 0.0;
+  double sq = 0.0, wsq = 0.0;
   for (size_t i = 0; i < n; ++i) {
     const double d = a[i] - b[i];
     sq += d * d;
-    man += std::fabs(d);
     wsq += w[i] * d * d;
-    dot += a[i] * b[i];
-    na += a[i] * a[i];
-    nb += b[i] * b[i];
   }
-  const double cos = 1.0 - dot / (std::sqrt(na) * std::sqrt(nb));
   EXPECT_NEAR(fixed.squared_euclidean(a.data(), b.data(), n), sq,
               1e-12 * std::fabs(sq));
-  EXPECT_NEAR(fixed.manhattan(a.data(), b.data(), n), man,
-              1e-12 * std::fabs(man));
-  EXPECT_NEAR(fixed.cosine(a.data(), b.data(), n), cos, 1e-12);
   EXPECT_NEAR(fixed.weighted_squared_euclidean(a.data(), b.data(), w.data(), n),
               wsq, 1e-12 * std::fabs(wsq));
 }
@@ -264,14 +241,16 @@ TEST(DistanceKernelsFixedLane, MatchesLegacyWithinRounding) {
 TEST(DistanceKernelsDispatch, ArchIsKnownAndFixedLaneUsesNativeTable) {
   const std::string arch = DistanceKernelArch();
   EXPECT_TRUE(arch == "avx2" || arch == "neon" || arch == "portable") << arch;
-  // Every table has the strided batch the matrix build and MPCKMeans'
-  // seeding call unconditionally.
-  EXPECT_NE(GetDistanceKernels().squared_euclidean_x4, nullptr);
-  EXPECT_NE(FixedLaneKernelsPortable().squared_euclidean_x4, nullptr);
-  // The portable reference has both weighted batches.
-  EXPECT_NE(FixedLaneKernelsPortable().weighted_squared_euclidean_x4, nullptr);
-  EXPECT_NE(FixedLaneKernelsPortable().weighted_squared_euclidean_rows,
-            nullptr);
+  // Every entry of every table is filled: the matrix build and MPCKMeans
+  // call each one unconditionally.
+  for (const DistanceKernels* table :
+       {&GetDistanceKernels(), &FixedLaneKernelsPortable()}) {
+    EXPECT_NE(table->squared_euclidean, nullptr);
+    EXPECT_NE(table->weighted_squared_euclidean, nullptr);
+    EXPECT_NE(table->squared_euclidean_x4, nullptr);
+    EXPECT_NE(table->weighted_squared_euclidean_x4, nullptr);
+    EXPECT_NE(table->weighted_squared_euclidean_rows, nullptr);
+  }
   if (arch == "portable") {
     EXPECT_EQ(&GetDistanceKernels(), &FixedLaneKernelsPortable());
   }

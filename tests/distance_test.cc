@@ -19,26 +19,6 @@ TEST(DistanceTest, SquaredEuclidean) {
   EXPECT_DOUBLE_EQ(SquaredEuclideanDistance(kA, kB), 9.0);
 }
 
-TEST(DistanceTest, Manhattan) {
-  EXPECT_DOUBLE_EQ(ManhattanDistance(kA, kB), 5.0);
-}
-
-TEST(DistanceTest, Cosine) {
-  std::vector<double> x = {1.0, 0.0};
-  std::vector<double> y = {0.0, 1.0};
-  std::vector<double> z = {2.0, 0.0};
-  EXPECT_DOUBLE_EQ(CosineDistance(x, y), 1.0);        // orthogonal
-  EXPECT_NEAR(CosineDistance(x, z), 0.0, 1e-12);      // parallel
-  std::vector<double> neg = {-1.0, 0.0};
-  EXPECT_NEAR(CosineDistance(x, neg), 2.0, 1e-12);    // opposite
-}
-
-TEST(DistanceTest, CosineZeroVectorConvention) {
-  std::vector<double> zero = {0.0, 0.0};
-  std::vector<double> x = {1.0, 1.0};
-  EXPECT_DOUBLE_EQ(CosineDistance(zero, x), 1.0);
-}
-
 TEST(DistanceTest, WeightedSquaredEuclidean) {
   std::vector<double> w = {2.0, 0.5, 1.0};
   // 2*(1)^2 + 0.5*(2)^2 + 1*(2)^2 = 2 + 2 + 4 = 8.
@@ -47,16 +27,6 @@ TEST(DistanceTest, WeightedSquaredEuclidean) {
   std::vector<double> ones = {1.0, 1.0, 1.0};
   EXPECT_DOUBLE_EQ(WeightedSquaredEuclidean(kA, kB, ones),
                    SquaredEuclideanDistance(kA, kB));
-}
-
-TEST(DistanceTest, DispatchMatchesDirectCalls) {
-  EXPECT_DOUBLE_EQ(Distance(kA, kB, Metric::kEuclidean),
-                   EuclideanDistance(kA, kB));
-  EXPECT_DOUBLE_EQ(Distance(kA, kB, Metric::kSquaredEuclidean),
-                   SquaredEuclideanDistance(kA, kB));
-  EXPECT_DOUBLE_EQ(Distance(kA, kB, Metric::kManhattan),
-                   ManhattanDistance(kA, kB));
-  EXPECT_DOUBLE_EQ(Distance(kA, kB, Metric::kCosine), CosineDistance(kA, kB));
 }
 
 TEST(DistanceMatrixTest, MatchesDirectComputation) {
@@ -74,7 +44,7 @@ TEST(DistanceMatrixTest, MatchesDirectComputation) {
 
 TEST(DistanceMatrixTest, SymmetricAndZeroDiagonal) {
   Matrix points = Matrix::FromRows({{1, 2}, {5, 5}, {-3, 0}});
-  DistanceMatrix dm = DistanceMatrix::Compute(points, Metric::kManhattan);
+  DistanceMatrix dm = DistanceMatrix::Compute(points, Metric::kEuclidean);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(dm(i, i), 0.0);
     for (size_t j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(dm(i, j), dm(j, i));

@@ -37,7 +37,6 @@ class UncachedFoscClusterer : public SemiSupervisedClusterer {
     (void)rng;  // the pipeline is deterministic
     OpticsConfig config;
     config.min_pts = param;
-    config.metric = inner_.metric();
     CVCP_ASSIGN_OR_RETURN(OpticsResult optics,
                           RunOptics(data.points(), config));
     FoscOpticsModel model;
@@ -55,8 +54,7 @@ class UncachedFoscClusterer : public SemiSupervisedClusterer {
 /// for the group-sum single pass over the cached distance matrix
 /// (cluster/silhouette.cc).
 inline double ReferenceSilhouette(const Matrix& points,
-                                  const Clustering& clustering,
-                                  Metric metric = Metric::kEuclidean) {
+                                  const Clustering& clustering) {
   const size_t n = points.rows();
   const std::vector<std::vector<size_t>> groups = clustering.Groups();
   if (groups.size() < 2) return std::numeric_limits<double>::quiet_NaN();
@@ -78,7 +76,7 @@ inline double ReferenceSilhouette(const Matrix& points,
       size_t cnt = 0;
       for (size_t o : groups[g]) {
         if (o == i) continue;
-        sum += Distance(points.Row(i), points.Row(o), metric);
+        sum += EuclideanDistance(points.Row(i), points.Row(o));
         ++cnt;
       }
       if (cnt == 0) continue;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -228,6 +229,23 @@ TEST(BenchOptionsTest, UnknownFlagPrintsUsageAndExits2) {
   const char* retired[] = {"bench", "--distance-kernel", "fixed"};
   EXPECT_EXIT(ParseBenchOptions(3, const_cast<char**>(retired)),
               ::testing::ExitedWithCode(2), "usage:");
+  // So does a malformed value, and a value flag in last position.
+  const std::vector<std::vector<const char*>> bad_values = {
+      {"bench", "--trials", "x"},
+      {"bench", "--threads", "four"},
+      {"bench", "--seed", "12abc"},
+      {"bench", "--aloi", ""},
+      {"bench", "--trials", "x", "--threads", "four", "--seed", "12abc"},
+      {"bench", "--trials", "3", "--store"},
+      {"bench", "--seed"},
+      {"bench", "--store-capacity-mb"},
+  };
+  for (const std::vector<const char*>& args : bad_values) {
+    EXPECT_EXIT(ParseBenchOptions(static_cast<int>(args.size()),
+                                  const_cast<char**>(args.data())),
+                ::testing::ExitedWithCode(2), "usage:")
+        << args.back();
+  }
 }
 
 TEST(BenchOptionsTest, PaperFlagRestoresPaperScale) {

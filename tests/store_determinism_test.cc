@@ -137,12 +137,12 @@ TEST(StoreDeterminismTest, PrewarmedGridServesEveryCellFromMemory) {
                        DatasetCacheTiers{nullptr, &store});
     ExecutionContext exec;
     exec.threads = 4;
-    cache.Prewarm(Metric::kEuclidean, grid, exec);
+    cache.Prewarm(grid, exec);
   }
   // The second front-end prewarm loads everything from disk...
   DatasetCache warm(fixture.data.points(),
                     DatasetCacheTiers{nullptr, &store});
-  warm.Prewarm(Metric::kEuclidean, grid, ExecutionContext::Serial());
+  warm.Prewarm(grid, ExecutionContext::Serial());
   EXPECT_EQ(warm.stats().model_builds, 0u);
   EXPECT_EQ(warm.stats().model_loads, grid.size());
   // ...and every later model request is a pure memory hit.

@@ -3,12 +3,13 @@
 //
 //   store_inspect ls DIR      list every artifact: kind, bytes, validity,
 //                             and the decoded key fields (dataset hash,
-//                             metric, MinPts)
+//                             metric record, MinPts)
 //   store_inspect verify DIR  same listing, but exit nonzero if any file
 //                             fails full frame validation (bad magic,
 //                             CRC mismatch, version skew, truncation) or
-//                             holds a kind this build no longer reads
-//                             (the reserved legacy kinds 3 and 4)
+//                             holds a kind or metric this build no longer
+//                             reads (the reserved legacy kinds 3 and 4; a
+//                             metric record other than 0, Euclidean)
 //   store_inspect purge DIR   delete every artifact and stale temp file
 //   store_inspect purge-tmp DIR
 //                             delete only orphaned `*.tmp.*` files left
