@@ -102,14 +102,16 @@ TrialResult RunTrial(const Dataset& data,
   }
   const Supervision& supervision = drawn.value();
 
-  // 2. CVCP internal scores over the grid.
+  // 2. CVCP internal scores over the grid and the pick. CVCP's own
+  //    full-supervision run at the pick is skipped: step 3 below clusters
+  //    every grid value with full supervision.
   CvcpConfig config;
   config.cv.n_folds = spec.n_folds;
   config.cv.exec = spec.exec;
   config.param_grid = spec.grid;
   Rng cvcp_rng = rng.Fork(2);
-  auto report = RunCvcp(data, supervision, clusterer, config, &cvcp_rng,
-                        &cache);
+  auto report = RunCvcpSelection(data, supervision, clusterer, config,
+                                 &cvcp_rng, &cache);
   if (!report.ok()) {
     out.error = report.status().ToString();
     return out;

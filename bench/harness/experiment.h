@@ -6,7 +6,9 @@
 /// bench. One *trial* =
 ///   1. sample supervision from the ground truth (labels: x% of objects;
 ///      constraints: a fraction of the 10%-per-class all-pairs pool);
-///   2. run CVCP over the parameter grid (internal CV F-measure per value);
+///   2. run CVCP's steps 1-3 over the parameter grid (RunCvcpSelection):
+///      the internal CV F-measure per value and the pick. CVCP's step 4,
+///      a full-supervision run at the pick, is not run; step 3 covers it;
 ///   3. cluster with full supervision at *every* grid value; compute the
 ///      external Overall F-Measure on the objects not involved in the
 ///      supervision (and the Silhouette for centroid algorithms);

@@ -90,24 +90,37 @@ std::vector<double> SquaredRanges(std::span<const double* const> rows,
   return out;
 }
 
-/// One MPCKMeans run. Centroids and metric weights change only in the
-/// M-step, so a *window* — from one M-step to the next — sees fixed ones:
-/// Objective() after an M-step and the next AssignStep read the same
-/// values. Every distance is computed once per window and memoized:
+/// One MPCKMeans run. Each cluster h has a version, version_[h], that
+/// advances whenever its centroid or weight row is rewritten, and every
+/// memoized distance is stamped with the version it was computed under:
 ///
-///   * object_dist_ (n x k): object-to-centroid distances, valid while
-///     object_window_ == window_. Objective() fills the entries
-///     (i, assignment[i]); the next AssignStep computes only the rest.
+///   * object_dist_ (n x k): object-to-centroid distances. Entry (i, h) is
+///     valid while object_stamp_[h * n + i] == version_[h]. Objective()
+///     computes the stale entries among each cluster's members; the next
+///     AssignStep computes the other stale ones.
 ///   * pair_dist_ (|C| x k): each constraint pair under every cluster's
-///     metric, valid for one weights generation (weights_gen_). A
-///     must-link's row is computed whole (an assignment pass needs every
-///     entry); a cannot-link's entries one at a time. Both endpoints,
+///     metric. A cannot-link's entry (c, h) is stamped with h's weight
+///     version. A must-link's row is computed whole (an assignment pass
+///     needs every entry) and stamped with the weights epoch, which
+///     advances when any weight row is rewritten. Both endpoints,
 ///     AssignStep and Objective() share a row: the kernel is symmetric
 ///     (a - b and b - a differ only in sign, which d * d drops).
 ///
-/// Stamps are compared against generation counters that start at 1, so
-/// zero-initialized stamps are stale. Every value is the same kernel on
-/// the same inputs as an uncached call, so results keep their bits.
+/// The M-step re-estimates only the clusters whose member set changed:
+/// AssignStep marks the old and the new cluster of every object that
+/// moves, and a re-seeded empty cluster counts as changed. Skipping the
+/// others is exact. A cluster that no object entered or left keeps its
+/// member list in object order, and its centroid is sum_rows then divide
+/// over that list. Under kPerClusterDiagonal its denominators, weights,
+/// log-det and max-separation are functions of that list too: the scatter
+/// over its members, the must-links with exactly one endpoint inside and
+/// the cannot-links with both inside, visited in the same order. Under
+/// kSingleDiagonal the weights are pooled, so any change re-estimates
+/// every weight row; under kNone they never change.
+///
+/// Versions start at 1 and stamps at 0, so fresh stamps are stale. Every
+/// value is the same kernel on the same inputs as an uncached call, so
+/// results keep their bits.
 class MpckState {
  public:
   MpckState(const Matrix& points, const ConstraintSet& constraints,
@@ -123,13 +136,17 @@ class MpckState {
         centroids_(k_, d_),
         weights_(k_, d_, 1.0),
         log_det_(k_, 0.0),
+        max_sep_(k_),
         assignment_(n_, 0),
+        changed_(k_, 1),
+        version_(k_, 1),
+        weight_version_(k_, 1),
         object_dist_(n_ * k_),
+        object_stamp_(k_ * n_, 0),
         pair_dist_(adj_.end_a.size() * k_),
         must_row_stamp_(adj_.end_a.size(), 0),
         cannot_stamp_(adj_.end_a.size() * k_, 0),
         all_rows_(n_),
-        all_ids_(n_),
         member_begin_(k_ + 1),
         member_rows_(n_),
         member_ids_(n_),
@@ -140,18 +157,17 @@ class MpckState {
         pooled_(d_),
         counts_(k_),
         cost_(k_) {
-    for (size_t i = 0; i < n_; ++i) {
-      all_rows_[i] = points_.Row(i).data();
-      all_ids_[i] = i;
-    }
+    for (size_t i = 0; i < n_; ++i) all_rows_[i] = points_.Row(i).data();
     for (size_t h = 0; h < k_; ++h) denom_rows_[h] = denom_.Row(h).data();
     sq_range_ = SquaredRanges(all_rows_, d_, row_ops_);
-    RecomputeMaxSeparations();
+    for (size_t h = 0; h < k_; ++h) max_sep_[h] = MaxSeparation(h);
   }
 
+  /// Installs the initial centroids. Every cluster starts marked changed:
+  /// the first M-step re-estimates them all.
   void SetCentroids(Matrix init) {
     centroids_ = std::move(init);
-    ++window_;
+    for (uint32_t& v : version_) ++v;
   }
 
   /// Greedy ICM assignment pass in the given order. Returns #changes.
@@ -159,21 +175,17 @@ class MpckState {
   /// cost receives its terms in the order of the per-cluster evaluation:
   /// base, then must partners, then cannot partners.
   size_t AssignStep(const std::vector<size_t>& order) {
-    // An object's own entry (i, assignment[i]) survives from Objective():
-    // the pass changes assignment[i] only when it visits i.
-    const bool have_own = object_window_ == window_;
+    // Objective() left each object's own entry fresh; the pass changes
+    // assignment[i] only when it visits i.
     for (size_t h = 0; h < k_; ++h) {
-      if (!have_own) {
-        FillColumn(h, all_rows_.data(), all_ids_.data(), n_);
-        continue;
-      }
+      const uint32_t* stamp = &object_stamp_[h * n_];
       size_t count = 0;
       for (size_t i = 0; i < n_; ++i) {
-        if (static_cast<size_t>(assignment_[i]) == h) continue;
+        if (stamp[i] == version_[h]) continue;
         gather_rows_[count] = all_rows_[i];
         gather_ids_[count++] = i;
       }
-      FillColumn(h, gather_rows_.data(), gather_ids_.data(), count);
+      FillColumn(h, count);
     }
     const double must_scale = config_.must_link_weight * 0.5;
     double* cost = cost_.data();
@@ -207,109 +219,44 @@ class MpckState {
           best_h = h;
         }
       }
-      if (assignment_[i] != static_cast<int>(best_h)) {
+      const size_t old_h = static_cast<size_t>(assignment_[i]);
+      if (old_h != best_h) {
         assignment_[i] = static_cast<int>(best_h);
+        changed_[old_h] = 1;
+        changed_[best_h] = 1;
         ++changes;
       }
     }
     return changes;
   }
 
-  /// Recomputes centroids; empty clusters are re-seeded at a random point.
-  /// Opens the M-step: groups the objects by their new cluster.
-  void UpdateCentroids(Rng* rng) {
+  /// Groups the objects by their new cluster, re-estimates the changed
+  /// clusters and advances the version of every cluster whose centroid or
+  /// weight row was rewritten.
+  void MStep(Rng* rng) {
     GroupMembers();
+    UpdateCentroids(rng);
+    UpdateMetrics();
     for (size_t h = 0; h < k_; ++h) {
-      const size_t count = Members(h);
-      if (count == 0) {
-        centroids_.SetRow(h, points_.Row(rng->Index(n_)));
-        continue;
-      }
-      double* centroid = centroids_.MutableRow(h).data();
-      row_ops_.sum_rows(centroid, member_rows_.data() + member_begin_[h],
-                        count, d_);
-      row_ops_.divide(centroid, static_cast<double>(count), d_);
+      if (changed_[h]) ++version_[h];
     }
-    ++window_;
-  }
-
-  /// Re-estimates diagonal metric weights from scatter + violation terms.
-  void UpdateMetrics() {
-    if (config_.metric_mode == MetricMode::kNone) return;
-
-    // Per-cluster, per-dimension denominators: each cluster's scatter,
-    // summed over its members in object order.
-    for (size_t h = 0; h < k_; ++h) {
-      const size_t count = Members(h);
-      row_ops_.sum_squared_diffs(denom_.MutableRow(h).data(),
-                                 member_rows_.data() + member_begin_[h], count,
-                                 centroids_.Row(h).data(), d_);
-      counts_[h] = static_cast<double>(count);
-    }
-    // Violation contributions (each constraint visited once via i < other).
-    const double must_scale = config_.must_link_weight * 0.5;
-    for (size_t i = 0; i < n_; ++i) {
-      const size_t li = static_cast<size_t>(assignment_[i]);
-      for (size_t e = adj_.must_begin[i]; e < adj_.must_begin[i + 1]; ++e) {
-        const Partner& p = adj_.must[e];
-        if (i > p.other) continue;
-        const size_t lj = static_cast<size_t>(assignment_[p.other]);
-        if (li == lj) continue;
-        row_ops_.add_must_link_scatter(denom_.MutableRow(li).data(),
-                                       denom_.MutableRow(lj).data(), Point(i),
-                                       Point(p.other), must_scale, d_);
-      }
-      for (size_t e = adj_.cannot_begin[i]; e < adj_.cannot_begin[i + 1];
-           ++e) {
-        const Partner& p = adj_.cannot[e];
-        if (i > p.other) continue;
-        if (static_cast<size_t>(assignment_[p.other]) != li) continue;
-        row_ops_.add_cannot_link_scatter(denom_.MutableRow(li).data(),
-                                         Point(i), Point(p.other),
-                                         sq_range_.data(),
-                                         config_.cannot_link_weight, d_);
-      }
-    }
-
-    if (config_.metric_mode == MetricMode::kSingleDiagonal) {
-      // Pool all clusters into one metric; every row gets the same
-      // weights, so one row's log-determinant and separation serve all.
-      row_ops_.sum_rows(pooled_.data(), denom_rows_.data(), k_, d_);
-      double total = 0.0;
-      for (size_t h = 0; h < k_; ++h) total += counts_[h];
-      row_ops_.clamped_ratio(weights_.MutableRow(0).data(), total,
-                             pooled_.data(), kMinWeight, kMaxWeight, d_);
-      for (size_t h = 1; h < k_; ++h) weights_.SetRow(h, weights_.Row(0));
-    } else {
-      for (size_t h = 0; h < k_; ++h) {
-        row_ops_.clamped_ratio(weights_.MutableRow(h).data(), counts_[h],
-                               denom_.Row(h).data(), kMinWeight, kMaxWeight,
-                               d_);
-      }
-    }
-    const size_t distinct_rows =
-        config_.metric_mode == MetricMode::kSingleDiagonal ? 1 : k_;
-    for (size_t h = 0; h < distinct_rows; ++h) {
-      double ld = 0.0;
-      auto w = weights_.Row(h);
-      for (size_t m = 0; m < d_; ++m) ld += std::log(w[m]);
-      log_det_[h] = ld;
-    }
-    for (size_t h = distinct_rows; h < k_; ++h) log_det_[h] = log_det_[0];
-    RecomputeMaxSeparations();
-    ++weights_gen_;
-    ++window_;
+    std::fill(changed_.begin(), changed_.end(), 0);
   }
 
   /// Full objective at the current state. Runs after an M-step, so the
   /// member groups are current.
   double Objective() {
     for (size_t h = 0; h < k_; ++h) {
-      const size_t begin = member_begin_[h];
-      FillColumn(h, member_rows_.data() + begin, member_ids_.data() + begin,
-                 Members(h));
+      const uint32_t* stamp = &object_stamp_[h * n_];
+      size_t count = 0;
+      for (size_t s = member_begin_[h]; s < member_begin_[h + 1]; ++s) {
+        const size_t i = member_ids_[s];
+        if (stamp[i] == version_[h]) continue;
+        gather_rows_[count] = member_rows_[s];
+        gather_ids_[count++] = i;
+      }
+      FillColumn(h, count);
     }
-    object_window_ = window_;
     double obj = 0.0;
     for (size_t i = 0; i < n_; ++i) {
       const size_t h = static_cast<size_t>(assignment_[i]);
@@ -366,12 +313,119 @@ class MpckState {
     member_begin_[0] = 0;
   }
 
-  /// object_dist_(ids[j], h) for j < count: the objects `rows` against
-  /// centroid h under metric h, four rows per kernel call.
-  void FillColumn(size_t h, const double* const* rows, const size_t* ids,
-                  size_t count) {
+  /// Recomputes the centroids of the changed clusters. Every empty
+  /// cluster is re-seeded at a random point, in cluster order, and counts
+  /// as changed.
+  void UpdateCentroids(Rng* rng) {
+    for (size_t h = 0; h < k_; ++h) {
+      const size_t count = Members(h);
+      if (count == 0) {
+        centroids_.SetRow(h, points_.Row(rng->Index(n_)));
+        changed_[h] = 1;
+        continue;
+      }
+      if (!changed_[h]) continue;
+      double* centroid = centroids_.MutableRow(h).data();
+      row_ops_.sum_rows(centroid, member_rows_.data() + member_begin_[h],
+                        count, d_);
+      row_ops_.divide(centroid, static_cast<double>(count), d_);
+    }
+  }
+
+  /// Re-estimates the diagonal metric weights of the changed clusters
+  /// from scatter + violation terms.
+  void UpdateMetrics() {
+    if (config_.metric_mode == MetricMode::kNone) return;
+    if (std::find(changed_.begin(), changed_.end(), 1) == changed_.end()) {
+      return;
+    }
+    const bool pooled = config_.metric_mode == MetricMode::kSingleDiagonal;
+    // Pooled weights depend on every cluster's denominators.
+    if (pooled) std::fill(changed_.begin(), changed_.end(), 1);
+
+    // Per-cluster, per-dimension denominators: each cluster's scatter,
+    // summed over its members in object order. sum_squared_diffs
+    // overwrites the row, so a row left over from an earlier M-step is
+    // never read.
+    for (size_t h = 0; h < k_; ++h) {
+      if (!changed_[h]) continue;
+      const size_t count = Members(h);
+      row_ops_.sum_squared_diffs(denom_.MutableRow(h).data(),
+                                 member_rows_.data() + member_begin_[h], count,
+                                 centroids_.Row(h).data(), d_);
+      counts_[h] = static_cast<double>(count);
+    }
+    // Violation contributions (each constraint visited once via i < other).
+    // A must-link between a changed and an unchanged cluster also adds to
+    // the unchanged cluster's row, which is not read before it is rebuilt.
+    const double must_scale = config_.must_link_weight * 0.5;
+    for (size_t i = 0; i < n_; ++i) {
+      const size_t li = static_cast<size_t>(assignment_[i]);
+      for (size_t e = adj_.must_begin[i]; e < adj_.must_begin[i + 1]; ++e) {
+        const Partner& p = adj_.must[e];
+        if (i > p.other) continue;
+        const size_t lj = static_cast<size_t>(assignment_[p.other]);
+        if (li == lj || (!changed_[li] && !changed_[lj])) continue;
+        row_ops_.add_must_link_scatter(denom_.MutableRow(li).data(),
+                                       denom_.MutableRow(lj).data(), Point(i),
+                                       Point(p.other), must_scale, d_);
+      }
+      if (!changed_[li]) continue;
+      for (size_t e = adj_.cannot_begin[i]; e < adj_.cannot_begin[i + 1];
+           ++e) {
+        const Partner& p = adj_.cannot[e];
+        if (i > p.other) continue;
+        if (static_cast<size_t>(assignment_[p.other]) != li) continue;
+        row_ops_.add_cannot_link_scatter(denom_.MutableRow(li).data(),
+                                         Point(i), Point(p.other),
+                                         sq_range_.data(),
+                                         config_.cannot_link_weight, d_);
+      }
+    }
+
+    if (pooled) {
+      // Pool all clusters into one metric; every row gets the same
+      // weights, so one row's log-determinant and separation serve all.
+      row_ops_.sum_rows(pooled_.data(), denom_rows_.data(), k_, d_);
+      double total = 0.0;
+      for (size_t h = 0; h < k_; ++h) total += counts_[h];
+      row_ops_.clamped_ratio(weights_.MutableRow(0).data(), total,
+                             pooled_.data(), kMinWeight, kMaxWeight, d_);
+      for (size_t h = 1; h < k_; ++h) weights_.SetRow(h, weights_.Row(0));
+    } else {
+      for (size_t h = 0; h < k_; ++h) {
+        if (!changed_[h]) continue;
+        row_ops_.clamped_ratio(weights_.MutableRow(h).data(), counts_[h],
+                               denom_.Row(h).data(), kMinWeight, kMaxWeight,
+                               d_);
+      }
+    }
+    for (size_t h = 0; h < k_; ++h) {
+      if (!changed_[h]) continue;
+      ++weight_version_[h];
+      if (pooled && h > 0) {
+        log_det_[h] = log_det_[0];
+        max_sep_[h] = max_sep_[0];
+        continue;
+      }
+      double ld = 0.0;
+      auto w = weights_.Row(h);
+      for (size_t m = 0; m < d_; ++m) ld += std::log(w[m]);
+      log_det_[h] = ld;
+      max_sep_[h] = MaxSeparation(h);
+    }
+    ++weights_epoch_;
+  }
+
+  /// object_dist_(gather_ids_[j], h) for j < count: the gathered objects
+  /// against centroid h under metric h, four rows per kernel call. Stamps
+  /// each entry with h's version.
+  void FillColumn(size_t h, size_t count) {
+    const double* const* rows = gather_rows_.data();
+    const size_t* ids = gather_ids_.data();
     const double* c = centroids_.Row(h).data();
     const double* w = weights_.Row(h).data();
+    uint32_t* stamp = &object_stamp_[h * n_];
     size_t j = 0;
     for (; j + 4 <= count; j += 4) {
       double out[4];
@@ -384,44 +438,41 @@ class MpckState {
       object_dist_[ids[j] * k_ + h] =
           kernels_.weighted_squared_euclidean(rows[j], c, w, d_);
     }
+    for (j = 0; j < count; ++j) stamp[ids[j]] = version_[h];
   }
 
   /// Must-link `c` under every cluster's metric (row of k).
   const double* MustRow(size_t c) {
     double* row = &pair_dist_[c * k_];
-    if (must_row_stamp_[c] == weights_gen_) return row;
+    if (must_row_stamp_[c] == weights_epoch_) return row;
     const double* a = Point(adj_.end_a[c]);
     const double* b = Point(adj_.end_b[c]);
     kernels_.weighted_squared_euclidean_rows(a, b, weights_.Row(0).data(), d_,
                                              k_, d_, row);
-    must_row_stamp_[c] = weights_gen_;
+    must_row_stamp_[c] = weights_epoch_;
     return row;
   }
 
   /// Cannot-link `c` under cluster h's metric.
   double CannotDist(size_t c, size_t h) {
     const size_t slot = c * k_ + h;
-    if (cannot_stamp_[slot] != weights_gen_) {
+    if (cannot_stamp_[slot] != weight_version_[h]) {
       pair_dist_[slot] = kernels_.weighted_squared_euclidean(
           Point(adj_.end_a[c]), Point(adj_.end_b[c]), weights_.Row(h).data(),
           d_);
-      cannot_stamp_[slot] = weights_gen_;
+      cannot_stamp_[slot] = weight_version_[h];
     }
     return pair_dist_[slot];
   }
 
-  /// Refreshes the per-cluster cannot-link penalty scale: the
-  /// metric-weighted squared range, summed in dimension order. It only
-  /// changes with the weights, so the assignment and objective loops read
-  /// it in O(1).
-  void RecomputeMaxSeparations() {
-    max_sep_.assign(k_, 0.0);
-    for (size_t h = 0; h < k_; ++h) {
-      double s = 0.0;
-      auto w = weights_.Row(h);
-      for (size_t m = 0; m < d_; ++m) s += w[m] * sq_range_[m];
-      max_sep_[h] = s;
-    }
+  /// Cluster h's cannot-link penalty scale: the metric-weighted squared
+  /// range, summed in dimension order. It only changes with the weights,
+  /// so max_sep_ caches it for the assignment and objective loops.
+  double MaxSeparation(size_t h) const {
+    double s = 0.0;
+    auto w = weights_.Row(h);
+    for (size_t m = 0; m < d_; ++m) s += w[m] * sq_range_[m];
+    return s;
   }
 
   const Matrix& points_;
@@ -435,12 +486,16 @@ class MpckState {
   std::vector<double> log_det_;
   std::vector<double> max_sep_;  ///< MaxSeparation per cluster
   std::vector<int> assignment_;
+  /// k, set when a cluster's member set changed since the last M-step,
+  /// and during the M-step when its centroid or weight row is rewritten.
+  std::vector<uint8_t> changed_;
 
-  // Window memo (see the class comment).
-  uint32_t window_ = 1;
-  uint32_t object_window_ = 0;
-  uint32_t weights_gen_ = 1;
+  // Versioned memo (see the class comment).
+  std::vector<uint32_t> version_;         ///< k, centroid or weights
+  std::vector<uint32_t> weight_version_;  ///< k, weights only
+  uint32_t weights_epoch_ = 1;            ///< any weight row
   std::vector<double> object_dist_;
+  std::vector<uint32_t> object_stamp_;  ///< k x n, cluster-major
   std::vector<double> pair_dist_;
   std::vector<uint32_t> must_row_stamp_;
   std::vector<uint32_t> cannot_stamp_;
@@ -448,7 +503,6 @@ class MpckState {
   std::vector<double> sq_range_;
 
   std::vector<const double*> all_rows_;  ///< row i of the points
-  std::vector<size_t> all_ids_;          ///< 0..n-1
 
   // Objects grouped by cluster, rebuilt at each M-step.
   std::vector<size_t> member_begin_;  ///< k + 1 offsets
@@ -456,13 +510,13 @@ class MpckState {
   std::vector<size_t> member_ids_;
 
   // Scratch reused by every iteration.
-  std::vector<const double*> gather_rows_;  ///< one column's objects
+  std::vector<const double*> gather_rows_;  ///< one column's stale objects
   std::vector<size_t> gather_ids_;
-  Matrix denom_;                          ///< k x d metric denominators
+  Matrix denom_;                           ///< k x d metric denominators
   std::vector<const double*> denom_rows_;  ///< row h of denom_
-  std::vector<double> pooled_;            ///< d, kSingleDiagonal pooling
-  std::vector<double> counts_;            ///< k, members per cluster
-  std::vector<double> cost_;              ///< k, one object's costs
+  std::vector<double> pooled_;             ///< d, kSingleDiagonal pooling
+  std::vector<double> counts_;             ///< k, members per cluster
+  std::vector<double> cost_;               ///< k, one object's costs
 };
 
 /// min_d2[i] = std::min(min_d2[i], SquaredEuclidean(x_i, c)) for every
@@ -591,8 +645,7 @@ Result<MpckMeansResult> RunMpckMeans(const Matrix& points,
   for (iter = 0; iter < config.max_iters; ++iter) {
     std::vector<size_t> order = rng->Permutation(state.n());
     const size_t changes = state.AssignStep(order);
-    state.UpdateCentroids(rng);
-    state.UpdateMetrics();
+    state.MStep(rng);
     obj = state.Objective();
     const bool obj_converged =
         std::isfinite(prev_obj) &&

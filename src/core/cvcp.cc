@@ -7,10 +7,11 @@
 
 namespace cvcp {
 
-Result<CvcpReport> RunCvcp(const Dataset& data, const Supervision& supervision,
-                           const SemiSupervisedClusterer& clusterer,
-                           const CvcpConfig& config, Rng* rng,
-                           DatasetCache* cache) {
+Result<CvcpReport> RunCvcpSelection(const Dataset& data,
+                                    const Supervision& supervision,
+                                    const SemiSupervisedClusterer& clusterer,
+                                    const CvcpConfig& config, Rng* rng,
+                                    DatasetCache* cache) {
   if (config.param_grid.empty()) {
     return Status::InvalidArgument("CVCP needs a non-empty parameter grid");
   }
@@ -60,6 +61,20 @@ Result<CvcpReport> RunCvcp(const Dataset& data, const Supervision& supervision,
     return Status::FailedPrecondition(
         "no parameter value produced a valid cross-validation score");
   }
+  return report;
+}
+
+Result<CvcpReport> RunCvcp(const Dataset& data, const Supervision& supervision,
+                           const SemiSupervisedClusterer& clusterer,
+                           const CvcpConfig& config, Rng* rng,
+                           DatasetCache* cache) {
+  // One cache for steps 1-3 and step 4, so the final run reuses the
+  // grid's geometry.
+  std::optional<DatasetCache> own;
+  if (cache == nullptr) cache = &own.emplace(data.points());
+  CVCP_ASSIGN_OR_RETURN(
+      CvcpReport report,
+      RunCvcpSelection(data, supervision, clusterer, config, rng, cache));
 
   // Step 4: final run with all available supervision. Last cancellation
   // boundary: past this point the report is complete and its bytes are

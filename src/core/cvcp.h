@@ -56,7 +56,19 @@ struct CvcpReport {
   std::vector<CvCellTiming> cell_timings;
 };
 
-/// Runs CVCP. Errors with kInvalidArgument for an empty grid, propagates
+/// CVCP steps 1-3 only: the report RunCvcp returns for the same `rng`,
+/// minus `final_clustering`, which stays empty. For callers that cluster
+/// at the selected value themselves, such as the bench trials, which
+/// already cluster every grid value with full supervision. Errors as
+/// RunCvcp, except those of the final run and its cancellation check.
+Result<CvcpReport> RunCvcpSelection(const Dataset& data,
+                                    const Supervision& supervision,
+                                    const SemiSupervisedClusterer& clusterer,
+                                    const CvcpConfig& config, Rng* rng,
+                                    DatasetCache* cache = nullptr);
+
+/// Runs CVCP: RunCvcpSelection, then step 4 at the selected value.
+/// Errors with kInvalidArgument for an empty grid, propagates
 /// fold-construction errors (e.g. too little supervision for n folds), and
 /// errors with kFailedPrecondition if no grid value produced a valid score.
 /// `cache` is the dataset's compute cache (core/dataset_cache.h); null

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "constraints/oracle.h"
@@ -26,6 +28,30 @@ Dataset EasyData(uint64_t seed = 1) {
     s.size = 25;
   }
   return MakeGaussianMixture("easy", specs, &rng);
+}
+
+/// RunCvcpSelection from `rng` must return `full` (RunCvcp's report from
+/// the same seed) minus the final clustering, bit for bit.
+void ExpectSelectionMatches(const CvcpReport& full, const Dataset& data,
+                            const Supervision& supervision,
+                            const SemiSupervisedClusterer& clusterer,
+                            const CvcpConfig& config, Rng rng) {
+  auto selection = RunCvcpSelection(data, supervision, clusterer, config,
+                                    &rng);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  ASSERT_EQ(selection->scores.size(), full.scores.size());
+  for (size_t g = 0; g < full.scores.size(); ++g) {
+    EXPECT_EQ(selection->scores[g].param, full.scores[g].param);
+    EXPECT_EQ(std::bit_cast<uint64_t>(selection->scores[g].score),
+              std::bit_cast<uint64_t>(full.scores[g].score));
+    EXPECT_EQ(selection->scores[g].valid_folds, full.scores[g].valid_folds);
+  }
+  EXPECT_EQ(selection->best_param, full.best_param);
+  EXPECT_EQ(std::bit_cast<uint64_t>(selection->best_score),
+            std::bit_cast<uint64_t>(full.best_score));
+  EXPECT_EQ(selection->cell_timings.size(), full.cell_timings.size());
+  EXPECT_EQ(selection->final_clustering.size(), 0u);
+  EXPECT_GT(full.final_clustering.size(), 0u);
 }
 
 TEST(CvcpTest, SelectsTrueKOnSeparatedBlobsMpck) {
@@ -59,6 +85,7 @@ TEST(CvcpTest, WorksWithFoscInConstraintScenario) {
   CvcpConfig config;
   config.cv.n_folds = 4;
   config.param_grid = {3, 6, 9, 12};
+  const Rng selection_rng = rng;
   auto report = RunCvcp(data, supervision, clusterer, config, &rng);
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->best_score, 0.5);
@@ -66,6 +93,8 @@ TEST(CvcpTest, WorksWithFoscInConstraintScenario) {
   bool in_grid = false;
   for (int p : config.param_grid) in_grid |= (p == report->best_param);
   EXPECT_TRUE(in_grid);
+  ExpectSelectionMatches(report.value(), data, supervision, clusterer, config,
+                         selection_rng);
 }
 
 TEST(CvcpTest, ScoresReportedInGridOrder) {
@@ -167,6 +196,16 @@ TEST(CvcpTest, DeterministicGivenSeed) {
   }
   EXPECT_EQ(ra->final_clustering.assignment(),
             rb->final_clustering.assignment());
+  // Steps 1-3 alone, with the cell timings on too.
+  ExpectSelectionMatches(ra.value(), data, supervision, clusterer, config,
+                         Rng(13));
+  config.collect_timings = true;
+  Rng c(13);
+  auto timed = RunCvcp(data, supervision, clusterer, config, &c);
+  ASSERT_TRUE(timed.ok());
+  EXPECT_EQ(timed->cell_timings.size(), 3u * 4u);
+  ExpectSelectionMatches(timed.value(), data, supervision, clusterer, config,
+                         Rng(13));
 }
 
 TEST(CvcpTest, KMeansBaselineIgnoresSupervisionButStillSelectsK) {

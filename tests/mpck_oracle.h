@@ -2,14 +2,16 @@
 #define CVCP_TESTS_MPCK_ORACLE_H_
 
 // Differential oracle for MPCKMeans. cluster/mpckmeans.cc memoizes each
-// distance once per window of fixed centroids and metric weights, batches
-// it through the weighted x4/rows kernels, and assigns in one pass over
-// each object's constraint partners. The code below is the
-// implementation it replaced, kept whole: per-object adjacency vectors,
-// a fresh kernel-table lookup and kernel call for every distance, and an
-// assignment step that tests every constraint once per candidate
-// cluster. tests/mpck_oracle_test.cc pins RunMpckMeans against
-// OracleRunMpckMeans bit for bit.
+// distance under per-cluster versions that advance only when a
+// cluster's centroid or weight row is rewritten, re-estimates only the
+// clusters whose member set changed, batches distances through the
+// weighted x4/rows kernels, and assigns in one pass over each object's
+// constraint partners. The code below is the implementation it
+// replaced, kept whole: every cluster re-estimated at every M-step,
+// per-object adjacency vectors, a fresh kernel-table lookup and kernel
+// call for every distance, and an assignment step that tests every
+// constraint once per candidate cluster. tests/mpck_oracle_test.cc pins
+// RunMpckMeans against OracleRunMpckMeans bit for bit.
 
 #include <algorithm>
 #include <cmath>

@@ -1,8 +1,9 @@
 // Differential oracle suite for MPCKMeans. RunMpckMeans memoizes each
-// distance once per window of fixed centroids and metric weights, batches
-// it through the weighted x4/rows kernels and assigns in one pass over
-// each object's partners; OracleRunMpckMeans (tests/mpck_oracle.h) is the
-// implementation it replaced. Rng-driven instances assert bit equality of
+// distance under per-cluster versions, re-estimates only the clusters
+// whose member set changed, batches distances through the weighted
+// x4/rows kernels and assigns in one pass over each object's partners;
+// OracleRunMpckMeans (tests/mpck_oracle.h) is the implementation it
+// replaced. Rng-driven instances assert bit equality of
 // the assignment, centroids, metric weights, objective, iteration count,
 // `converged` and the caller's Rng stream, and equal statuses for
 // rejected inputs.
@@ -154,17 +155,31 @@ TEST(MpckOracleTest, AloiLabelConstraintsBitEqual) {
 }
 
 TEST(MpckOracleTest, EveryModeAndInitOnAloiShape) {
+  // Each run is also cut after 1, 2 and 3 iterations, and rerun with
+  // tol = 0, so the state after every early M-step is pinned too, not
+  // only the converged one.
   const Dataset data = MakeAloiK5Like(7, 3);
   Rng rng(0xA102);
   const ConstraintSet constraints = LabelConstraints(data, 0.10, &rng);
   for (MetricMode mode : kModes) {
     for (bool init : {true, false}) {
-      MpckMeansConfig config;
-      config.k = 5;
-      config.metric_mode = mode;
-      config.neighborhood_init = init;
-      ExpectSameRun(data.points(), constraints, config, rng.NextUint64(),
-                    Describe(config, 144));
+      const uint64_t seed = rng.NextUint64();
+      for (int max_iters : {50, 1, 2, 3}) {
+        for (double tol : {1e-5, 0.0}) {
+          MpckMeansConfig config;
+          config.k = 5;
+          config.metric_mode = mode;
+          config.neighborhood_init = init;
+          config.max_iters = max_iters;
+          config.tol = tol;
+          Result<MpckMeansResult> fast =
+              ExpectSameRun(data.points(), constraints, config, seed,
+                            Describe(config, 144) +
+                                Format(" max_iters=%d tol=%g", max_iters, tol));
+          ASSERT_TRUE(fast.ok());
+          EXPECT_LE(fast.value().iterations, max_iters);
+        }
+      }
     }
   }
 }
@@ -231,6 +246,78 @@ TEST(MpckOracleTest, ViolatedConstraintsReachTheObjective) {
       EXPECT_GT(must_violated, 0u) << Describe(config, d);
       EXPECT_GT(cannot_violated, 0u) << Describe(config, d);
     }
+  }
+}
+
+/// Assignments after every pass of one run, read from runs cut after
+/// 1..passes iterations; stops early when the run converges.
+std::vector<std::vector<int>> AssignmentsPerPass(
+    const Matrix& points, const ConstraintSet& constraints,
+    MpckMeansConfig config, uint64_t seed, int passes) {
+  std::vector<std::vector<int>> out;
+  for (int t = 1; t <= passes; ++t) {
+    config.max_iters = t;
+    Rng rng(seed);
+    Result<MpckMeansResult> run =
+        RunMpckMeans(points, constraints, config, &rng);
+    if (!run.ok() || run.value().iterations < t) break;
+    out.push_back(run.value().clustering.assignment());
+  }
+  return out;
+}
+
+TEST(MpckOracleTest, OneBoundaryObjectMovesBetweenMSteps) {
+  // Two tight blobs A (x = 0) and B (x = 6), one object b between them
+  // must-linked into B, and a far blob C. The first pass puts b in A's
+  // cluster; the second moves b alone into B's. So the M-step after it
+  // re-estimates only A's and B's clusters (all rows under
+  // kSingleDiagonal), and C's cluster keeps its memo.
+  Rng rng(3);
+  const size_t per = 10;
+  const size_t b = 3 * per;
+  Matrix points(3 * per + 1, 3);
+  const double center_x[3] = {0.0, 6.0, 3.0};
+  const double center_y[3] = {0.0, 0.0, 9.0};
+  for (size_t blob = 0; blob < 3; ++blob) {
+    for (size_t j = 0; j < per; ++j) {
+      const size_t i = blob * per + j;
+      points.At(i, 0) = rng.Gaussian(center_x[blob], 0.2);
+      points.At(i, 1) = rng.Gaussian(center_y[blob], 0.2);
+      points.At(i, 2) = rng.Gaussian(0.0, 0.2);
+    }
+  }
+  points.At(b, 0) = 3.0;
+  points.At(b, 1) = 0.3;
+  points.At(b, 2) = 0.0;
+  ConstraintSet constraints;
+  ASSERT_TRUE(constraints.AddMustLink(b, per + 5).ok());
+  ASSERT_TRUE(constraints.AddCannotLink(0, 2 * per + 5).ok());
+  for (MetricMode mode : kModes) {
+    MpckMeansConfig config;
+    config.k = 3;
+    config.metric_mode = mode;
+    config.neighborhood_init = false;
+    config.tol = 0.0;
+    const uint64_t seed = 1;
+    for (int max_iters : {1, 2, 50}) {
+      MpckMeansConfig cut = config;
+      cut.max_iters = max_iters;
+      ExpectSameRun(points, constraints, cut, seed,
+                    Describe(cut, 3) + Format(" max_iters=%d", max_iters));
+    }
+    // The input does what the comment says: after pass 1 each blob is
+    // one cluster and b sits with A; pass 2 moves b, and only b, to B.
+    const std::vector<std::vector<int>> passes =
+        AssignmentsPerPass(points, constraints, config, seed, 2);
+    ASSERT_EQ(passes.size(), 2u) << Describe(config, 3);
+    const int a = passes[0][0], bb = passes[0][per], c = passes[0][2 * per];
+    EXPECT_TRUE(a != bb && bb != c && a != c) << Describe(config, 3);
+    for (size_t i = 0; i < b; ++i) {
+      EXPECT_EQ(passes[0][i], i < per ? a : i < 2 * per ? bb : c) << i;
+      EXPECT_EQ(passes[1][i], passes[0][i]) << Describe(config, 3) << i;
+    }
+    EXPECT_EQ(passes[0][b], a) << Describe(config, 3);
+    EXPECT_EQ(passes[1][b], bb) << Describe(config, 3);
   }
 }
 
@@ -325,6 +412,54 @@ TEST(MpckOracleTest, EmptyClusterIsReseeded) {
       config.neighborhood_init = init;
       ExpectSameRun(points, ConstraintSet(), config, rng.NextUint64(),
                     Describe(config, 6));
+    }
+  }
+}
+
+TEST(MpckOracleTest, EmptyClusterReseededOnConsecutiveMSteps) {
+  // Must-link neighborhoods P (mean x = 0) and Q, R (both with mean
+  // (10, 0)) seed the three centroids, so Q's and R's coincide and the
+  // higher-indexed one loses every tie of the first pass. Heavy
+  // must-links keep the neighborhoods out of the re-seeded cluster, and
+  // free objects between P and Q keep the run moving, so the same
+  // cluster is empty, and re-seeded, at M-steps 1, 2 and 3.
+  Rng rng(103);
+  const size_t free_objects = 8;
+  Matrix points(7 + free_objects, 2);
+  const double fixed[7][2] = {{-1, 0}, {0, 0},  {1, 0}, {9, 0},
+                              {11, 0}, {10, -1}, {10, 1}};
+  for (size_t i = 0; i < 7; ++i) {
+    points.At(i, 0) = fixed[i][0];
+    points.At(i, 1) = fixed[i][1];
+  }
+  for (size_t i = 7; i < points.rows(); ++i) {
+    points.At(i, 0) = rng.Uniform(1.0, 9.0);
+    points.At(i, 1) = rng.Uniform(-1.0, 1.0);
+  }
+  ConstraintSet constraints;
+  ASSERT_TRUE(constraints.AddMustLink(0, 1).ok());
+  ASSERT_TRUE(constraints.AddMustLink(1, 2).ok());
+  ASSERT_TRUE(constraints.AddMustLink(3, 4).ok());
+  ASSERT_TRUE(constraints.AddMustLink(5, 6).ok());
+  for (MetricMode mode : kModes) {
+    MpckMeansConfig config;
+    config.k = 3;
+    config.metric_mode = mode;
+    config.tol = 0.0;
+    config.must_link_weight = 10.0;
+    const uint64_t seed = 2;
+    for (int max_iters : {1, 2, 3, 4, 50}) {
+      MpckMeansConfig cut = config;
+      cut.max_iters = max_iters;
+      ExpectSameRun(points, constraints, cut, seed,
+                    Describe(cut, 2) + Format(" max_iters=%d", max_iters));
+    }
+    const std::vector<std::vector<int>> passes =
+        AssignmentsPerPass(points, constraints, config, seed, 3);
+    ASSERT_EQ(passes.size(), 3u) << Describe(config, 2);
+    for (const std::vector<int>& labels : passes) {
+      EXPECT_EQ(std::count(labels.begin(), labels.end(), 2), 0)
+          << Describe(config, 2);
     }
   }
 }
