@@ -180,7 +180,7 @@ void BM_FoscExtract(benchmark::State& state) {
   const Dendrogram dg = Dendrogram::FromReachability(BenchPlot(data));
   ConstraintSet constraints = BenchConstraints(data, 0.2);
   for (auto _ : state) {
-    auto fosc = ExtractClusters(dg, constraints, FoscConfig{});
+    auto fosc = ExtractClusters(dg, constraints);
     benchmark::DoNotOptimize(fosc);
   }
   state.counters["constraints"] = static_cast<double>(constraints.size());

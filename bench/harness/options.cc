@@ -32,18 +32,6 @@ bool ParseSeed(const char* text, uint64_t* out) {
   return true;
 }
 
-long EnvLong(const char* name, long fallback) {
-  const char* v = std::getenv(name);
-  long parsed = 0;
-  return v != nullptr && ParseLong(v, &parsed) ? parsed : fallback;
-}
-
-uint64_t EnvSeed(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  uint64_t parsed = 0;
-  return v != nullptr && ParseSeed(v, &parsed) ? parsed : fallback;
-}
-
 [[noreturn]] void UsageExit(const char* argv0, const std::string& problem) {
   std::fprintf(stderr,
                "%s: %s\n"
@@ -58,17 +46,6 @@ uint64_t EnvSeed(const char* name, uint64_t fallback) {
 
 BenchOptions ParseBenchOptions(int argc, char** argv) {
   BenchOptions o;
-  o.trials = static_cast<int>(EnvLong("CVCP_TRIALS", o.trials));
-  o.aloi_datasets = static_cast<std::size_t>(
-      EnvLong("CVCP_ALOI_DATASETS", static_cast<long>(o.aloi_datasets)));
-  o.n_folds = static_cast<int>(EnvLong("CVCP_FOLDS", o.n_folds));
-  o.seed = EnvSeed("CVCP_SEED", o.seed);
-  o.threads = static_cast<int>(EnvLong("CVCP_THREADS", o.threads));
-  if (const char* v = std::getenv("CVCP_STORE"); v != nullptr && *v != '\0') {
-    o.store_dir = v;
-  }
-  o.store_capacity_mb = static_cast<int>(
-      EnvLong("CVCP_STORE_CAPACITY_MB", o.store_capacity_mb));
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
     // The value after a value flag; a missing one is a usage error.

@@ -303,15 +303,14 @@ void PrintStoreStats(const PaperBenchContext& ctx) {
   std::fprintf(
       stderr,
       "cache-stats: dist_builds=%llu dist_loads=%llu dist_hits=%llu "
-      "model_builds=%llu model_loads=%llu model_hits=%llu model_errors=%llu "
+      "model_builds=%llu model_loads=%llu model_hits=%llu "
       "lru_entries=%zu lru_charge=%zu lru_evictions=%llu\n",
       static_cast<unsigned long long>(c.distance_builds),
       static_cast<unsigned long long>(c.distance_loads),
       static_cast<unsigned long long>(c.distance_hits),
       static_cast<unsigned long long>(c.model_builds),
       static_cast<unsigned long long>(c.model_loads),
-      static_cast<unsigned long long>(c.model_hits),
-      static_cast<unsigned long long>(c.model_errors), m.entries, m.charge,
+      static_cast<unsigned long long>(c.model_hits), m.entries, m.charge,
       static_cast<unsigned long long>(m.evictions));
   if (ctx.store == nullptr) return;
   const ArtifactStore::Stats s = ctx.store->stats();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -64,29 +63,10 @@ class LeafLca {
   std::vector<uint64_t> table_;
 };
 
-/// Replaces infinite merge heights (component boundaries in the
-/// reachability plot) by a finite cap so lifetime stability stays finite.
-double FiniteHeightCap(const Dendrogram& dg) {
-  double max_finite = 0.0;
-  for (size_t id = 0; id < dg.num_nodes(); ++id) {
-    const double h = dg.node(static_cast<int>(id)).height;
-    if (std::isfinite(h)) max_finite = std::max(max_finite, h);
-  }
-  return max_finite > 0.0 ? 1.5 * max_finite : 1.0;
-}
-
 }  // namespace
 
 Result<FoscResult> ExtractClusters(const Dendrogram& dendrogram,
-                                   const ConstraintSet& constraints,
-                                   const FoscConfig& config) {
-  if (config.min_cluster_size < 1) {
-    return Status::InvalidArgument("min_cluster_size must be >= 1");
-  }
-  if (config.alpha < 0.0 || config.alpha > 1.0) {
-    return Status::InvalidArgument(
-        Format("alpha must be in [0, 1], got %f", config.alpha));
-  }
+                                   const ConstraintSet& constraints) {
   const size_t n = dendrogram.num_objects();
   const size_t num_nodes = dendrogram.num_nodes();
 
@@ -135,29 +115,8 @@ Result<FoscResult> ExtractClusters(const Dendrogram& dendrogram,
     }
   }
 
-  // --- Stability (lifetime) per node. ---
-  std::vector<double> stability(num_nodes, 0.0);
-  const double cap = FiniteHeightCap(dendrogram);
-  for (size_t id = 0; id < num_nodes; ++id) {
-    const DendrogramNode& nd = dendrogram.node(static_cast<int>(id));
-    if (nd.parent < 0) continue;  // root has no lifetime
-    double h_parent = dendrogram.node(nd.parent).height;
-    double h_node = nd.is_leaf() ? 0.0 : nd.height;
-    if (!std::isfinite(h_parent)) h_parent = cap;
-    if (!std::isfinite(h_node)) h_node = cap;
-    stability[id] =
-        static_cast<double>(nd.size()) * std::max(0.0, h_parent - h_node);
-  }
-
   const double j_scale =
       constraints.empty() ? 1.0 : static_cast<double>(constraints.size());
-
-  auto eligible = [&](int id) {
-    const DendrogramNode& nd = dendrogram.node(id);
-    if (nd.size() < config.min_cluster_size) return false;
-    if (id == dendrogram.root() && !config.allow_root) return false;
-    return true;
-  };
 
   // Post-order DP. value[id] = best achievable in the subtree; selection
   // rule (incl. tie handling) is documented at the sweep below.
@@ -171,32 +130,6 @@ Result<FoscResult> ExtractClusters(const Dendrogram& dendrogram,
   bottom_up.reserve(num_nodes);
   for (size_t id = 0; id < n; ++id) bottom_up.push_back(id);
   for (size_t id = num_nodes; id-- > n;) bottom_up.push_back(id);
-
-  // Normalize stability by the best unsupervised selection so alpha mixes
-  // two [0, 1]-scale terms. First pass computes that normalizer.
-  double stability_norm = 1.0;
-  if (config.alpha < 1.0) {
-    std::vector<double> sbest(num_nodes, 0.0);
-    for (size_t id : bottom_up) {
-      const DendrogramNode& nd = dendrogram.node(static_cast<int>(id));
-      const double children = nd.is_leaf()
-                                  ? 0.0
-                                  : sbest[static_cast<size_t>(nd.left)] +
-                                        sbest[static_cast<size_t>(nd.right)];
-      const double own =
-          eligible(static_cast<int>(id)) ? stability[id] : -kInf;
-      sbest[id] = std::max(children, own);
-    }
-    if (sbest[static_cast<size_t>(dendrogram.root())] > 0.0) {
-      stability_norm = sbest[static_cast<size_t>(dendrogram.root())];
-    }
-  }
-
-  auto blended = [&](size_t id) {
-    const double j_term = j_value[id] / j_scale;
-    const double s_term = stability[id] / stability_norm;
-    return config.alpha * j_term + (1.0 - config.alpha) * s_term;
-  };
 
   // Tie-break: a node with the same value as its children's best selection
   // wins if it carries actual evidence (own > 0). Objects that are not
@@ -213,8 +146,10 @@ Result<FoscResult> ExtractClusters(const Dendrogram& dendrogram,
                                 ? 0.0
                                 : best[static_cast<size_t>(nd.left)] +
                                       best[static_cast<size_t>(nd.right)];
-    double own = -kInf;
-    if (eligible(static_cast<int>(id))) own = blended(id);
+    // Candidates: subtrees of at least two objects, excluding the root.
+    const bool eligible =
+        !nd.is_leaf() && static_cast<int>(id) != dendrogram.root();
+    const double own = eligible ? j_value[id] / j_scale : -kInf;
     const bool take_node =
         own > children + kTieEps ||
         (own > kTieEps && own >= children - kTieEps);

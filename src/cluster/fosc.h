@@ -17,11 +17,9 @@
 ///   * cannot-link (a,b): +1/2 for each endpoint in C whose partner is
 ///     *not* in C.
 /// Objects covered by no selected cluster are noise; their endpoints earn
-/// nothing (DESIGN.md §6).
-///
-/// The unsupervised objective is the classic lifetime stability
-/// |C| * (h(parent) - h(C)); `alpha` blends the two (1.0 = pure
-/// semi-supervised, the paper's setting).
+/// nothing (DESIGN.md §6). A node's value is its objective divided by the
+/// number of constraints |C|. The candidates are every subtree of at least
+/// two objects except the root (the all-inclusive "cluster").
 ///
 /// Cost: O(n log n + |C|) per extraction for n objects and |C|
 /// constraints. The constraint objective of every node comes from marks at
@@ -38,35 +36,22 @@
 
 namespace cvcp {
 
-/// FOSC configuration.
-struct FoscConfig {
-  /// Subtrees smaller than this are not candidate clusters (their objects
-  /// become noise unless an ancestor is selected).
-  size_t min_cluster_size = 2;
-  /// Weight of the constraint-satisfaction objective vs. stability.
-  double alpha = 1.0;
-  /// Whether the root (the all-inclusive "cluster") may be selected.
-  bool allow_root = false;
-};
-
 /// Output of a FOSC extraction.
 struct FoscResult {
   Clustering clustering;
   /// Ids of the selected dendrogram nodes.
   std::vector<int> selected_nodes;
-  /// Total blended objective achieved by the selection.
+  /// Total objective achieved by the selection, divided by |C|.
   double objective = 0.0;
   /// Fraction of constraints satisfied by the selection under the
   /// half-credit semantics; NaN when no constraints were given.
   double constraint_satisfaction = 0.0;
 };
 
-/// Runs the FOSC dynamic program. Errors with kInvalidArgument if
-/// min_cluster_size < 1, alpha outside [0, 1], or a constraint references
-/// an object the dendrogram does not cover.
+/// Runs the FOSC dynamic program. Errors with kInvalidArgument if a
+/// constraint references an object the dendrogram does not cover.
 Result<FoscResult> ExtractClusters(const Dendrogram& dendrogram,
-                                   const ConstraintSet& constraints,
-                                   const FoscConfig& config);
+                                   const ConstraintSet& constraints);
 
 }  // namespace cvcp
 

@@ -144,18 +144,7 @@ Result<KMeansResult> RunKMeans(const Matrix& points,
   KMeansResult best;
   best.inertia = std::numeric_limits<double>::infinity();
   for (int attempt = 0; attempt < config.n_init; ++attempt) {
-    Matrix init =
-        config.kmeanspp
-            ? KMeansPlusPlusInit(points, config.k, rng)
-            : [&] {
-                Matrix m(static_cast<size_t>(config.k), points.cols());
-                std::vector<size_t> idx = rng->SampleWithoutReplacement(
-                    points.rows(), static_cast<size_t>(config.k));
-                for (size_t c = 0; c < idx.size(); ++c) {
-                  m.SetRow(c, points.Row(idx[c]));
-                }
-                return m;
-              }();
+    Matrix init = KMeansPlusPlusInit(points, config.k, rng);
     KMeansResult run = LloydFromInit(points, config, std::move(init), rng);
     if (run.inertia < best.inertia) best = std::move(run);
   }

@@ -21,8 +21,6 @@ struct KMeansConfig {
   double tol = 1e-6;
   /// Independent restarts; the run with the lowest inertia wins.
   int n_init = 5;
-  /// k-means++ seeding (true) or uniform random points (false).
-  bool kmeanspp = true;
 };
 
 /// Output of a k-means run.

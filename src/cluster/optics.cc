@@ -1,6 +1,7 @@
 #include "cluster/optics.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -15,15 +16,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 template <typename DistFn>
 Result<OpticsResult> OpticsImpl(size_t n, const OpticsConfig& config,
                                 DistFn&& dist) {
-  if (config.min_pts < 1) {
-    return Status::InvalidArgument(
-        Format("min_pts must be >= 1, got %d", config.min_pts));
-  }
-  if (static_cast<size_t>(config.min_pts) > n) {
-    return Status::InvalidArgument(
-        Format("min_pts=%d exceeds number of points (%zu)", config.min_pts,
-               n));
-  }
+  CVCP_RETURN_IF_ERROR(ValidateMinPts(config.min_pts, n));
 
   OpticsResult result;
   result.order.reserve(n);
@@ -43,10 +36,8 @@ Result<OpticsResult> OpticsImpl(size_t n, const OpticsConfig& config,
     dists.reserve(n);
     for (size_t o = 0; o < n; ++o) {
       if (o == p) continue;
-      const double d = dist(p, o);
-      if (d <= config.eps) dists.push_back(d);
+      dists.push_back(dist(p, o));
     }
-    if (dists.size() + 1 < min_pts) return kInf;
     if (min_pts == 1) return 0.0;
     std::nth_element(dists.begin(), dists.begin() + (min_pts - 2),
                      dists.end());
@@ -71,7 +62,6 @@ Result<OpticsResult> OpticsImpl(size_t n, const OpticsConfig& config,
         for (size_t o = 0; o < n; ++o) {
           if (processed[o] || o == current) continue;
           const double d = dist(current, o);
-          if (d > config.eps) continue;
           const double new_reach = std::max(core, d);
           if (new_reach < reach[o]) reach[o] = new_reach;
         }
@@ -100,6 +90,18 @@ Result<OpticsResult> OpticsImpl(size_t n, const OpticsConfig& config,
 }
 
 }  // namespace
+
+Status ValidateMinPts(int min_pts, size_t n) {
+  if (min_pts < 1) {
+    return Status::InvalidArgument(
+        Format("min_pts must be >= 1, got %d", min_pts));
+  }
+  if (static_cast<size_t>(min_pts) > n) {
+    return Status::InvalidArgument(
+        Format("min_pts=%d exceeds number of points (%zu)", min_pts, n));
+  }
+  return Status::OK();
+}
 
 Result<OpticsResult> RunOptics(const Matrix& points,
                                const OpticsConfig& config) {

@@ -1,5 +1,7 @@
 #include "common/cancel.h"
 
+#include <chrono>
+
 namespace cvcp {
 
 namespace internal {

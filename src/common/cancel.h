@@ -22,7 +22,6 @@
 /// adjustments can neither fire nor defer them.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 
@@ -54,9 +53,6 @@ class CancelToken {
  public:
   CancelToken() = default;
 
-  /// True when this token is attached to a source (and so could fire).
-  bool CanBeCancelled() const { return state_ != nullptr; }
-
   /// True when cancellation was requested or the deadline has passed.
   bool Cancelled() const { return !Check().ok(); }
 
@@ -76,7 +72,7 @@ class CancelToken {
 };
 
 /// Owner side: requests cancellation and sets the deadline. Thread-safe;
-/// tokens may be checked concurrently with RequestCancel/SetDeadline*.
+/// tokens may be checked concurrently with RequestCancel/SetDeadlineAfterMs.
 class CancelSource {
  public:
   CancelSource() : state_(std::make_shared<internal::CancelState>()) {}
@@ -86,20 +82,7 @@ class CancelSource {
     state_->cancelled.store(true, std::memory_order_release);
   }
 
-  bool CancelRequested() const {
-    return state_->cancelled.load(std::memory_order_acquire);
-  }
-
-  /// Sets an absolute monotonic deadline. Last call wins.
-  void SetDeadline(std::chrono::steady_clock::time_point deadline) {
-    state_->deadline_ns.store(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            deadline.time_since_epoch())
-            .count(),
-        std::memory_order_release);
-  }
-
-  /// Sets the deadline `ms` milliseconds from now.
+  /// Sets the deadline `ms` milliseconds from now. Last call wins.
   void SetDeadlineAfterMs(uint64_t ms);
 
   /// The deadline in internal::SteadyNowNs() nanoseconds, or

@@ -58,12 +58,6 @@ class Matrix {
     return {data_.data() + r * cols_, cols_};
   }
 
-  /// Copies row r into a new vector.
-  std::vector<double> RowVector(size_t r) const {
-    auto s = Row(r);
-    return {s.begin(), s.end()};
-  }
-
   /// Overwrites row r with `values` (size must equal cols()).
   void SetRow(size_t r, std::span<const double> values);
 

@@ -29,7 +29,7 @@ Result<Clustering> FoscOpticsDendClusterer::ExtractWithSupervision(
     const FoscOpticsModel& model, const Supervision& supervision) const {
   CVCP_ASSIGN_OR_RETURN(
       FoscResult fosc,
-      ExtractClusters(model.dendrogram, supervision.constraints(), fosc_));
+      ExtractClusters(model.dendrogram, supervision.constraints()));
   return fosc.clustering;
 }
 

@@ -79,9 +79,9 @@ class SemiSupervisedClusterer {
   /// harness also calls it once per dataset before a trial fan-out, so
   /// parallel trials never race to build the same key. Default: no-op —
   /// most algorithms have nothing cacheable.
-  /// No-op on a null cache. Per-param build errors are memoized in the
-  /// cache, not surfaced here; the sweep reports them per cell exactly as
-  /// a cold cache would.
+  /// No-op on a null cache. Out-of-range params are skipped, not
+  /// surfaced here; the sweep reports their errors per cell exactly as a
+  /// cold cache would.
   virtual void PrewarmCache(const Dataset& data,
                             std::span<const int> param_grid,
                             DatasetCache* cache,
@@ -106,8 +106,6 @@ class SemiSupervisedClusterer {
 /// the constraints.
 class FoscOpticsDendClusterer : public SemiSupervisedClusterer {
  public:
-  explicit FoscOpticsDendClusterer(FoscConfig fosc = {}) : fosc_(fosc) {}
-
   std::string name() const override { return "FOSC-OPTICSDend"; }
   std::string param_name() const override { return "MinPts"; }
 
@@ -130,9 +128,6 @@ class FoscOpticsDendClusterer : public SemiSupervisedClusterer {
                                const Supervision& supervision, int param,
                                Rng* rng,
                                const ClusterContext& context) const override;
-
- private:
-  FoscConfig fosc_;
 };
 
 /// MPCKMeans (param = k).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -28,7 +27,6 @@ struct CvCell {
 struct CvCellResult {
   Status status;
   double score = std::numeric_limits<double>::quiet_NaN();
-  double wall_ms = 0.0;
 };
 
 /// Supervision size of a fold for the cost estimate: labeled training
@@ -84,11 +82,9 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
     const Dataset& data, const std::vector<FoldSplit>& folds,
     SupervisionKind kind, const SemiSupervisedClusterer& clusterer,
     const std::vector<int>& param_grid, Rng* rng,
-    const ExecutionContext& exec, DatasetCache* cache,
-    std::vector<CvCellTiming>* timings) {
+    const ExecutionContext& exec, DatasetCache* cache) {
   const size_t n_folds = folds.size();
   const size_t n_cells = param_grid.size() * n_folds;
-  if (timings != nullptr) timings->clear();
   // Already cancelled or past deadline: fail before materializing cells.
   CVCP_RETURN_IF_ERROR(exec.cancel.Check());
 
@@ -133,7 +129,6 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
     }
     const CvCell& cell = cells[c];
     const FoldSplit& fold = folds[cell.fold];
-    const auto start = std::chrono::steady_clock::now();
     Rng cell_rng = cell.rng;
     Result<Clustering> clustering =
         clusterer.Cluster(data, train[cell.fold], cell.param, &cell_rng,
@@ -148,9 +143,6 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
       out.status = clustering.status();
       first_error.Record(c);
     }
-    out.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   };
 
   if (exec.ResolvedThreads() <= 1) {
@@ -181,15 +173,6 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
   // the serial loop would have returned.
   for (const CvCellResult& result : results) {
     if (!result.status.ok()) return result.status;
-  }
-
-  if (timings != nullptr) {
-    timings->reserve(n_cells);
-    for (size_t c = 0; c < n_cells; ++c) {
-      timings->push_back(CvCellTiming{cells[c].param,
-                                      static_cast<int>(cells[c].fold),
-                                      results[c].wall_ms});
-    }
   }
 
   std::vector<CvScore> scores(param_grid.size());

@@ -37,13 +37,6 @@ namespace cvcp {
 inline constexpr uint64_t kFoldStreamId = 0xF01D5ULL;
 inline constexpr uint64_t kScoreStreamId = 0x5C0BEULL;
 
-/// Wall-clock cost of one (param, fold) clustering job.
-struct CvCellTiming {
-  int param = 0;
-  int fold = 0;
-  double wall_ms = 0.0;
-};
-
 /// A-priori cost proxy for one (param, fold) cell, used to run parallel
 /// cells longest-first so no expensive cell starts late and stretches the
 /// tail of the fan-out: (training supervision size + 1) × (|param| + 1).
@@ -95,15 +88,12 @@ struct CvScore {
 /// is non-null every cell clusters through it, so the
 /// supervision-independent stages — distance matrix, OPTICS models — are
 /// built once and shared across the G×F cells (core/dataset_cache.h).
-/// When `timings` is non-null it is filled with one entry per cell in
-/// (grid-order, fold-order).
 Result<std::vector<CvScore>> ScoreGridOnFolds(
     const Dataset& data, const std::vector<FoldSplit>& folds,
     SupervisionKind kind, const SemiSupervisedClusterer& clusterer,
     const std::vector<int>& param_grid, Rng* rng,
     const ExecutionContext& exec = ExecutionContext::Serial(),
-    DatasetCache* cache = nullptr,
-    std::vector<CvCellTiming>* timings = nullptr);
+    DatasetCache* cache = nullptr);
 
 }  // namespace cvcp
 

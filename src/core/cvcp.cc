@@ -37,9 +37,7 @@ Result<CvcpReport> RunCvcpSelection(const Dataset& data,
   CVCP_ASSIGN_OR_RETURN(
       std::vector<CvScore> cv_scores,
       ScoreGridOnFolds(data, folds, supervision.kind(), clusterer,
-                       config.param_grid, &score_rng, config.cv.exec, cache,
-                       config.collect_timings ? &report.cell_timings
-                                              : nullptr));
+                       config.param_grid, &score_rng, config.cv.exec, cache));
 
   report.scores.reserve(config.param_grid.size());
   bool have_best = false;

@@ -29,7 +29,8 @@ namespace cvcp {
 struct CvcpConfig {
   CvConfig cv;
   std::vector<int> param_grid;
-  /// Record per-(param, fold) wall time in CvcpReport::cell_timings.
+  /// Inert: nothing in the engine reads it. It remains until the
+  /// repository benchmark stops setting it.
   bool collect_timings = false;
 };
 
@@ -50,10 +51,6 @@ struct CvcpReport {
   /// Step 4: clustering of the whole dataset with all supervision at
   /// best_param.
   Clustering final_clustering;
-  /// Per-cell wall time in (grid-order, fold-order); only filled when
-  /// CvcpConfig::collect_timings is set. Timing values depend on machine
-  /// load — everything else in the report is deterministic.
-  std::vector<CvCellTiming> cell_timings;
 };
 
 /// CVCP steps 1-3 only: the report RunCvcp returns for the same `rng`,

@@ -106,17 +106,10 @@ std::string DatasetCache::ModelKey(int min_pts) const {
                 static_cast<unsigned long long>(content_hash_), min_pts);
 }
 
-std::optional<Result<DatasetCache::ModelPtr>> DatasetCache::ResidentModel(
-    const std::string& key, int min_pts) {
-  if (auto resident = memory_->LookupAs<FoscOpticsModel>(key)) {
-    model_hits_.fetch_add(1, std::memory_order_relaxed);
-    return ModelPtr(resident);
-  }
-  MutexLock lock(&mu_);
-  auto it = model_errors_memo_.find(min_pts);
-  if (it == model_errors_memo_.end()) return std::nullopt;
-  model_hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+DatasetCache::ModelPtr DatasetCache::ResidentModel(const std::string& key) {
+  ModelPtr resident = memory_->LookupAs<FoscOpticsModel>(key);
+  if (resident) model_hits_.fetch_add(1, std::memory_order_relaxed);
+  return resident;
 }
 
 DatasetCache::ModelPtr DatasetCache::StoredModel(const std::string& key,
@@ -141,7 +134,7 @@ DatasetCache::ModelPtr DatasetCache::StoredModel(const std::string& key,
   return published;
 }
 
-Result<DatasetCache::ModelPtr> DatasetCache::BuildModel(
+DatasetCache::ModelPtr DatasetCache::BuildModel(
     const std::string& key, int min_pts, const ExecutionContext& exec) {
   // The distance build is *not* part of the model wall time: it is shared
   // by every param and reported as its own stage.
@@ -151,16 +144,7 @@ Result<DatasetCache::ModelPtr> DatasetCache::BuildModel(
   OpticsConfig config;
   config.min_pts = min_pts;
   Result<OpticsResult> optics = RunOptics(*distances, config);
-  if (!optics.ok()) {
-    model_errors_.fetch_add(1, std::memory_order_relaxed);
-    const double ms = MsSince(start);
-    MutexLock lock(&mu_);
-    model_build_ms_ += ms;
-    // First publisher wins for errors too (identical statuses anyway).
-    auto [it, inserted] =
-        model_errors_memo_.emplace(min_pts, optics.status());
-    return it->second;
-  }
+  CVCP_CHECK(optics.ok());  // callers validated min_pts
   auto model = std::make_shared<FoscOpticsModel>();
   model->optics = std::move(optics).value();
   model->dendrogram = Dendrogram::FromReachability(model->optics);
@@ -176,15 +160,14 @@ Result<DatasetCache::ModelPtr> DatasetCache::BuildModel(
   if (store_ != nullptr && published == built) {
     store_->SaveOpticsModel(content_hash_, min_pts, published->optics);
   }
-  return ModelPtr(published);
+  return published;
 }
 
 Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
     Metric, int min_pts, const ExecutionContext& exec) {
+  CVCP_RETURN_IF_ERROR(ValidateMinPts(min_pts, points_->rows()));
   const std::string key = ModelKey(min_pts);
-  if (auto resident = ResidentModel(key, min_pts)) {
-    return *std::move(resident);
-  }
+  if (ModelPtr resident = ResidentModel(key)) return resident;
   if (ModelPtr stored = StoredModel(key, min_pts)) return stored;
   return BuildModel(key, min_pts, exec);
 }
@@ -192,9 +175,11 @@ Result<std::shared_ptr<const FoscOpticsModel>> DatasetCache::FoscModel(
 void DatasetCache::Prewarm(std::span<const int> min_pts_grid,
                            const ExecutionContext& exec) {
   // Memory first: a resident grid costs G lookups and no fan-out.
+  // Out-of-range values have no model to warm.
   std::vector<int> absent;
   for (int min_pts : min_pts_grid) {
-    if (!ResidentModel(ModelKey(min_pts), min_pts)) {
+    if (ValidateMinPts(min_pts, points_->rows()).ok() &&
+        !ResidentModel(ModelKey(min_pts))) {
       absent.push_back(min_pts);
     }
   }
@@ -222,9 +207,7 @@ void DatasetCache::Prewarm(std::span<const int> min_pts_grid,
         Distances(Metric::kEuclidean, exec);
     ParallelFor(exec, missing.size(), [&](size_t i) {
       const std::string key = ModelKey(missing[i]);
-      if (!ResidentModel(key, missing[i])) {
-        BuildModel(key, missing[i], serial);
-      }
+      if (!ResidentModel(key)) BuildModel(key, missing[i], serial);
     });
   }
   // The grid's models no longer need the matrix. When the store holds
@@ -246,7 +229,6 @@ DatasetCache::Stats DatasetCache::stats() const {
   out.model_builds = model_builds_.load(std::memory_order_relaxed);
   out.model_loads = model_loads_.load(std::memory_order_relaxed);
   out.model_hits = model_hits_.load(std::memory_order_relaxed);
-  out.model_errors = model_errors_.load(std::memory_order_relaxed);
   MutexLock lock(&mu_);
   out.distance_build_ms = distance_build_ms_;
   out.distance_load_ms = distance_load_ms_;
@@ -283,7 +265,6 @@ DatasetCache::Stats DatasetCachePool::AggregateStats() const {
     out.model_builds += s.model_builds;
     out.model_loads += s.model_loads;
     out.model_hits += s.model_hits;
-    out.model_errors += s.model_errors;
     out.distance_build_ms += s.distance_build_ms;
     out.distance_load_ms += s.distance_load_ms;
     out.model_build_ms += s.model_build_ms;

@@ -66,7 +66,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -133,9 +132,8 @@ class DatasetCache {
   /// The memoized FOSC-OPTICSDend model for `min_pts`: OPTICS over
   /// the cached distance matrix plus the dendrogram. The disk tier stores
   /// only the OPTICS stage; the dendrogram is rebuilt deterministically on
-  /// load. Build errors (e.g. min_pts out of range) are memoized
-  /// per-dataset — never persisted — so every caller sees exactly the
-  /// status `RunOptics` returns.
+  /// load. An out-of-range `min_pts` fails `ValidateMinPts` before any
+  /// tier is consulted, with the status `RunOptics` returns for it.
   Result<std::shared_ptr<const FoscOpticsModel>> FoscModel(
       Metric, int min_pts, const ExecutionContext& exec);
 
@@ -146,8 +144,8 @@ class DatasetCache {
   /// `ParallelFor`. After such a build, when the store holds the matrix,
   /// the matrix leaves the memory tier — the grid's models no longer read
   /// it, and a later `Distances()` caller reloads identical bits from
-  /// disk. Per-param build errors are memoized exactly as a lazy first
-  /// call would memoize them and do not abort the warm-up.
+  /// disk. Out-of-range values (`ValidateMinPts`) are skipped; a lazy
+  /// call reports their error.
   void Prewarm(std::span<const int> min_pts_grid,
                const ExecutionContext& exec);
 
@@ -155,10 +153,9 @@ class DatasetCache {
   /// "build" is a call that actually computed the structure — under a
   /// first-touch race several callers may resolve the same key, so builds
   /// can exceed the number of distinct keys; a "load" resolved from the
-  /// disk tier; a "hit" was served from the memory tier (or the error
-  /// memo). `model_builds` counts only successful OPTICS builds; failed
-  /// ones count under `model_errors`. Wall times are summed per stage
-  /// (every computed build counts, including racing duplicates).
+  /// disk tier; a "hit" was served from the memory tier. A call with an
+  /// out-of-range `min_pts` counts nowhere. Wall times are summed per
+  /// stage (every computed build counts, including racing duplicates).
   struct Stats {
     uint64_t distance_builds = 0;
     uint64_t distance_loads = 0;
@@ -166,7 +163,6 @@ class DatasetCache {
     uint64_t model_builds = 0;
     uint64_t model_loads = 0;
     uint64_t model_hits = 0;
-    uint64_t model_errors = 0;
     double distance_build_ms = 0.0;
     double distance_load_ms = 0.0;
     double model_build_ms = 0.0;
@@ -181,17 +177,16 @@ class DatasetCache {
   std::string DistanceKey() const;
   std::string ModelKey(int min_pts) const;
 
-  /// The model (or memoized build error) from memory, counting a hit;
-  /// nullopt when neither holds the key.
-  std::optional<Result<ModelPtr>> ResidentModel(const std::string& key,
-                                                int min_pts);
+  /// The model from memory, counting a hit; null when it is not
+  /// resident.
+  ModelPtr ResidentModel(const std::string& key);
   /// The model loaded from the store and published, counting a load;
   /// null on any miss (counted by the store).
   ModelPtr StoredModel(const std::string& key, int min_pts);
   /// Runs OPTICS over the matrix and publishes the model (first
-  /// publisher wins, and only it persists); memoizes a build error.
-  Result<ModelPtr> BuildModel(const std::string& key, int min_pts,
-                              const ExecutionContext& exec);
+  /// publisher wins, and only it persists). `min_pts` must be valid.
+  ModelPtr BuildModel(const std::string& key, int min_pts,
+                      const ExecutionContext& exec);
 
   const Matrix* points_;
   uint64_t content_hash_;
@@ -199,11 +194,7 @@ class DatasetCache {
   ArtifactStore* store_;
   std::unique_ptr<ShardedLruCache> owned_memory_;
 
-  // Error memo: per-dataset, unbounded (a handful of bad params at most),
-  // deliberately outside the LRU so an eviction can never flip an errored
-  // key back to a rebuild with different stats. Keyed by MinPts.
   mutable Mutex mu_;
-  std::map<int, Status> model_errors_memo_ GUARDED_BY(mu_);
   // Distance keys this front-end loaded from, or saved to, the store.
   std::set<std::string> persisted_distances_ GUARDED_BY(mu_);
 
@@ -213,7 +204,6 @@ class DatasetCache {
   std::atomic<uint64_t> model_builds_{0};
   std::atomic<uint64_t> model_loads_{0};
   std::atomic<uint64_t> model_hits_{0};
-  std::atomic<uint64_t> model_errors_{0};
   // Wall-time accumulators share mu_ (only touched around builds/loads).
   double distance_build_ms_ GUARDED_BY(mu_) = 0.0;
   double distance_load_ms_ GUARDED_BY(mu_) = 0.0;
@@ -241,7 +231,6 @@ class DatasetCachePool {
   /// stable for the pool's lifetime.
   DatasetCache* For(const Matrix& points);
 
-  ArtifactStore* store() const { return store_; }
   const ShardedLruCache& memory() const { return memory_; }
 
   /// Sum of every per-dataset cache's counters.

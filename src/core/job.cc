@@ -108,7 +108,6 @@ Result<CvcpReport> RunJob(const Dataset& data, const JobSpec& spec,
   config.cv.stratified = spec.stratified;
   config.cv.exec = context.exec;
   config.param_grid = spec.param_grid;
-  config.collect_timings = false;  // reports must stay byte-stable
   Rng rng(spec.cvcp_seed);
   return RunCvcp(data, supervision, *clusterer, config, &rng, context.cache);
 }

@@ -114,8 +114,6 @@ class Server {
   /// Observability snapshot (also served over the wire as kStatsReply).
   StatsReply Stats() const;
 
-  const ServerConfig& config() const { return config_; }
-
  private:
   enum class Phase { kQueued, kRunning, kDone, kFailed };
 

@@ -117,8 +117,7 @@ TEST(CvcpDeterminismTest, ScenarioTwoConstraintsFoscBitIdentical) {
 // Parallel runs execute cells longest-first by EstimateCellCost, which
 // permutes the order cells *run* in; the reduction stays in (grid-order,
 // fold-order), so the report must be byte-identical to the serial one at
-// every width — with per-cell timing collection on, too — on both
-// supervision scenarios.
+// every width, on both supervision scenarios.
 template <typename Fixture>
 void CheckCostModelInvariance(const Fixture& fixture,
                               const CvcpConfig& base_config) {
@@ -129,7 +128,6 @@ void CheckCostModelInvariance(const Fixture& fixture,
                         config, &serial_rng);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
-  config.collect_timings = true;
   for (int threads : {2, 3, 4, 8}) {
     config.cv.exec.threads = threads;
     Rng rng(707);
@@ -162,41 +160,6 @@ TEST(CostModelTest, EstimateGrowsWithParamAndTrainingSize) {
   // Negative params cost by magnitude, and the estimate is never zero.
   EXPECT_EQ(EstimateCellCost(-5, 100), EstimateCellCost(5, 100));
   EXPECT_GT(EstimateCellCost(0, 0), 0.0);
-}
-
-TEST(CvcpDeterminismTest, TimingsCoverEveryCellInGridFoldOrder) {
-  LabelFixture fixture;
-  CvcpConfig config;
-  config.cv.n_folds = 3;
-  config.param_grid = {4, 2, 6};
-  config.collect_timings = true;
-  config.cv.exec.threads = 2;
-  Rng rng(404);
-  auto report = RunCvcp(fixture.data, fixture.supervision, fixture.clusterer,
-                        config, &rng);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report->cell_timings.size(),
-            config.param_grid.size() * static_cast<size_t>(config.cv.n_folds));
-  size_t cell = 0;
-  for (int param : config.param_grid) {
-    for (int fold = 0; fold < config.cv.n_folds; ++fold, ++cell) {
-      EXPECT_EQ(report->cell_timings[cell].param, param) << "cell " << cell;
-      EXPECT_EQ(report->cell_timings[cell].fold, fold) << "cell " << cell;
-      EXPECT_GE(report->cell_timings[cell].wall_ms, 0.0) << "cell " << cell;
-    }
-  }
-}
-
-TEST(CvcpDeterminismTest, TimingsOffByDefault) {
-  LabelFixture fixture;
-  CvcpConfig config;
-  config.cv.n_folds = 3;
-  config.param_grid = {3, 4};
-  Rng rng(505);
-  auto report = RunCvcp(fixture.data, fixture.supervision, fixture.clusterer,
-                        config, &rng);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->cell_timings.empty());
 }
 
 }  // namespace

@@ -127,26 +127,26 @@ TEST(DatasetCacheTest, ModelsKeyedByMinPts) {
   EXPECT_EQ(stats.distance_hits, 1u);
 }
 
-TEST(DatasetCacheTest, ErrorsMemoizedWithUncachedStatus) {
+TEST(DatasetCacheTest, OutOfRangeMinPtsFailsBeforeAnyBuild) {
   Matrix points = FixturePoints(5);
   DatasetCache cache(points);
-  // min_pts > n: the uncached path rejects this; the cache must return
-  // exactly the same status, on the build and on every hit.
+  // min_pts > n: the cache returns exactly the status RunOptics returns,
+  // on every call, without building the distance matrix first.
   OpticsConfig config;
   config.min_pts = 99;
   const Status direct = RunOptics(points, config).status();
+  ASSERT_FALSE(direct.ok());
   auto first =
       cache.FoscModel(Metric::kEuclidean, 99, ExecutionContext::Serial());
   auto second =
       cache.FoscModel(Metric::kEuclidean, 99, ExecutionContext::Serial());
-  EXPECT_FALSE(first.ok());
   EXPECT_EQ(first.status(), direct);
   EXPECT_EQ(second.status(), direct);
-  // Failed builds count as errors, not builds; the memoized status is
-  // served as a hit.
+  // Prewarm skips the value instead of building for it.
+  const std::vector<int> grid = {99};
+  cache.Prewarm(grid, ExecutionContext::Serial());
   EXPECT_EQ(cache.stats().model_builds, 0u);
-  EXPECT_EQ(cache.stats().model_errors, 1u);
-  EXPECT_EQ(cache.stats().model_hits, 1u);
+  EXPECT_EQ(cache.stats().distance_builds, 0u);
 }
 
 std::string FreshDir(const char* name) {

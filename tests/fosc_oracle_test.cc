@@ -1,9 +1,13 @@
 // Differential oracle for FOSC extraction. ExtractClusters computes the
 // constraint objective J from LCA marks and one subtree sum; the oracle
 // below is the path-walk extraction it replaced, kept whole (J by walking
-// every constraint's leaf-to-root paths, then the same DP and backtrack).
-// Rng-driven instances assert bit equality of the objective, the
-// constraint satisfaction, the selected nodes and the assignment.
+// every constraint's leaf-to-root paths, the lifetime-stability blend,
+// then the same DP and backtrack). ExtractClusters has no blend and fixes
+// the candidate rule; the oracle runs at the settings that reproduce it,
+// so the suite also shows that the blend's stability term adds exactly
+// +0.0 at alpha = 1, +inf runs included. Rng-driven instances assert bit
+// equality of the objective, the constraint satisfaction, the selected
+// nodes and the assignment.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +31,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// The oracle's settings. The defaults are the ones ExtractClusters fixes:
+/// candidates of at least two objects, never the root, and all weight on
+/// the constraint objective.
+struct PathWalkConfig {
+  size_t min_cluster_size = 2;
+  double alpha = 1.0;  ///< constraint objective vs. lifetime stability
+  bool allow_root = false;
+};
+
 double OracleHeightCap(const Dendrogram& dg) {
   double max_finite = 0.0;
   for (size_t id = 0; id < dg.num_nodes(); ++id) {
@@ -39,7 +52,7 @@ double OracleHeightCap(const Dendrogram& dg) {
 /// The path-walk extraction: O(|C| * depth) for J.
 Result<FoscResult> PathWalkExtractClusters(const Dendrogram& dendrogram,
                                            const ConstraintSet& constraints,
-                                           const FoscConfig& config) {
+                                           const PathWalkConfig& config) {
   if (config.min_cluster_size < 1) {
     return Status::InvalidArgument("min_cluster_size must be >= 1");
   }
@@ -202,50 +215,24 @@ bool SameBits(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
-/// Every FoscConfig the suite sweeps: min_cluster_size {1, 2, 5} x
-/// allow_root {off, on} x alpha {0, 0.5, 1}.
-std::vector<FoscConfig> SweptConfigs() {
-  std::vector<FoscConfig> configs;
-  for (size_t min_size : {1, 2, 5}) {
-    for (bool allow_root : {false, true}) {
-      for (double alpha : {0.0, 0.5, 1.0}) {
-        FoscConfig config;
-        config.min_cluster_size = min_size;
-        config.allow_root = allow_root;
-        config.alpha = alpha;
-        configs.push_back(config);
-      }
-    }
-  }
-  return configs;
-}
-
-/// Asserts ExtractClusters == the path-walk oracle, bit for bit, under
-/// every swept config.
+/// Asserts ExtractClusters == the path-walk oracle, bit for bit.
 void ExpectMatchesOracle(const Dendrogram& dg,
                          const ConstraintSet& constraints,
-                         const std::string& where) {
-  for (const FoscConfig& config : SweptConfigs()) {
-    const std::string at =
-        where + Format(" min_size=%zu allow_root=%d alpha=%g",
-                       config.min_cluster_size, config.allow_root ? 1 : 0,
-                       config.alpha);
-    const Result<FoscResult> got = ExtractClusters(dg, constraints, config);
-    const Result<FoscResult> want =
-        PathWalkExtractClusters(dg, constraints, config);
-    ASSERT_TRUE(got.ok()) << at << ": " << got.status().ToString();
-    ASSERT_TRUE(want.ok()) << at << ": " << want.status().ToString();
-    EXPECT_TRUE(SameBits(got->objective, want->objective))
-        << at << ": objective " << got->objective << " vs "
-        << want->objective;
-    EXPECT_TRUE(SameBits(got->constraint_satisfaction,
-                         want->constraint_satisfaction))
-        << at << ": satisfaction " << got->constraint_satisfaction << " vs "
-        << want->constraint_satisfaction;
-    EXPECT_EQ(got->selected_nodes, want->selected_nodes) << at;
-    EXPECT_EQ(got->clustering.assignment(), want->clustering.assignment())
-        << at;
-  }
+                         const std::string& at) {
+  const Result<FoscResult> got = ExtractClusters(dg, constraints);
+  const Result<FoscResult> want =
+      PathWalkExtractClusters(dg, constraints, PathWalkConfig{});
+  ASSERT_TRUE(got.ok()) << at << ": " << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << at << ": " << want.status().ToString();
+  EXPECT_TRUE(SameBits(got->objective, want->objective))
+      << at << ": objective " << got->objective << " vs " << want->objective;
+  EXPECT_TRUE(SameBits(got->constraint_satisfaction,
+                       want->constraint_satisfaction))
+      << at << ": satisfaction " << got->constraint_satisfaction << " vs "
+      << want->constraint_satisfaction;
+  EXPECT_EQ(got->selected_nodes, want->selected_nodes) << at;
+  EXPECT_EQ(got->clustering.assignment(), want->clustering.assignment())
+      << at;
 }
 
 /// A random reachability plot over n objects in random plot order.
@@ -358,10 +345,9 @@ TEST(FoscOracleTest, OutOfRangeConstraintFailsLikeThePathWalk) {
   ASSERT_TRUE(constraints.AddMustLink(0, 1).ok());
   ASSERT_TRUE(constraints.AddCannotLink(2, 9).ok());
   ASSERT_TRUE(constraints.AddMustLink(3, 12).ok());
-  const Result<FoscResult> got =
-      ExtractClusters(dg, constraints, FoscConfig{});
+  const Result<FoscResult> got = ExtractClusters(dg, constraints);
   const Result<FoscResult> want =
-      PathWalkExtractClusters(dg, constraints, FoscConfig{});
+      PathWalkExtractClusters(dg, constraints, PathWalkConfig{});
   ASSERT_FALSE(got.ok());
   ASSERT_FALSE(want.ok());
   EXPECT_EQ(got.status().ToString(), want.status().ToString());
@@ -371,8 +357,8 @@ TEST(FoscOracleTest, OutOfRangeConstraintFailsLikeThePathWalk) {
       Dendrogram::FromReachability(RandomPlot(1, 0, 0.0, &rng));
   ConstraintSet one;
   ASSERT_TRUE(one.AddCannotLink(0, 1).ok());
-  EXPECT_EQ(ExtractClusters(single, one, FoscConfig{}).status().ToString(),
-            PathWalkExtractClusters(single, one, FoscConfig{})
+  EXPECT_EQ(ExtractClusters(single, one).status().ToString(),
+            PathWalkExtractClusters(single, one, PathWalkConfig{})
                 .status()
                 .ToString());
 }

@@ -36,7 +36,7 @@ TEST(FoscTest, ExtractsConstraintConsistentClusters) {
   ASSERT_TRUE(constraints.AddMustLink(0, 1).ok());
   ASSERT_TRUE(constraints.AddMustLink(4, 5).ok());
   ASSERT_TRUE(constraints.AddCannotLink(2, 3).ok());
-  auto result = ExtractClusters(dg, constraints, FoscConfig{});
+  auto result = ExtractClusters(dg, constraints);
   ASSERT_TRUE(result.ok());
   const Clustering& c = result->clustering;
   EXPECT_TRUE(c.SameCluster(0, 1));
@@ -53,22 +53,9 @@ TEST(FoscTest, RootNeverSelectedByDefault) {
   // Only must-links across the two blobs: the root would satisfy them, but
   // it is excluded, so the best proper selection is chosen instead.
   ASSERT_TRUE(constraints.AddMustLink(0, 5).ok());
-  auto result = ExtractClusters(dg, constraints, FoscConfig{});
+  auto result = ExtractClusters(dg, constraints);
   ASSERT_TRUE(result.ok());
   for (int id : result->selected_nodes) EXPECT_NE(id, dg.root());
-}
-
-TEST(FoscTest, AllowRootOptIn) {
-  Dendrogram dg = TwoBlobDendrogram();
-  ConstraintSet constraints;
-  ASSERT_TRUE(constraints.AddMustLink(0, 5).ok());
-  FoscConfig config;
-  config.allow_root = true;
-  auto result = ExtractClusters(dg, constraints, config);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->selected_nodes.size(), 1u);
-  EXPECT_EQ(result->selected_nodes[0], dg.root());
-  EXPECT_TRUE(result->clustering.SameCluster(0, 5));
 }
 
 TEST(FoscTest, UnselectedObjectsAreNoise) {
@@ -78,28 +65,12 @@ TEST(FoscTest, UnselectedObjectsAreNoise) {
   // stays noise under the pure semi-supervised objective.
   ASSERT_TRUE(constraints.AddMustLink(0, 1).ok());
   ASSERT_TRUE(constraints.AddMustLink(1, 2).ok());
-  auto result = ExtractClusters(dg, constraints, FoscConfig{});
+  auto result = ExtractClusters(dg, constraints);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->clustering.IsNoise(0));
   EXPECT_TRUE(result->clustering.IsNoise(3));
   EXPECT_TRUE(result->clustering.IsNoise(4));
   EXPECT_TRUE(result->clustering.IsNoise(5));
-}
-
-TEST(FoscTest, MinClusterSizeFiltersSmallCandidates) {
-  Dendrogram dg = TwoBlobDendrogram();
-  ConstraintSet constraints;
-  ASSERT_TRUE(constraints.AddMustLink(0, 1).ok());
-  FoscConfig config;
-  config.min_cluster_size = 4;  // blobs have size 3 => nothing eligible
-  auto result = ExtractClusters(dg, constraints, config);
-  ASSERT_TRUE(result.ok());
-  // Only nodes of size >= 4 are the top merge (5 or 6 objects) and root;
-  // root excluded. The node covering positions {0..2,3} has size 4... in a
-  // binary split of [inf,1,1,10,1,1] the root children have sizes 3 and 3,
-  // so no eligible node exists and everything is noise.
-  EXPECT_EQ(result->selected_nodes.size(), 0u);
-  EXPECT_EQ(result->clustering.NumNoise(), 6u);
 }
 
 TEST(FoscTest, CannotLinkHalfCreditForNoisePartner) {
@@ -110,7 +81,7 @@ TEST(FoscTest, CannotLinkHalfCreditForNoisePartner) {
   ASSERT_TRUE(constraints.AddMustLink(0, 1).ok());
   ASSERT_TRUE(constraints.AddMustLink(1, 2).ok());
   ASSERT_TRUE(constraints.AddCannotLink(2, 3).ok());
-  auto result = ExtractClusters(dg, constraints, FoscConfig{});
+  auto result = ExtractClusters(dg, constraints);
   ASSERT_TRUE(result.ok());
   // Best: select left blob (earns ML 2.0 + CL 0.5 = 2.5) and possibly the
   // right blob (adds CL's other half). Right blob has J = 0.5 > 0, so it IS
@@ -120,15 +91,15 @@ TEST(FoscTest, CannotLinkHalfCreditForNoisePartner) {
 }
 
 /// Brute-force optimum over all valid (antichain, covering-free) selections
-/// of eligible nodes, maximizing the same half-credit objective.
-double BruteForceBest(const Dendrogram& dg, const ConstraintSet& constraints,
-                      const FoscConfig& config) {
+/// of eligible nodes (at least two objects, not the root), maximizing the
+/// same half-credit objective.
+double BruteForceBest(const Dendrogram& dg, const ConstraintSet& constraints) {
   const size_t num_nodes = dg.num_nodes();
   std::vector<int> eligible;
   for (size_t id = 0; id < num_nodes; ++id) {
     const DendrogramNode& nd = dg.node(static_cast<int>(id));
-    if (nd.size() < config.min_cluster_size) continue;
-    if (static_cast<int>(id) == dg.root() && !config.allow_root) continue;
+    if (nd.size() < 2) continue;
+    if (static_cast<int>(id) == dg.root()) continue;
     eligible.push_back(static_cast<int>(id));
   }
   auto j_of = [&](int id) {
@@ -196,54 +167,18 @@ TEST(FoscTest, DynamicProgramMatchesBruteForceOnRandomInstances) {
                                       : ConstraintType::kCannotLink;
       (void)constraints.Add(a, b, type);  // conflicts silently skipped
     }
-    FoscConfig config;
-    auto result = ExtractClusters(dg, constraints, config);
+    auto result = ExtractClusters(dg, constraints);
     ASSERT_TRUE(result.ok());
-    const double brute = BruteForceBest(dg, constraints, config);
+    const double brute = BruteForceBest(dg, constraints);
     EXPECT_NEAR(result->objective, brute, 1e-9) << "seed " << seed;
   }
-}
-
-TEST(FoscTest, StabilityObjectiveSelectsBothBlobsUnsupervised) {
-  Dendrogram dg = TwoBlobDendrogram();
-  FoscConfig config;
-  config.alpha = 0.0;  // pure stability
-  auto result = ExtractClusters(dg, ConstraintSet{}, config);
-  ASSERT_TRUE(result.ok());
-  // Lifetime stability of the two tight blobs dominates: both selected.
-  EXPECT_EQ(result->selected_nodes.size(), 2u);
-  EXPECT_TRUE(result->clustering.SameCluster(0, 2));
-  EXPECT_TRUE(result->clustering.SameCluster(3, 5));
-  EXPECT_FALSE(result->clustering.SameCluster(2, 3));
-}
-
-TEST(FoscTest, AlphaBlendStillWorksWithConstraints) {
-  Dendrogram dg = TwoBlobDendrogram();
-  ConstraintSet constraints;
-  ASSERT_TRUE(constraints.AddCannotLink(2, 3).ok());
-  FoscConfig config;
-  config.alpha = 0.5;
-  auto result = ExtractClusters(dg, constraints, config);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->clustering.SameCluster(2, 3));
-  EXPECT_EQ(result->clustering.NumClusters(), 2);
-}
-
-TEST(FoscTest, RejectsInvalidConfig) {
-  Dendrogram dg = TwoBlobDendrogram();
-  FoscConfig bad;
-  bad.min_cluster_size = 0;
-  EXPECT_FALSE(ExtractClusters(dg, ConstraintSet{}, bad).ok());
-  bad = FoscConfig{};
-  bad.alpha = 1.5;
-  EXPECT_FALSE(ExtractClusters(dg, ConstraintSet{}, bad).ok());
 }
 
 TEST(FoscTest, ConstraintBeyondDendrogramRejected) {
   Dendrogram dg = TwoBlobDendrogram();
   ConstraintSet constraints;
   ASSERT_TRUE(constraints.AddMustLink(0, 99).ok());
-  auto result = ExtractClusters(dg, constraints, FoscConfig{});
+  auto result = ExtractClusters(dg, constraints);
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -261,7 +196,7 @@ TEST(FoscTest, EndToEndWithOpticsOnBlobs) {
   for (size_t i = 0; i < data.size(); i += 5) objects.push_back(i);
   ConstraintSet constraints =
       ConstraintSet::FromLabels(data.labels(), objects);
-  auto result = ExtractClusters(dg, constraints, FoscConfig{});
+  auto result = ExtractClusters(dg, constraints);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->clustering.NumClusters(), 3);
   EXPECT_GT(OverallFMeasure(data.labels(), result->clustering), 0.9);

@@ -215,10 +215,18 @@ TEST(BenchOptionsTest, SeedsAboveInt64MaxRoundTrip) {
   const char* max[] = {"bench", "--seed", "18446744073709551615"};
   EXPECT_EQ(ParseBenchOptions(3, const_cast<char**>(max)).seed,
             std::numeric_limits<uint64_t>::max());
+}
+
+TEST(BenchOptionsTest, EnvironmentIsIgnored) {
   ASSERT_EQ(setenv("CVCP_SEED", "18446744073709551615", 1), 0);
-  const uint64_t from_env = ParseBenchOptions(0, nullptr).seed;
+  ASSERT_EQ(setenv("CVCP_TRIALS", "9", 1), 0);
+  const char* argv[] = {"bench"};
+  const BenchOptions o = ParseBenchOptions(1, const_cast<char**>(argv));
   unsetenv("CVCP_SEED");
-  EXPECT_EQ(from_env, std::numeric_limits<uint64_t>::max());
+  unsetenv("CVCP_TRIALS");
+  const BenchOptions defaults;
+  EXPECT_EQ(o.seed, defaults.seed);
+  EXPECT_EQ(o.trials, defaults.trials);
 }
 
 TEST(BenchOptionsTest, UnknownFlagPrintsUsageAndExits2) {

@@ -33,7 +33,7 @@ double FoscQuality(const Dataset& data, int min_pts, double fraction,
   auto optics = RunOptics(data.points(), oc);
   CVCP_CHECK(optics.ok());
   Dendrogram dg = Dendrogram::FromReachability(optics.value());
-  auto fosc = ExtractClusters(dg, constraints, FoscConfig{});
+  auto fosc = ExtractClusters(dg, constraints);
   CVCP_CHECK(fosc.ok());
   return AdjustedRandIndex(data.labels(), fosc->clustering);
 }

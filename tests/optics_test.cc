@@ -120,24 +120,6 @@ TEST(OpticsTest, TwoFarBlobsShowReachabilityJump) {
   EXPECT_EQ(switches, 1u);
 }
 
-TEST(OpticsTest, FiniteEpsLeavesSparsePointsUnreachable) {
-  Matrix points = Matrix::FromRows(
-      {{0, 0}, {0.5, 0}, {1, 0}, {1.5, 0}, {100, 0}});
-  OpticsConfig config;
-  config.min_pts = 2;
-  config.eps = 2.0;
-  auto result = RunOptics(points, config);
-  ASSERT_TRUE(result.ok());
-  // The isolated point starts its own walk with infinite reachability and
-  // has infinite core distance (no neighbors within eps).
-  size_t inf_reach = 0;
-  for (double r : result->reachability) {
-    if (r == kInf) ++inf_reach;
-  }
-  EXPECT_EQ(inf_reach, 2u);  // first point of each of the two components
-  EXPECT_EQ(result->core_distance[4], kInf);
-}
-
 TEST(OpticsTest, DistanceMatrixVariantAgreesWithDirect) {
   Rng rng(6);
   Dataset data = MakeBlobs("blobs", 2, 15, 3, 10.0, 1.0, &rng);
