@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -675,7 +676,15 @@ MicroOptions StripMicroOptions(int* argc, char** argv) {
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < *argc) {
-      o.threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      const char* value = argv[++i];
+      if (!ParseInteger(value, &o.threads)) {
+        std::fprintf(stderr,
+                     "%s: bad value '%s' for --threads\n"
+                     "usage: %s [--threads N] [--cache-table-only] "
+                     "[--store DIR] [--json PATH] [benchmark flags]\n",
+                     argv[0], value, argv[0]);
+        std::exit(2);
+      }
     } else if (std::strcmp(argv[i], "--cache-table-only") == 0) {
       o.cache_table_only = true;
     } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < *argc) {

@@ -72,8 +72,9 @@ int main(int argc, char** argv) {
   int threads = 0;
   std::string json_path = "BENCH_service.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc &&
+        ParseInteger(argv[i + 1], &threads)) {
+      ++i;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {

@@ -1,36 +1,15 @@
 #include "harness/options.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/strings.h"
+
 namespace cvcp::bench {
 
 namespace {
-
-/// Parses all of `text` as a base-10 long; false when it is empty, has
-/// trailing characters or is out of range.
-bool ParseLong(const char* text, long* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) return false;
-  *out = parsed;
-  return true;
-}
-
-/// Seeds are full 64-bit values: strtoull, not strtol, which would clamp
-/// every seed >= 2^63 to INT64_MAX.
-bool ParseSeed(const char* text, uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) return false;
-  *out = parsed;
-  return true;
-}
 
 [[noreturn]] void UsageExit(const char* argv0, const std::string& problem) {
   std::fprintf(stderr,
@@ -55,34 +34,34 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto bad_value = [&](const char* value) {
-      UsageExit(argv[0], std::string("bad value '") + value + "' for " + flag);
-    };
-    auto next_long = [&] {
+    // A numeric value must fit the field's own type: a malformed,
+    // out-of-range or (for an unsigned field) negative one is a usage
+    // error, never a wrapped or narrowed value.
+    auto parse_value = [&](auto* field) {
       const char* value = next_value();
-      long parsed = 0;
-      if (!ParseLong(value, &parsed)) bad_value(value);
-      return parsed;
+      if (!ParseInteger(value, field)) {
+        UsageExit(argv[0],
+                  std::string("bad value '") + value + "' for " + flag);
+      }
     };
     if (std::strcmp(flag, "--paper") == 0) {
       o.trials = 50;
       o.aloi_datasets = 100;
       o.n_folds = 10;
     } else if (std::strcmp(flag, "--trials") == 0) {
-      o.trials = static_cast<int>(next_long());
+      parse_value(&o.trials);
     } else if (std::strcmp(flag, "--aloi") == 0) {
-      o.aloi_datasets = static_cast<std::size_t>(next_long());
+      parse_value(&o.aloi_datasets);
     } else if (std::strcmp(flag, "--folds") == 0) {
-      o.n_folds = static_cast<int>(next_long());
+      parse_value(&o.n_folds);
     } else if (std::strcmp(flag, "--seed") == 0) {
-      const char* value = next_value();
-      if (!ParseSeed(value, &o.seed)) bad_value(value);
+      parse_value(&o.seed);
     } else if (std::strcmp(flag, "--threads") == 0) {
-      o.threads = static_cast<int>(next_long());
+      parse_value(&o.threads);
     } else if (std::strcmp(flag, "--store") == 0) {
       o.store_dir = next_value();
     } else if (std::strcmp(flag, "--store-capacity-mb") == 0) {
-      o.store_capacity_mb = static_cast<int>(next_long());
+      parse_value(&o.store_capacity_mb);
     } else {
       UsageExit(argv[0], std::string("unknown flag '") + flag + "'");
     }

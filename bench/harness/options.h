@@ -37,10 +37,12 @@ struct BenchOptions {
 /// Parses the `--paper` / `--trials N` / `--aloi N` / `--folds N` /
 /// `--seed N` / `--threads N` / `--store DIR` / `--store-capacity-mb N`
 /// flags over the defaults. The seed is a full 64-bit unsigned value.
-/// Any other argument, and a value flag whose value is missing or not a
-/// whole base-10 number, prints the usage text to stderr and exits with
-/// status 2, so a mistyped or retired flag can never run silently at
-/// default settings.
+/// Any other argument, and a value flag whose value is missing, not a
+/// whole base-10 number, or outside its field's type (a negative
+/// `--aloi`, an `int` flag past INT_MAX), prints the usage text to stderr
+/// and exits with status 2, so a mistyped or retired flag can never run
+/// silently at default settings or at a wrapped value. An in-range value
+/// below a field's floor is clamped to it (`--trials 1` runs 2 trials).
 BenchOptions ParseBenchOptions(int argc, char** argv);
 
 /// One-line banner describing the reproduction target and the scale.

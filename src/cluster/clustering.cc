@@ -38,15 +38,4 @@ std::vector<std::vector<size_t>> Clustering::Groups() const {
   return groups;
 }
 
-void Clustering::RelabelConsecutive() {
-  std::unordered_map<int, int> remap;
-  int next = 0;
-  for (int& id : assignment_) {
-    if (id == kNoise) continue;
-    auto [it, inserted] = remap.emplace(id, next);
-    if (inserted) ++next;
-    id = it->second;
-  }
-}
-
 }  // namespace cvcp

@@ -26,11 +26,6 @@ class Clustering {
   /// Takes an assignment vector; ids must be >= -1.
   explicit Clustering(std::vector<int> assignment);
 
-  /// n objects, all noise.
-  static Clustering AllNoise(size_t n) {
-    return Clustering(std::vector<int>(n, kNoise));
-  }
-
   size_t size() const { return assignment_.size(); }
   const std::vector<int>& assignment() const { return assignment_; }
 
@@ -57,10 +52,6 @@ class Clustering {
   /// Object ids grouped by cluster, indexed by a compacted cluster id
   /// (0..k-1, in order of first appearance). Noise objects are excluded.
   std::vector<std::vector<size_t>> Groups() const;
-
-  /// Remaps cluster ids to 0..k-1 in order of first appearance
-  /// (noise stays -1).
-  void RelabelConsecutive();
 
  private:
   std::vector<int> assignment_;

@@ -1,9 +1,12 @@
 #include "cluster/kmeans.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/distance.h"
+#include "common/distance_kernels.h"
 #include "common/strings.h"
 
 namespace cvcp {
@@ -102,25 +105,55 @@ KMeansResult LloydFromInit(const Matrix& points, const KMeansConfig& config,
 }  // namespace
 
 Matrix KMeansPlusPlusInit(const Matrix& points, int k, Rng* rng) {
-  const size_t n = points.rows();
   CVCP_CHECK_GE(k, 1);
-  CVCP_CHECK_LE(static_cast<size_t>(k), n);
-
+  CVCP_CHECK_LE(static_cast<size_t>(k), points.rows());
   Matrix centroids(static_cast<size_t>(k), points.cols());
-  centroids.SetRow(0, points.Row(rng->Index(n)));
+  KMeansPlusPlusFill(points, 0, &centroids, rng);
+  return centroids;
+}
 
+void KMeansPlusPlusFill(const Matrix& points, size_t filled, Matrix* centroids,
+                        Rng* rng) {
+  const size_t n = points.rows();
+  const size_t d = points.cols();
+  const size_t k = centroids->rows();
+  CVCP_CHECK_EQ(centroids->cols(), d);
+  CVCP_CHECK_LE(filled, k);
+  if (filled == k) return;
+  if (filled == 0) {
+    centroids->SetRow(0, points.Row(rng->Index(n)));
+    filled = 1;
+  }
+
+  // min_d2[i] = std::min(min_d2[i], |c - x_i|^2) for every point, four
+  // contiguous rows per kernel call. A batched pair keeps the single-pair
+  // order of operations, and c - x and x - c differ only in sign, so each
+  // entry has the bits of SquaredEuclideanDistance(x_i, c).
+  const DistanceKernels& kernels = GetDistanceKernels();
+  const double* x = points.data().data();
   std::vector<double> min_d2(n, std::numeric_limits<double>::infinity());
-  for (int c = 1; c < k; ++c) {
-    double total = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double d2 = SquaredEuclideanDistance(
-          points.Row(i), centroids.Row(static_cast<size_t>(c - 1)));
-      min_d2[i] = std::min(min_d2[i], d2);
-      total += min_d2[i];
+  auto lower_min_d2 = [&](const double* c) {
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      double out[4];
+      kernels.squared_euclidean_x4(c, x + i * d, d, d, out);
+      for (size_t j = 0; j < 4; ++j) {
+        min_d2[i + j] = std::min(min_d2[i + j], out[j]);
+      }
     }
+    for (; i < n; ++i) {
+      min_d2[i] =
+          std::min(min_d2[i], kernels.squared_euclidean(c, x + i * d, d));
+    }
+  };
+  for (size_t h = 0; h < filled; ++h) lower_min_d2(centroids->Row(h).data());
+
+  for (; filled < k; ++filled) {
+    double total = 0.0;
+    for (double v : min_d2) total += v;
     size_t chosen;
     if (total <= 0.0) {
-      chosen = rng->Index(n);  // all points coincide with chosen centroids
+      chosen = rng->Index(n);  // all points coincide with placed rows
     } else {
       double r = rng->NextDouble() * total;
       chosen = n - 1;
@@ -132,9 +165,10 @@ Matrix KMeansPlusPlusInit(const Matrix& points, int k, Rng* rng) {
         }
       }
     }
-    centroids.SetRow(static_cast<size_t>(c), points.Row(chosen));
+    centroids->SetRow(filled, points.Row(chosen));
+    // The last row's distances would never be read.
+    if (filled + 1 < k) lower_min_d2(points.Row(chosen).data());
   }
-  return centroids;
 }
 
 Result<KMeansResult> RunKMeans(const Matrix& points,

@@ -32,8 +32,19 @@ struct KMeansResult {
   bool converged;
 };
 
-/// Seeds `k` centroids with the k-means++ D^2 weighting.
+/// Seeds `k` centroids with the k-means++ D^2 weighting
+/// (KMeansPlusPlusFill from no placed row).
 Matrix KMeansPlusPlusInit(const Matrix& points, int k, Rng* rng);
+
+/// Fills rows `filled`..k-1 of the k x d `centroids` by k-means++ D^2
+/// sampling and keeps rows 0..filled-1; D^2 is a point's squared distance
+/// to the nearest row placed so far. With no row placed, row 0 is an
+/// `Index(n)` draw. Each later row is drawn with probability proportional
+/// to D^2, from one `NextDouble()` scaled by the D^2 total summed in
+/// index order; a total <= 0 (every point on a placed row) draws
+/// `Index(n)` instead. MPCKMeans tops up its neighborhood means with it.
+void KMeansPlusPlusFill(const Matrix& points, size_t filled, Matrix* centroids,
+                        Rng* rng);
 
 /// Runs k-means. Errors with kInvalidArgument if k < 1, k > n, or the
 /// config is malformed.

@@ -519,32 +519,9 @@ class MpckState {
   std::vector<double> cost_;               ///< k, one object's costs
 };
 
-/// min_d2[i] = std::min(min_d2[i], SquaredEuclidean(x_i, c)) for every
-/// object, four contiguous rows per kernel call.
-void LowerMinDistances(const Matrix& points, const double* c,
-                       const DistanceKernels& kernels,
-                       std::vector<double>* min_d2) {
-  const size_t n = points.rows();
-  const size_t d = points.cols();
-  const double* x = points.data().data();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    double out[4];
-    kernels.squared_euclidean_x4(c, x + i * d, d, d, out);
-    for (size_t j = 0; j < 4; ++j) {
-      (*min_d2)[i + j] = std::min((*min_d2)[i + j], out[j]);
-    }
-  }
-  for (; i < n; ++i) {
-    (*min_d2)[i] =
-        std::min((*min_d2)[i], kernels.squared_euclidean(x + i * d, c, d));
-  }
-}
-
 /// Neighborhood-based initialization: centroids of the lambda largest
 /// must-link neighborhoods, topped up by D^2-weighted sampling.
 Result<Matrix> NeighborhoodInit(const Matrix& points,
-                                const DistanceKernels& kernels,
                                 const ConstraintSet& constraints, int k,
                                 Rng* rng) {
   CVCP_ASSIGN_OR_RETURN(ConstraintComponents comps,
@@ -559,45 +536,13 @@ Result<Matrix> NeighborhoodInit(const Matrix& points,
 
   const size_t uk = static_cast<size_t>(k);
   Matrix centroids(uk, points.cols());
-  size_t filled = std::min(uk, hoods.size());
+  const size_t filled = std::min(uk, hoods.size());
   for (size_t h = 0; h < filled; ++h) {
     std::vector<double> mean = points.ColumnMeans(*hoods[h]);
     centroids.SetRow(h, mean);
   }
-  if (filled < uk) {
-    // Top up with D^2 sampling relative to the centroids chosen so far.
-    // Each object takes its minimum over the centroids in centroid order.
-    const size_t n = points.rows();
-    std::vector<double> min_d2(n, std::numeric_limits<double>::infinity());
-    if (filled == 0) {
-      centroids.SetRow(0, points.Row(rng->Index(n)));
-      filled = 1;
-    }
-    for (size_t h = 0; h < filled; ++h) {
-      LowerMinDistances(points, centroids.Row(h).data(), kernels, &min_d2);
-    }
-    while (filled < uk) {
-      double total = 0.0;
-      for (double v : min_d2) total += v;
-      size_t chosen;
-      if (total <= 0.0) {
-        chosen = rng->Index(n);
-      } else {
-        double r = rng->NextDouble() * total;
-        chosen = n - 1;
-        for (size_t i = 0; i < n; ++i) {
-          r -= min_d2[i];
-          if (r <= 0.0) {
-            chosen = i;
-            break;
-          }
-        }
-      }
-      centroids.SetRow(filled, points.Row(chosen));
-      LowerMinDistances(points, points.Row(chosen).data(), kernels, &min_d2);
-      ++filled;
-    }
-  }
+  // Top up with D^2 sampling relative to the centroids placed so far.
+  KMeansPlusPlusFill(points, filled, &centroids, rng);
   return centroids;
 }
 
@@ -625,14 +570,11 @@ Result<MpckMeansResult> RunMpckMeans(const Matrix& points,
     }
   }
 
-  // One kernel-table lookup per run, shared by the init and every
-  // iteration.
-  const DistanceKernels& kernels = GetDistanceKernels();
-  MpckState state(points, constraints, config, kernels);
+  // One kernel-table lookup per run, shared by every iteration.
+  MpckState state(points, constraints, config, GetDistanceKernels());
   if (config.neighborhood_init) {
     CVCP_ASSIGN_OR_RETURN(Matrix init,
-                          NeighborhoodInit(points, kernels, constraints,
-                                           config.k, rng));
+                          NeighborhoodInit(points, constraints, config.k, rng));
     state.SetCentroids(std::move(init));
   } else {
     state.SetCentroids(KMeansPlusPlusInit(points, config.k, rng));

@@ -9,7 +9,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Fixed-lane portable reference (the pinning oracle)
 // ---------------------------------------------------------------------------
-// Every SIMD implementation must be bitwise-identical to these loops; the
+// The AVX2 implementation must be bitwise-identical to these loops; the
 // whole translation unit is compiled with -ffp-contract=off so the
 // compiler cannot fuse the mul+add pairs into FMAs behind our back.
 
@@ -63,31 +63,21 @@ double FixedWeightedSquaredEuclidean(const double* a, const double* b,
   return ReduceLanes(lanes);
 }
 
-}  // namespace
-
-// The weighted batches have external linkage because the NEON table,
-// which has no NEON form of them, shares them (distance_kernels_neon.cc).
-namespace internal {
-
-void PortableWeightedSquaredEuclideanX4(const double* const rows[4],
-                                        const double* b, const double* w,
-                                        size_t n, double out[4]) {
+void FixedWeightedSquaredEuclideanX4(const double* const rows[4],
+                                     const double* b, const double* w, size_t n,
+                                     double out[4]) {
   for (size_t k = 0; k < 4; ++k) {
     out[k] = FixedWeightedSquaredEuclidean(rows[k], b, w, n);
   }
 }
 
-void PortableWeightedSquaredEuclideanRows(const double* a, const double* b,
-                                          const double* w, size_t w_stride,
-                                          size_t rows, size_t n, double* out) {
+void FixedWeightedSquaredEuclideanRows(const double* a, const double* b,
+                                       const double* w, size_t w_stride,
+                                       size_t rows, size_t n, double* out) {
   for (size_t r = 0; r < rows; ++r) {
     out[r] = FixedWeightedSquaredEuclidean(a, b, w + r * w_stride, n);
   }
 }
-
-}  // namespace internal
-
-namespace {
 
 // ---------------------------------------------------------------------------
 // Portable row updates (the pin for the dispatched RowKernels table)
@@ -165,31 +155,25 @@ const DistanceKernels kPortableFixedLane = {
     .squared_euclidean = FixedSquaredEuclidean,
     .weighted_squared_euclidean = FixedWeightedSquaredEuclidean,
     .squared_euclidean_x4 = FixedSquaredEuclideanX4,
-    .weighted_squared_euclidean_x4 =
-        internal::PortableWeightedSquaredEuclideanX4,
-    .weighted_squared_euclidean_rows =
-        internal::PortableWeightedSquaredEuclideanRows,
+    .weighted_squared_euclidean_x4 = FixedWeightedSquaredEuclideanX4,
+    .weighted_squared_euclidean_rows = FixedWeightedSquaredEuclideanRows,
 };
 
 }  // namespace
 
-// Arch-specific fixed-lane tables, defined in their own translation
-// units (compiled with the matching -m flags) and only when CMake
-// enables them for the target architecture.
-namespace internal {
+// The AVX2 tables, defined in their own translation unit (compiled with
+// -mavx2) and only when CMake enables them for an x86-64 target.
 #if defined(CVCP_HAVE_AVX2)
+namespace internal {
 const DistanceKernels& Avx2FixedLaneKernels();
 const RowKernels& Avx2RowKernels();
-#endif
-#if defined(CVCP_HAVE_NEON)
-const DistanceKernels& NeonFixedLaneKernels();
-#endif
 }  // namespace internal
+#endif
 
 namespace {
 
-/// One-time dispatch: the widest fixed-lane implementation this CPU
-/// supports. All candidates are bitwise-identical, so the choice is
+/// One-time dispatch: the AVX2 tables when this CPU has AVX2, the
+/// portable ones otherwise. Both are bitwise-identical, so the choice is
 /// invisible in results — it only moves wall time.
 struct FixedLaneChoice {
   const DistanceKernels* kernels;
@@ -198,16 +182,11 @@ struct FixedLaneChoice {
 };
 
 FixedLaneChoice ChooseFixedLane() {
-#if defined(CVCP_HAVE_AVX2) && defined(__GNUC__)
+#if defined(CVCP_HAVE_AVX2)
   if (__builtin_cpu_supports("avx2")) {
     return {&internal::Avx2FixedLaneKernels(), &internal::Avx2RowKernels(),
             "avx2"};
   }
-#endif
-#if defined(CVCP_HAVE_NEON)
-  // NEON is architecturally mandatory on AArch64; no runtime probe. The
-  // row updates have no NEON form and run the portable loops.
-  return {&internal::NeonFixedLaneKernels(), &kPortableRowKernels, "neon"};
 #endif
   return {&kPortableFixedLane, &kPortableRowKernels, "portable"};
 }

@@ -3,17 +3,17 @@
 
 /// \file
 /// The low-level distance kernels behind common/distance.h: one table of
-/// raw-pointer fixed-lane inner loops per instruction set (AVX2, NEON,
-/// portable scalar) and one of row kernels (MPCKMeans' M-step loops),
-/// plus the dispatch that picks the widest table this CPU supports, once
-/// per process. These tables are the engine's only numerics.
+/// raw-pointer fixed-lane inner loops per implementation (AVX2 on x86-64,
+/// portable scalar everywhere) and one of row kernels (MPCKMeans' M-step
+/// loops), plus the dispatch that picks AVX2 when this CPU supports it,
+/// once per process. These tables are the engine's only numerics.
 ///
 /// ## The fixed-lane contract
 ///
-/// Every fixed-lane implementation — the portable scalar reference, the
-/// AVX2 one, the NEON one — commits to the identical floating-point
-/// evaluation order, so their results are bitwise equal and every report
-/// is the same on every host:
+/// Both fixed-lane implementations — the portable scalar reference and
+/// the AVX2 one — commit to the identical floating-point evaluation
+/// order, so their results are bitwise equal and every report is the
+/// same on every host:
 ///
 ///   * 8 virtual accumulator lanes; lane k sums the per-element terms at
 ///     indices ≡ k (mod 8), in increasing index order;
@@ -105,17 +105,17 @@ struct RowKernels {
                         double hi, size_t n);
 };
 
-/// The dispatched fixed-lane table: AVX2 or NEON when the CPU supports
-/// it, the portable reference otherwise — bitwise-identical either way.
-/// Resolved once per process.
+/// The dispatched fixed-lane table: AVX2 when the CPU supports it, the
+/// portable reference otherwise — bitwise-identical either way. Resolved
+/// once per process.
 const DistanceKernels& GetDistanceKernels();
 
 /// The portable scalar fixed-lane reference — the pinning oracle the
-/// equivalence tests compare every SIMD implementation against.
+/// equivalence tests compare the AVX2 table against.
 const DistanceKernels& FixedLaneKernelsPortable();
 
 /// Which fixed-lane implementation dispatch selected on this machine:
-/// "avx2", "neon", or "portable".
+/// "avx2" or "portable".
 const char* DistanceKernelArch();
 
 /// The dispatched row-update table (AVX2 when the CPU has it, the

@@ -49,12 +49,4 @@ std::vector<double> Matrix::ColumnMeans(
   return means;
 }
 
-Matrix Matrix::SelectRows(std::span<const size_t> row_indices) const {
-  Matrix out(row_indices.size(), cols_);
-  for (size_t i = 0; i < row_indices.size(); ++i) {
-    out.SetRow(i, Row(row_indices[i]));
-  }
-  return out;
-}
-
 }  // namespace cvcp

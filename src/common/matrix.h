@@ -71,9 +71,6 @@ class Matrix {
   /// Column-wise mean over a subset of row indices.
   std::vector<double> ColumnMeans(std::span<const size_t> row_indices) const;
 
-  /// Returns a matrix with only the given rows, in the given order.
-  Matrix SelectRows(std::span<const size_t> row_indices) const;
-
   const std::vector<double>& data() const { return data_; }
 
   bool operator==(const Matrix& other) const {

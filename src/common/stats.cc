@@ -1,8 +1,8 @@
 #include "common/stats.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/check.h"
 
@@ -33,14 +33,6 @@ double SampleVariance(std::span<const double> v) {
 double SampleStdDev(std::span<const double> v) {
   const double var = SampleVariance(v);
   return std::isnan(var) ? kNaN : std::sqrt(var);
-}
-
-double Median(std::vector<double> v) {
-  if (v.empty()) return kNaN;
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  if (n % 2 == 1) return v[n / 2];
-  return 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 double QuantileSorted(std::span<const double> sorted, double q) {

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace cvcp {
 
@@ -24,9 +23,6 @@ double SampleVariance(std::span<const double> v);
 
 /// sqrt(SampleVariance).
 double SampleStdDev(std::span<const double> v);
-
-/// Median (averaging the two middle elements for even n); NaN for empty.
-double Median(std::vector<double> v);
 
 /// Linear-interpolation quantile of *sorted* data, q in [0, 1].
 double QuantileSorted(std::span<const double> sorted, double q);

@@ -23,16 +23,6 @@ std::string Format(const char* fmt, ...) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::vector<std::string> Split(const std::string& s, char delim) {
   std::vector<std::string> out;
   std::string current;
@@ -46,22 +36,6 @@ std::vector<std::string> Split(const std::string& s, char delim) {
   }
   out.push_back(current);
   return out;
-}
-
-std::string Trim(const std::string& s) {
-  size_t begin = 0;
-  size_t end = s.size();
-  while (begin < end &&
-         (s[begin] == ' ' || s[begin] == '\t' || s[begin] == '\n' ||
-          s[begin] == '\r')) {
-    ++begin;
-  }
-  while (end > begin &&
-         (s[end - 1] == ' ' || s[end - 1] == '\t' || s[end - 1] == '\n' ||
-          s[end - 1] == '\r')) {
-    --end;
-  }
-  return s.substr(begin, end - begin);
 }
 
 std::string FormatDouble(double v, int digits) {

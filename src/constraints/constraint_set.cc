@@ -28,13 +28,6 @@ Status ConstraintSet::Add(size_t a, size_t b, ConstraintType type) {
   return Status::OK();
 }
 
-Status ConstraintSet::AddAll(const ConstraintSet& other) {
-  for (const Constraint& c : other.constraints_) {
-    CVCP_RETURN_IF_ERROR(Add(c.a, c.b, c.type));
-  }
-  return Status::OK();
-}
-
 std::optional<ConstraintType> ConstraintSet::Lookup(size_t a, size_t b) const {
   if (a == b) return std::nullopt;
   if (a > b) std::swap(a, b);

@@ -54,9 +54,6 @@ class ConstraintSet {
     return Add(a, b, ConstraintType::kCannotLink);
   }
 
-  /// Adds every constraint of `other` (same conflict rules).
-  Status AddAll(const ConstraintSet& other);
-
   /// All constraints in insertion order.
   std::span<const Constraint> all() const { return constraints_; }
 

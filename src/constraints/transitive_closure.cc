@@ -76,8 +76,4 @@ Result<ConstraintSet> TransitiveClosure(const ConstraintSet& constraints) {
   return closure;
 }
 
-bool IsConsistent(const ConstraintSet& constraints) {
-  return BuildConstraintComponents(constraints).ok();
-}
-
 }  // namespace cvcp

@@ -46,9 +46,6 @@ Result<ConstraintComponents> BuildConstraintComponents(
 /// The result contains the input as a subset. Errors if inconsistent.
 Result<ConstraintSet> TransitiveClosure(const ConstraintSet& constraints);
 
-/// True if the constraint set is internally consistent (closure exists).
-bool IsConsistent(const ConstraintSet& constraints);
-
 }  // namespace cvcp
 
 #endif  // CVCP_CONSTRAINTS_TRANSITIVE_CLOSURE_H_

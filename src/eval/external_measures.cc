@@ -1,6 +1,6 @@
 #include "eval/external_measures.h"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <vector>
@@ -98,36 +98,6 @@ double OverallFMeasure(const std::vector<int>& labels,
   return overall;
 }
 
-PairCounts CountPairs(const std::vector<int>& labels,
-                      const Clustering& clustering,
-                      const std::vector<bool>* exclude) {
-  CVCP_CHECK_EQ(labels.size(), clustering.size());
-  if (exclude != nullptr) CVCP_CHECK_EQ(exclude->size(), labels.size());
-  PairCounts pc;
-  const size_t n = labels.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (exclude != nullptr && (*exclude)[i]) continue;
-    for (size_t j = i + 1; j < n; ++j) {
-      if (exclude != nullptr && (*exclude)[j]) continue;
-      const bool same_class = labels[i] == labels[j];
-      const bool same_cluster = clustering.SameCluster(i, j);
-      if (same_class && same_cluster) ++pc.same_same;
-      else if (same_class) ++pc.same_diff;
-      else if (same_cluster) ++pc.diff_same;
-      else ++pc.diff_diff;
-    }
-  }
-  return pc;
-}
-
-double RandIndex(const std::vector<int>& labels, const Clustering& clustering,
-                 const std::vector<bool>* exclude) {
-  const PairCounts pc = CountPairs(labels, clustering, exclude);
-  if (pc.total() == 0) return kNaN;
-  return static_cast<double>(pc.same_same + pc.diff_diff) /
-         static_cast<double>(pc.total());
-}
-
 double AdjustedRandIndex(const std::vector<int>& labels,
                          const Clustering& clustering,
                          const std::vector<bool>* exclude) {
@@ -155,69 +125,6 @@ double AdjustedRandIndex(const std::vector<int>& labels,
   const double max_index = 0.5 * (sum_a + sum_b);
   if (max_index == expected) return kNaN;  // degenerate (single class/cluster)
   return (sum_ij - expected) / (max_index - expected);
-}
-
-double JaccardIndex(const std::vector<int>& labels,
-                    const Clustering& clustering,
-                    const std::vector<bool>* exclude) {
-  const PairCounts pc = CountPairs(labels, clustering, exclude);
-  const size_t denom = pc.same_same + pc.same_diff + pc.diff_same;
-  if (denom == 0) return kNaN;
-  return static_cast<double>(pc.same_same) / static_cast<double>(denom);
-}
-
-double PairwiseFMeasure(const std::vector<int>& labels,
-                        const Clustering& clustering,
-                        const std::vector<bool>* exclude) {
-  const PairCounts pc = CountPairs(labels, clustering, exclude);
-  const size_t tp = pc.same_same;
-  const size_t fp = pc.diff_same;
-  const size_t fn = pc.same_diff;
-  if (tp == 0) return (fp == 0 && fn == 0) ? kNaN : 0.0;
-  const double precision = static_cast<double>(tp) / static_cast<double>(tp + fp);
-  const double recall = static_cast<double>(tp) / static_cast<double>(tp + fn);
-  return 2.0 * precision * recall / (precision + recall);
-}
-
-double Purity(const std::vector<int>& labels, const Clustering& clustering,
-              const std::vector<bool>* exclude) {
-  const Contingency t = BuildContingency(labels, clustering, exclude);
-  if (t.n == 0) return kNaN;
-  double correct = 0.0;
-  for (size_t k = 0; k < t.cluster_sizes.size(); ++k) {
-    size_t best = 0;
-    for (size_t c = 0; c < t.class_sizes.size(); ++c) {
-      best = std::max(best, t.counts[c][k]);
-    }
-    correct += static_cast<double>(best);
-  }
-  return correct / static_cast<double>(t.n);
-}
-
-double NormalizedMutualInformation(const std::vector<int>& labels,
-                                   const Clustering& clustering,
-                                   const std::vector<bool>* exclude) {
-  const Contingency t = BuildContingency(labels, clustering, exclude);
-  if (t.n == 0) return kNaN;
-  const double n = static_cast<double>(t.n);
-  double mi = 0.0, h_class = 0.0, h_cluster = 0.0;
-  for (size_t c = 0; c < t.class_sizes.size(); ++c) {
-    const double pc = static_cast<double>(t.class_sizes[c]) / n;
-    if (pc > 0.0) h_class -= pc * std::log(pc);
-    for (size_t k = 0; k < t.cluster_sizes.size(); ++k) {
-      if (t.counts[c][k] == 0) continue;
-      const double pck = static_cast<double>(t.counts[c][k]) / n;
-      const double pk = static_cast<double>(t.cluster_sizes[k]) / n;
-      mi += pck * std::log(pck / (pc * pk));
-    }
-  }
-  for (size_t k = 0; k < t.cluster_sizes.size(); ++k) {
-    const double pk = static_cast<double>(t.cluster_sizes[k]) / n;
-    if (pk > 0.0) h_cluster -= pk * std::log(pk);
-  }
-  const double denom = 0.5 * (h_class + h_cluster);
-  if (denom == 0.0) return kNaN;
-  return mi / denom;
 }
 
 }  // namespace cvcp

@@ -34,19 +34,6 @@ TEST(ClusteringTest, GroupsExcludeNoise) {
   EXPECT_EQ(groups[1], (std::vector<size_t>{2, 4}));
 }
 
-TEST(ClusteringTest, RelabelConsecutive) {
-  Clustering c({5, 5, 9, kNoise, 2});
-  c.RelabelConsecutive();
-  EXPECT_EQ(c.assignment(), (std::vector<int>{0, 0, 1, kNoise, 2}));
-}
-
-TEST(ClusteringTest, AllNoiseFactory) {
-  Clustering c = Clustering::AllNoise(4);
-  EXPECT_EQ(c.size(), 4u);
-  EXPECT_EQ(c.NumClusters(), 0);
-  EXPECT_EQ(c.NumNoise(), 4u);
-}
-
 TEST(ClusteringTest, EmptyClustering) {
   Clustering c;
   EXPECT_EQ(c.size(), 0u);

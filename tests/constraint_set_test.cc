@@ -125,22 +125,6 @@ TEST(ConstraintSetTest, FromLabelsSubsetOnly) {
   EXPECT_EQ(cs.num_must_links(), 1u);
 }
 
-TEST(ConstraintSetTest, AddAllMerges) {
-  ConstraintSet a, b;
-  ASSERT_TRUE(a.AddMustLink(0, 1).ok());
-  ASSERT_TRUE(b.AddCannotLink(1, 2).ok());
-  ASSERT_TRUE(b.AddMustLink(0, 1).ok());  // duplicate across sets
-  ASSERT_TRUE(a.AddAll(b).ok());
-  EXPECT_EQ(a.size(), 2u);
-}
-
-TEST(ConstraintSetTest, AddAllPropagatesConflict) {
-  ConstraintSet a, b;
-  ASSERT_TRUE(a.AddMustLink(0, 1).ok());
-  ASSERT_TRUE(b.AddCannotLink(0, 1).ok());
-  EXPECT_EQ(a.AddAll(b).code(), StatusCode::kInconsistentConstraints);
-}
-
 TEST(ConstraintSetTest, ToStringForms) {
   EXPECT_EQ(ConstraintToString({1, 2, ConstraintType::kMustLink}), "ML(1,2)");
   EXPECT_EQ(ConstraintToString({0, 9, ConstraintType::kCannotLink}),

@@ -1,7 +1,7 @@
 // Pinning tests for the distance-kernel layer (common/distance_kernels.h):
 //
-//  * the fixed-lane contract — the dispatched native table (AVX2/NEON
-//    when the CPU has it) must be *bitwise* equal to the portable scalar
+//  * the fixed-lane contract — the dispatched native table (AVX2 when
+//    the CPU has it) must be *bitwise* equal to the portable scalar
 //    reference for every kernel, at every vector length around the lane
 //    width (0..2*width+3 pins the tail handling);
 //  * the strided x4 batch must be bitwise equal to four single-pair
@@ -240,7 +240,7 @@ TEST(DistanceKernelsFixedLane, MatchesLegacyWithinRounding) {
 
 TEST(DistanceKernelsDispatch, ArchIsKnownAndFixedLaneUsesNativeTable) {
   const std::string arch = DistanceKernelArch();
-  EXPECT_TRUE(arch == "avx2" || arch == "neon" || arch == "portable") << arch;
+  EXPECT_TRUE(arch == "avx2" || arch == "portable") << arch;
   // Every entry of every table is filled: the matrix build and MPCKMeans
   // call each one unconditionally.
   for (const DistanceKernels* table :

@@ -247,6 +247,12 @@ TEST(BenchOptionsTest, UnknownFlagPrintsUsageAndExits2) {
       {"bench", "--trials", "3", "--store"},
       {"bench", "--seed"},
       {"bench", "--store-capacity-mb"},
+      // A value outside the field's type is as bad as a malformed one:
+      // -1 must not wrap to SIZE_MAX ALOI sets, nor 2^32 + 1 narrow to
+      // one thread.
+      {"bench", "--aloi", "-1"},
+      {"bench", "--threads", "4294967297"},
+      {"bench", "--trials", "2147483648"},
   };
   for (const std::vector<const char*>& args : bad_values) {
     EXPECT_EXIT(ParseBenchOptions(static_cast<int>(args.size()),

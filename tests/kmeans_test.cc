@@ -3,15 +3,58 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <set>
 
+#include "common/distance.h"
 #include "common/rng.h"
 #include "data/generators.h"
 #include "eval/external_measures.h"
 
 namespace cvcp {
 namespace {
+
+/// The naive k-means++ seeding loop: one single-pair distance per point
+/// and placed row, with the total summed while the minima are lowered.
+/// The oracle for KMeansPlusPlusInit's bits and Rng draws.
+Matrix ScalarKMeansPlusPlusInit(const Matrix& points, int k, Rng* rng) {
+  const size_t n = points.rows();
+  Matrix centroids(static_cast<size_t>(k), points.cols());
+  centroids.SetRow(0, points.Row(rng->Index(n)));
+  std::vector<double> min_d2(n, std::numeric_limits<double>::infinity());
+  for (int c = 1; c < k; ++c) {
+    double total = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double d2 = SquaredEuclideanDistance(
+          points.Row(i), centroids.Row(static_cast<size_t>(c - 1)));
+      min_d2[i] = std::min(min_d2[i], d2);
+      total += min_d2[i];
+    }
+    size_t chosen;
+    if (total <= 0.0) {
+      chosen = rng->Index(n);
+    } else {
+      double r = rng->NextDouble() * total;
+      chosen = n - 1;
+      for (size_t i = 0; i < n; ++i) {
+        r -= min_d2[i];
+        if (r <= 0.0) {
+          chosen = i;
+          break;
+        }
+      }
+    }
+    centroids.SetRow(static_cast<size_t>(c), points.Row(chosen));
+  }
+  return centroids;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
 
 TEST(KMeansTest, RecoversWellSeparatedBlobs) {
   Rng rng(1);
@@ -120,6 +163,51 @@ TEST(KMeansPlusPlusTest, CentroidsAreDataPointsAndSpread) {
     regions.insert(x < 50 ? 0 : (x < 150 ? 1 : 2));
   }
   EXPECT_EQ(regions.size(), 3u);
+}
+
+TEST(KMeansPlusPlusTest, MatchesScalarOracleBitsAndDraws) {
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    // 3 * (7 + seed) points: n % 4 takes every value, so the batched
+    // kernel's tail runs; d = 13 covers the lane tail too.
+    Rng data_rng(seed);
+    Dataset data = MakeBlobs("kpp", 3, 7 + seed, 13, 5.0, 1.0, &data_rng);
+    for (int k : {1, 2, 5, 21}) {
+      Rng a(100 + seed), b(100 + seed);
+      EXPECT_TRUE(SameBits(KMeansPlusPlusInit(data.points(), k, &a),
+                           ScalarKMeansPlusPlusInit(data.points(), k, &b)))
+          << "seed " << seed << " k " << k;
+      EXPECT_EQ(a.NextUint64(), b.NextUint64());  // same number of draws
+    }
+  }
+  // Coincident points: every total is 0, so each later row is an
+  // Index(n) draw.
+  const Matrix same(5, 2, 1.5);
+  Rng a(3), b(3);
+  EXPECT_TRUE(SameBits(KMeansPlusPlusInit(same, 4, &a),
+                       ScalarKMeansPlusPlusInit(same, 4, &b)));
+  EXPECT_EQ(a.NextUint64(), b.NextUint64());
+}
+
+TEST(KMeansPlusPlusTest, FillKeepsPlacedRowsAndStopsWhenFull) {
+  Rng data_rng(4);
+  Dataset data = MakeBlobs("kpp", 2, 9, 3, 5.0, 1.0, &data_rng);
+  Matrix centroids(3, 3, 7.5);
+  Rng a(5), b(5);
+  KMeansPlusPlusFill(data.points(), 3, &centroids, &a);
+  EXPECT_TRUE(SameBits(centroids, Matrix(3, 3, 7.5)));
+  EXPECT_EQ(a.NextUint64(), b.NextUint64());  // a full matrix draws nothing
+
+  KMeansPlusPlusFill(data.points(), 1, &centroids, &a);
+  for (size_t m = 0; m < 3; ++m) EXPECT_EQ(centroids.At(0, m), 7.5);
+  for (size_t c = 1; c < 3; ++c) {
+    bool found = false;
+    for (size_t i = 0; i < data.points().rows(); ++i) {
+      found = found || std::equal(centroids.Row(c).begin(),
+                                  centroids.Row(c).end(),
+                                  data.points().Row(i).begin());
+    }
+    EXPECT_TRUE(found) << "row " << c;
+  }
 }
 
 TEST(KMeansTest, MultipleRestartsNeverWorse) {

@@ -82,15 +82,6 @@ TEST(MatrixTest, ColumnMeansEmptyMatrix) {
   EXPECT_TRUE(m.ColumnMeans().empty());
 }
 
-TEST(MatrixTest, SelectRowsReorders) {
-  Matrix m = Matrix::FromRows({{1, 1}, {2, 2}, {3, 3}});
-  std::vector<size_t> idx = {2, 0};
-  Matrix sel = m.SelectRows(idx);
-  EXPECT_EQ(sel.rows(), 2u);
-  EXPECT_DOUBLE_EQ(sel.At(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(sel.At(1, 0), 1.0);
-}
-
 TEST(MatrixTest, EqualityComparesShapeAndData) {
   Matrix a = Matrix::FromRows({{1, 2}});
   Matrix b = Matrix::FromRows({{1, 2}});

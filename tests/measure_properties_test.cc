@@ -40,11 +40,6 @@ TEST_P(MeasureSweep, AllMeasuresWithinBounds) {
   const auto& labels = data_.labels();
   auto in_unit = [](double v) { return std::isnan(v) || (v >= 0 && v <= 1); };
   EXPECT_TRUE(in_unit(OverallFMeasure(labels, clustering_)));
-  EXPECT_TRUE(in_unit(RandIndex(labels, clustering_)));
-  EXPECT_TRUE(in_unit(JaccardIndex(labels, clustering_)));
-  EXPECT_TRUE(in_unit(PairwiseFMeasure(labels, clustering_)));
-  EXPECT_TRUE(in_unit(Purity(labels, clustering_)));
-  EXPECT_TRUE(in_unit(NormalizedMutualInformation(labels, clustering_)));
   const double ari = AdjustedRandIndex(labels, clustering_);
   EXPECT_TRUE(std::isnan(ari) || (ari >= -1.0 && ari <= 1.0));
 }
@@ -53,17 +48,9 @@ TEST_P(MeasureSweep, GroundTruthClusteringIsOptimal) {
   const auto& labels = data_.labels();
   Clustering perfect(labels);
   EXPECT_DOUBLE_EQ(OverallFMeasure(labels, perfect), 1.0);
-  EXPECT_DOUBLE_EQ(Purity(labels, perfect), 1.0);
   // Any other clustering cannot beat it.
   EXPECT_LE(OverallFMeasure(labels, clustering_),
             OverallFMeasure(labels, perfect) + 1e-12);
-}
-
-TEST_P(MeasureSweep, PairCountsPartitionAllPairs) {
-  const auto& labels = data_.labels();
-  const PairCounts pc = CountPairs(labels, clustering_);
-  const size_t n = labels.size();
-  EXPECT_EQ(pc.total(), n * (n - 1) / 2);
 }
 
 TEST_P(MeasureSweep, ConstraintFMeasureConsistentWithPairCounts) {
@@ -91,18 +78,6 @@ TEST_P(MeasureSweep, ConstraintFMeasureConsistentWithPairCounts) {
     EXPECT_GE(fm.average, 0.0);
     EXPECT_LE(fm.average, 1.0);
   }
-}
-
-TEST_P(MeasureSweep, ExclusionMaskNeverIncreasesPairTotal) {
-  const auto& labels = data_.labels();
-  Rng rng(GetParam() + 2000);
-  std::vector<bool> exclude(labels.size(), false);
-  for (size_t i = 0; i < exclude.size(); ++i) {
-    exclude[i] = rng.NextDouble() < 0.3;
-  }
-  const PairCounts all = CountPairs(labels, clustering_);
-  const PairCounts masked = CountPairs(labels, clustering_, &exclude);
-  EXPECT_LE(masked.total(), all.total());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MeasureSweep, ::testing::Range<uint64_t>(0, 10));

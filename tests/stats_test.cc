@@ -27,12 +27,6 @@ TEST(StdDevTest, SqrtOfVariance) {
               std::sqrt(5.0 / 3.0), 1e-12);
 }
 
-TEST(MedianTest, OddAndEven) {
-  EXPECT_DOUBLE_EQ(Median({3, 1, 2}), 2.0);
-  EXPECT_DOUBLE_EQ(Median({4, 1, 3, 2}), 2.5);
-  EXPECT_TRUE(std::isnan(Median({})));
-}
-
 TEST(QuantileTest, LinearInterpolation) {
   std::vector<double> sorted = {0, 1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(QuantileSorted(sorted, 0.0), 0.0);

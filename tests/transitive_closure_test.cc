@@ -63,14 +63,14 @@ TEST(TransitiveClosureTest, InconsistencyDetected) {
   auto closure = TransitiveClosure(cs);
   EXPECT_FALSE(closure.ok());
   EXPECT_EQ(closure.status().code(), StatusCode::kInconsistentConstraints);
-  EXPECT_FALSE(IsConsistent(cs));
+  EXPECT_FALSE(BuildConstraintComponents(cs).ok());
 }
 
 TEST(TransitiveClosureTest, ConsistentInputReported) {
   ConstraintSet cs;
   ASSERT_TRUE(cs.AddMustLink(0, 1).ok());
   ASSERT_TRUE(cs.AddCannotLink(1, 2).ok());
-  EXPECT_TRUE(IsConsistent(cs));
+  EXPECT_TRUE(BuildConstraintComponents(cs).ok());
 }
 
 TEST(TransitiveClosureTest, EmptySetClosesToEmpty) {

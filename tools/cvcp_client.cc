@@ -57,12 +57,6 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-bool ParseU64(const char* text, uint64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoull(text, &end, 10);
-  return end != text && *end == '\0';
-}
-
 bool ParseDouble(const char* text, double* out) {
   char* end = nullptr;
   *out = std::strtod(text, &end);
@@ -72,10 +66,9 @@ bool ParseDouble(const char* text, double* out) {
 bool ParseGrid(const std::string& text, std::vector<int>* out) {
   out->clear();
   for (const std::string& part : Split(text, ',')) {
-    char* end = nullptr;
-    const long value = std::strtol(part.c_str(), &end, 10);
-    if (end == part.c_str() || *end != '\0') return false;
-    out->push_back(static_cast<int>(value));
+    int value = 0;
+    if (!ParseInteger(part, &value)) return false;
+    out->push_back(value);
   }
   return !out->empty();
 }
@@ -96,23 +89,26 @@ Options ParseOptions(int argc, char** argv, int first) {
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    // Integer values must fit their field's type (common/strings.h).
     uint64_t u = 0;
+    int v = 0;
     double d = 0.0;
     if (arg == "--socket" && has_value) {
       options.socket = argv[++i];
     } else if (arg == "--out" && has_value) {
       options.out = argv[++i];
-    } else if (arg == "--job" && has_value && ParseU64(argv[++i], &u)) {
+    } else if (arg == "--job" && has_value && ParseInteger(argv[++i], &u)) {
       options.job_id = u;
-    } else if (arg == "--threads" && has_value && ParseU64(argv[++i], &u)) {
-      options.threads = static_cast<int>(u);
+    } else if (arg == "--threads" && has_value &&
+               ParseInteger(argv[++i], &v)) {
+      options.threads = v;
     } else if (arg == "--dataset" && has_value) {
       options.spec.dataset = argv[++i];
     } else if (arg == "--dataset-seed" && has_value &&
-               ParseU64(argv[++i], &u)) {
+               ParseInteger(argv[++i], &u)) {
       options.spec.dataset_seed = u;
     } else if (arg == "--dataset-index" && has_value &&
-               ParseU64(argv[++i], &u)) {
+               ParseInteger(argv[++i], &u)) {
       options.spec.dataset_index = u;
     } else if (arg == "--clusterer" && has_value) {
       options.spec.clusterer = argv[++i];
@@ -135,24 +131,26 @@ Options ParseOptions(int argc, char** argv, int first) {
                ParseDouble(argv[++i], &d)) {
       options.spec.constraint_fraction = d;
     } else if (arg == "--supervision-seed" && has_value &&
-               ParseU64(argv[++i], &u)) {
+               ParseInteger(argv[++i], &u)) {
       options.spec.supervision_seed = u;
     } else if (arg == "--grid" && has_value &&
                ParseGrid(argv[++i], &options.spec.param_grid)) {
       // parsed in place
-    } else if (arg == "--folds" && has_value && ParseU64(argv[++i], &u)) {
-      options.spec.n_folds = static_cast<int>(u);
+    } else if (arg == "--folds" && has_value && ParseInteger(argv[++i], &v)) {
+      options.spec.n_folds = v;
     } else if (arg == "--stratified") {
       options.spec.stratified = true;
-    } else if (arg == "--cvcp-seed" && has_value && ParseU64(argv[++i], &u)) {
+    } else if (arg == "--cvcp-seed" && has_value &&
+               ParseInteger(argv[++i], &u)) {
       options.spec.cvcp_seed = u;
     } else if (arg == "--deadline-ms" && has_value &&
-               ParseU64(argv[++i], &u)) {
+               ParseInteger(argv[++i], &u)) {
       options.spec.deadline_ms = u;
-    } else if (arg == "--retry" && has_value && ParseU64(argv[++i], &u)) {
-      options.retry.max_retries = static_cast<int>(u);
-    } else if (arg == "--backoff-ms" && has_value && ParseU64(argv[++i], &u)) {
-      options.retry.backoff_ms = static_cast<int>(u);
+    } else if (arg == "--retry" && has_value && ParseInteger(argv[++i], &v)) {
+      options.retry.max_retries = v;
+    } else if (arg == "--backoff-ms" && has_value &&
+               ParseInteger(argv[++i], &v)) {
+      options.retry.backoff_ms = v;
     } else {
       options.ok = false;
     }
