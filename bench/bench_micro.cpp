@@ -11,8 +11,8 @@
 // naive baseline against the tiled fixed-lane build at 1 and N threads).
 //
 // Unlike the paper benches, this binary takes google-benchmark flags; the
-// few engine options it supports (--threads N, --cache-table-only,
-// --store DIR, --json PATH) are stripped from argv before
+// few engine options it supports (--threads N, --store DIR, --json PATH)
+// are stripped from argv before
 // benchmark::Initialize. --threads N sets the parallel width of every
 // table (default: all hardware threads). --store DIR adds store-cold /
 // store-warm rows to the cache table (the warm row must serve every
@@ -666,7 +666,6 @@ void PrintDistanceKernelTable(int threads) {
 // sees the rest.
 struct MicroOptions {
   int threads = 0;           // 0 = all hardware threads (every table's width)
-  bool cache_table_only = false;  // print the cache table and exit (CI smoke)
   std::string store_dir;  // artifact store dir: store-cold/warm rows
   std::string json_path = "BENCH_micro.json";  // "" (via --json '') disables
 };
@@ -680,13 +679,11 @@ MicroOptions StripMicroOptions(int* argc, char** argv) {
       if (!ParseInteger(value, &o.threads)) {
         std::fprintf(stderr,
                      "%s: bad value '%s' for --threads\n"
-                     "usage: %s [--threads N] [--cache-table-only] "
-                     "[--store DIR] [--json PATH] [benchmark flags]\n",
+                     "usage: %s [--threads N] [--store DIR] "
+                     "[--json PATH] [benchmark flags]\n",
                      argv[0], value, argv[0]);
         std::exit(2);
       }
-    } else if (std::strcmp(argv[i], "--cache-table-only") == 0) {
-      o.cache_table_only = true;
     } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < *argc) {
       o.store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < *argc) {
@@ -709,12 +706,6 @@ int main(int argc, char** argv) {
   const int table_threads = options.threads > 0 ? options.threads : hw;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  if (options.cache_table_only) {
-    PrintFoscCacheTable(table_threads, options.store_dir);
-    if (!options.json_path.empty()) WriteJsonReport(options.json_path);
-    benchmark::Shutdown();
-    return g_determinism_ok ? 0 : 1;
-  }
   PrintDistanceKernelTable(table_threads);
   PrintCvcpScalingTable(table_threads);
   PrintTrialScalingTable(table_threads);

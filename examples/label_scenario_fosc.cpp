@@ -39,8 +39,8 @@ int main() {
   // --- Peek at one CV split to see the sound fold construction. ---
   {
     cvcp::Rng peek_rng(1);
-    auto folds = cvcp::MakeSupervisionFolds(iris, supervision, {.n_folds = 5},
-                                            &peek_rng);
+    auto folds = cvcp::MakeSupervisionFolds(
+        iris, supervision, {.n_folds = 5, .exec = {}}, &peek_rng);
     if (folds.ok()) {
       const cvcp::FoldSplit& f = folds->front();
       std::printf(

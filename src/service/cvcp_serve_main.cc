@@ -13,11 +13,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
+#include "common/strings.h"
 #include "service/server.h"
 
 namespace {
@@ -47,10 +47,24 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-bool ParseInt(const char* text, long* out) {
-  char* end = nullptr;
-  *out = std::strtol(text, &end, 10);
-  return end != text && *end == '\0' && *out >= 0;
+// Numbers must be whole and fit their field's type (common/strings.h);
+// the unsigned fields reject a sign on their own.
+bool ParseNonNegative(const char* text, int* out) {
+  int value = 0;
+  if (!ParseInteger(text, &value) || value < 0) return false;
+  *out = value;
+  return true;
+}
+
+/// A MiB count, stored as bytes: false when the byte count overflows.
+template <typename T>
+bool ParseMiB(const char* text, T* bytes) {
+  T mib = 0;
+  if (!ParseInteger(text, &mib) || mib > std::numeric_limits<T>::max() >> 20) {
+    return false;
+  }
+  *bytes = mib << 20;
+  return true;
 }
 
 }  // namespace
@@ -60,35 +74,33 @@ int main(int argc, char** argv) {
   // The ServerConfig default (0 = no timeouts) suits in-process tests;
   // a production server should always evict dead clients.
   config.io_timeout_ms = 30000;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc; i += 2) {
+    if (i + 1 == argc) return Usage(argv[0]);  // every flag takes a value
     const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    long value = 0;
-    if (arg == "--socket" && has_value) {
-      config.socket_path = argv[++i];
-    } else if (arg == "--results" && has_value) {
-      config.results_dir = argv[++i];
-    } else if (arg == "--store" && has_value) {
-      config.store_dir = argv[++i];
-    } else if (arg == "--queue" && has_value && ParseInt(argv[++i], &value)) {
-      config.queue_capacity = static_cast<size_t>(value);
-    } else if (arg == "--batch" && has_value && ParseInt(argv[++i], &value)) {
-      config.batch = static_cast<int>(value);
-    } else if (arg == "--threads" && has_value &&
-               ParseInt(argv[++i], &value)) {
-      config.threads = static_cast<int>(value);
-    } else if (arg == "--memory-mb" && has_value &&
-               ParseInt(argv[++i], &value)) {
-      config.memory_limit_bytes = static_cast<uint64_t>(value) << 20;
-    } else if (arg == "--cache-mb" && has_value &&
-               ParseInt(argv[++i], &value)) {
-      config.cache_capacity_bytes = static_cast<size_t>(value) << 20;
-    } else if (arg == "--io-timeout-ms" && has_value &&
-               ParseInt(argv[++i], &value)) {
-      config.io_timeout_ms = static_cast<int>(value);
+    const char* value = argv[i + 1];
+    bool ok = true;
+    if (arg == "--socket") {
+      config.socket_path = value;
+    } else if (arg == "--results") {
+      config.results_dir = value;
+    } else if (arg == "--store") {
+      config.store_dir = value;
+    } else if (arg == "--queue") {
+      ok = ParseInteger(value, &config.queue_capacity);
+    } else if (arg == "--batch") {
+      ok = ParseNonNegative(value, &config.batch);
+    } else if (arg == "--threads") {
+      ok = ParseNonNegative(value, &config.threads);
+    } else if (arg == "--memory-mb") {
+      ok = ParseMiB(value, &config.memory_limit_bytes);
+    } else if (arg == "--cache-mb") {
+      ok = ParseMiB(value, &config.cache_capacity_bytes);
+    } else if (arg == "--io-timeout-ms") {
+      ok = ParseNonNegative(value, &config.io_timeout_ms);
     } else {
-      return Usage(argv[0]);
+      ok = false;
     }
+    if (!ok) return Usage(argv[0]);
   }
   if (config.socket_path.empty() || config.results_dir.empty()) {
     return Usage(argv[0]);

@@ -2,8 +2,10 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "common/block_format.h"
@@ -175,42 +177,40 @@ Result<VersionsReply> DecodeVersionsReply(std::string bytes) {
   return msg;
 }
 
-std::string EncodeStatsRequest() {
-  BlockBuilder builder(KindValue(MessageKind::kStatsRequest));
-  return builder.Finish();
-}
-
-Result<StatsRequest> DecodeStatsRequest(std::string bytes) {
-  CVCP_ASSIGN_OR_RETURN(
-      BlockReader reader,
-      OpenMessage(std::move(bytes), MessageKind::kStatsRequest));
-  CVCP_RETURN_IF_ERROR(RequireDrained(reader));
-  return StatsRequest{};
-}
-
 namespace {
 
-/// StatsReply travels as one u64-array record in field-declaration
-/// order; the count is the schema version (a mismatch is kCorruption,
-/// encoder and decoder disagree).
-constexpr size_t kStatsFieldCount = 22;
+/// StatsRequest, ShutdownRequest and ShutdownReply share one shape: no
+/// records at all.
+std::string EncodeEmptyMessage(MessageKind kind) {
+  return BlockBuilder(KindValue(kind)).Finish();
+}
+
+Status DecodeEmptyMessage(std::string bytes, MessageKind kind) {
+  CVCP_ASSIGN_OR_RETURN(BlockReader reader,
+                        OpenMessage(std::move(bytes), kind));
+  return RequireDrained(reader);
+}
 
 }  // namespace
 
+std::string EncodeStatsRequest() {
+  return EncodeEmptyMessage(MessageKind::kStatsRequest);
+}
+
+Result<StatsRequest> DecodeStatsRequest(std::string bytes) {
+  CVCP_RETURN_IF_ERROR(
+      DecodeEmptyMessage(std::move(bytes), MessageKind::kStatsRequest));
+  return StatsRequest{};
+}
+
+/// StatsReply travels as one u64-array record, one entry per
+/// kStatsFields row in table order.
 std::string EncodeStatsReply(const StatsReply& msg) {
   BlockBuilder builder(KindValue(MessageKind::kStatsReply));
-  const size_t fields[kStatsFieldCount] = {
-      msg.queue_depth,     msg.running,
-      msg.accepted,        msg.rejected_queue_full,
-      msg.rejected_memory, msg.completed,
-      msg.failed,          msg.inflight_bytes,
-      msg.distance_builds, msg.distance_loads,
-      msg.distance_hits,   msg.model_builds,
-      msg.model_loads,     msg.model_hits,
-      msg.disk_hits,       msg.disk_misses,
-      msg.results_recovered, msg.results_corrupt,
-      msg.results_stored,  msg.cancelled,
-      msg.deadline_exceeded, msg.temps_swept};
+  std::array<size_t, std::size(kStatsFields)> fields{};
+  for (size_t i = 0; i < fields.size(); ++i) {
+    fields[i] = msg.*kStatsFields[i].member;
+  }
   builder.AppendSizes(fields);
   return builder.Finish();
 }
@@ -220,62 +220,36 @@ Result<StatsReply> DecodeStatsReply(std::string bytes) {
       BlockReader reader,
       OpenMessage(std::move(bytes), MessageKind::kStatsReply));
   CVCP_ASSIGN_OR_RETURN(std::vector<size_t> fields, reader.ReadSizes());
-  if (fields.size() != kStatsFieldCount) {
+  if (fields.size() != std::size(kStatsFields)) {
     return Status::Corruption(
         Format("stats reply has %zu fields, want %zu", fields.size(),
-               kStatsFieldCount));
+               std::size(kStatsFields)));
   }
   CVCP_RETURN_IF_ERROR(RequireDrained(reader));
   StatsReply msg;
-  size_t i = 0;
-  msg.queue_depth = fields[i++];
-  msg.running = fields[i++];
-  msg.accepted = fields[i++];
-  msg.rejected_queue_full = fields[i++];
-  msg.rejected_memory = fields[i++];
-  msg.completed = fields[i++];
-  msg.failed = fields[i++];
-  msg.inflight_bytes = fields[i++];
-  msg.distance_builds = fields[i++];
-  msg.distance_loads = fields[i++];
-  msg.distance_hits = fields[i++];
-  msg.model_builds = fields[i++];
-  msg.model_loads = fields[i++];
-  msg.model_hits = fields[i++];
-  msg.disk_hits = fields[i++];
-  msg.disk_misses = fields[i++];
-  msg.results_recovered = fields[i++];
-  msg.results_corrupt = fields[i++];
-  msg.results_stored = fields[i++];
-  msg.cancelled = fields[i++];
-  msg.deadline_exceeded = fields[i++];
-  msg.temps_swept = fields[i++];
+  for (size_t i = 0; i < fields.size(); ++i) {
+    msg.*kStatsFields[i].member = fields[i];
+  }
   return msg;
 }
 
 std::string EncodeShutdownRequest() {
-  BlockBuilder builder(KindValue(MessageKind::kShutdownRequest));
-  return builder.Finish();
+  return EncodeEmptyMessage(MessageKind::kShutdownRequest);
 }
 
 Result<ShutdownRequest> DecodeShutdownRequest(std::string bytes) {
-  CVCP_ASSIGN_OR_RETURN(
-      BlockReader reader,
-      OpenMessage(std::move(bytes), MessageKind::kShutdownRequest));
-  CVCP_RETURN_IF_ERROR(RequireDrained(reader));
+  CVCP_RETURN_IF_ERROR(
+      DecodeEmptyMessage(std::move(bytes), MessageKind::kShutdownRequest));
   return ShutdownRequest{};
 }
 
 std::string EncodeShutdownReply() {
-  BlockBuilder builder(KindValue(MessageKind::kShutdownReply));
-  return builder.Finish();
+  return EncodeEmptyMessage(MessageKind::kShutdownReply);
 }
 
 Result<ShutdownReply> DecodeShutdownReply(std::string bytes) {
-  CVCP_ASSIGN_OR_RETURN(
-      BlockReader reader,
-      OpenMessage(std::move(bytes), MessageKind::kShutdownReply));
-  CVCP_RETURN_IF_ERROR(RequireDrained(reader));
+  CVCP_RETURN_IF_ERROR(
+      DecodeEmptyMessage(std::move(bytes), MessageKind::kShutdownReply));
   return ShutdownReply{};
 }
 

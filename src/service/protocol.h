@@ -108,7 +108,7 @@ struct VersionsReply {
 struct StatsRequest {};
 
 /// Server-side observability snapshot, used by tests and the CLI to
-/// assert admission and warm-store behavior (e.g. model_builds == 0 on a
+/// assert admission and warm-store behavior (e.g. no model rebuilt on a
 /// warm resubmission).
 struct StatsReply {
   uint64_t queue_depth = 0;
@@ -137,6 +137,41 @@ struct StatsReply {
   uint64_t cancelled = 0;          ///< jobs failed by a client cancel
   uint64_t deadline_exceeded = 0;  ///< jobs failed by their deadline
   uint64_t temps_swept = 0;        ///< orphaned tmp files removed at Start
+};
+
+/// One StatsReply counter: its name (as `cvcp_client stats` prints it)
+/// and its member.
+struct StatsField {
+  const char* name;
+  uint64_t StatsReply::*member;
+};
+
+/// The StatsReply schema: every counter once, in wire order. The encoder,
+/// the decoder and `cvcp_client stats` all iterate it, and its size is
+/// the schema version (a reply with another count is kCorruption).
+inline constexpr StatsField kStatsFields[] = {
+    {"queue_depth", &StatsReply::queue_depth},
+    {"running", &StatsReply::running},
+    {"accepted", &StatsReply::accepted},
+    {"rejected_queue_full", &StatsReply::rejected_queue_full},
+    {"rejected_memory", &StatsReply::rejected_memory},
+    {"completed", &StatsReply::completed},
+    {"failed", &StatsReply::failed},
+    {"inflight_bytes", &StatsReply::inflight_bytes},
+    {"distance_builds", &StatsReply::distance_builds},
+    {"distance_loads", &StatsReply::distance_loads},
+    {"distance_hits", &StatsReply::distance_hits},
+    {"model_builds", &StatsReply::model_builds},
+    {"model_loads", &StatsReply::model_loads},
+    {"model_hits", &StatsReply::model_hits},
+    {"disk_hits", &StatsReply::disk_hits},
+    {"disk_misses", &StatsReply::disk_misses},
+    {"results_recovered", &StatsReply::results_recovered},
+    {"results_corrupt", &StatsReply::results_corrupt},
+    {"results_stored", &StatsReply::results_stored},
+    {"cancelled", &StatsReply::cancelled},
+    {"deadline_exceeded", &StatsReply::deadline_exceeded},
+    {"temps_swept", &StatsReply::temps_swept},
 };
 
 struct ShutdownRequest {};

@@ -156,12 +156,9 @@ std::vector<uint64_t> ResultStore::Versions(uint64_t spec_hash) const {
   return ids;
 }
 
-std::vector<uint64_t> ResultStore::AllJobIds() const {
+bool ResultStore::Contains(uint64_t job_id) const {
   MutexLock lock(&mu_);
-  std::vector<uint64_t> ids;
-  ids.reserve(records_.size());
-  for (const auto& [job_id, record] : records_) ids.push_back(job_id);
-  return ids;
+  return records_.contains(job_id);
 }
 
 ResultStore::Stats ResultStore::stats() const {

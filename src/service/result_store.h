@@ -96,8 +96,8 @@ class ResultStore {
   /// (version v need not equal index+1 when a failed job left a hole).
   std::vector<uint64_t> Versions(uint64_t spec_hash) const;
 
-  /// Every stored job id, ascending (recovered + published).
-  std::vector<uint64_t> AllJobIds() const;
+  /// Whether `job_id` has a stored record (recovered or published).
+  bool Contains(uint64_t job_id) const;
 
   struct Stats {
     uint64_t recovered = 0;    ///< valid records indexed by Recover

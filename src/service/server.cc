@@ -32,20 +32,8 @@ Status Server::Start() {
   // Recovery hygiene for the artifact store: a crash between write and
   // rename strands a tmp file. One server owns a store directory, so
   // startup is a safe moment to sweep them (the result store sweeps its
-  // own directory inside Recover).
-  uint64_t artifact_swept = 0;
-  if (artifacts_) {
-    Result<uint64_t> swept = artifacts_->SweepOrphanTemps();
-    if (swept.ok()) artifact_swept = swept.value();
-  }
-  {
-    // Every recovered record is a fetchable done job in this life too.
-    MutexLock lock(&mu_);
-    artifact_temps_swept_ = artifact_swept;
-    for (uint64_t job_id : results_.AllJobIds()) {
-      jobs_[job_id] = Phase::kDone;
-    }
-  }
+  // own directory inside Recover). Both stores count what they swept.
+  if (artifacts_) artifacts_->SweepOrphanTemps();
 
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -190,11 +178,8 @@ std::string Server::HandleFrame(std::string payload) {
     case MessageKind::kWaitRequest: {
       Result<WaitRequest> request = DecodeWaitRequest(std::move(payload));
       if (!request.ok()) return EncodeErrorReply(ErrorReply{request.status()});
-      Phase phase = Phase::kQueued;
-      Status failure;
-      Status await = AwaitJob(request->job_id, &phase, &failure);
+      const Status await = AwaitJob(request->job_id);
       if (!await.ok()) return EncodeErrorReply(ErrorReply{await});
-      if (phase == Phase::kFailed) return EncodeErrorReply(ErrorReply{failure});
       Result<StoredResult> record = results_.Get(request->job_id);
       if (!record.ok()) return EncodeErrorReply(ErrorReply{record.status()});
       return EncodeReportReply(ReportReply{record->job_id, record->version,
@@ -208,8 +193,7 @@ std::string Server::HandleFrame(std::string payload) {
       if (!record.ok()) {
         MutexLock lock(&mu_);
         auto it = jobs_.find(request->job_id);
-        if (it != jobs_.end() && (it->second == Phase::kQueued ||
-                                  it->second == Phase::kRunning)) {
+        if (it != jobs_.end() && it->second.phase != Phase::kFailed) {
           return EncodeErrorReply(ErrorReply{Status::FailedPrecondition(
               Format("job %llu not complete; wait for it",
                      static_cast<unsigned long long>(request->job_id)))});
@@ -272,10 +256,10 @@ Result<SubmitReply> Server::HandleSubmit(const JobSpec& spec) {
   job.spec = spec;
   job.spec_hash = JobSpecHash(spec);
   job.charge = charge;
-  job.cancel = std::make_shared<CancelSource>();
+  auto cancel = std::make_shared<CancelSource>();
   // The deadline clock starts at admission: queue wait counts against it,
   // so an overdue job can be failed by the watchdog without ever running.
-  if (spec.deadline_ms > 0) job.cancel->SetDeadlineAfterMs(spec.deadline_ms);
+  if (spec.deadline_ms > 0) cancel->SetDeadlineAfterMs(spec.deadline_ms);
   {
     MutexLock lock(&mu_);
     if (stopping_) {
@@ -299,103 +283,104 @@ Result<SubmitReply> Server::HandleSubmit(const JobSpec& spec) {
     job.version = results_.AllocateVersion(job.spec_hash);
     inflight_bytes_ += charge;
     ++accepted_;
-    jobs_[job.job_id] = Phase::kQueued;
-    cancel_sources_[job.job_id] = job.cancel;
+    jobs_[job.job_id] = Job{Phase::kQueued, Status::OK(), cancel};
     queue_.push_back(job);
   }
   queue_cv_.NotifyOne();
   // The watchdog sleeps until the earliest queued deadline (or forever
   // with none); a new deadline may be earlier.
-  if (job.cancel->DeadlineNs() != internal::CancelState::kNoDeadlineNs) {
+  if (cancel->DeadlineNs() != internal::CancelState::kNoDeadlineNs) {
     watchdog_cv_.NotifyOne();
   }
   return SubmitReply{job.job_id, job.version, job.spec_hash};
 }
 
 Result<CancelReply> Server::HandleCancel(uint64_t job_id) {
-  bool notify = false;
-  CancelReply reply;
   {
     MutexLock lock(&mu_);
     auto it = jobs_.find(job_id);
     if (it == jobs_.end()) {
-      return Status::NotFound(Format(
-          "unknown job %llu", static_cast<unsigned long long>(job_id)));
-    }
-    switch (it->second) {
-      case Phase::kQueued: {
-        // Still waiting: fail it right here — it never runs, stores no
-        // record, and its spec stays re-runnable.
-        for (auto q = queue_.begin(); q != queue_.end(); ++q) {
-          if (q->job_id != job_id) continue;
-          inflight_bytes_ -= q->charge;
-          queue_.erase(q);
-          break;
-        }
-        it->second = Phase::kFailed;
-        failures_[job_id] = Status::Cancelled("cancelled by client request");
-        ++failed_;
-        ++cancelled_;
-        cancel_sources_.erase(job_id);
-        reply.outcome = CancelOutcome::kCancelledWhileQueued;
-        notify = true;
-        break;
+      // Not in the table: completed (the result store holds it) or unknown.
+      if (!results_.Contains(job_id)) {
+        return Status::NotFound(Format(
+            "unknown job %llu", static_cast<unsigned long long>(job_id)));
       }
-      case Phase::kRunning: {
+      return CancelReply{CancelOutcome::kAlreadyFinished};
+    }
+    switch (it->second.phase) {
+      case Phase::kQueued:
+        break;
+      case Phase::kRunning:
         // Fire the token; the executor observes it at the next cell
         // boundary and fails the job (unless it completes first — a
         // completed result always stands).
-        auto source = cancel_sources_.find(job_id);
-        if (source != cancel_sources_.end()) {
-          source->second->RequestCancel();
-        }
-        reply.outcome = CancelOutcome::kSignalled;
-        break;
-      }
-      case Phase::kDone:
+        it->second.cancel->RequestCancel();
+        return CancelReply{CancelOutcome::kSignalled};
       case Phase::kFailed:
-        reply.outcome = CancelOutcome::kAlreadyFinished;
-        break;
+        return CancelReply{CancelOutcome::kAlreadyFinished};
     }
+    // Still waiting: fail it right here — it never runs, stores no
+    // record, and its spec stays re-runnable.
+    uint64_t charge = 0;
+    for (auto q = queue_.begin(); q != queue_.end(); ++q) {
+      if (q->job_id != job_id) continue;
+      charge = q->charge;
+      queue_.erase(q);
+      break;
+    }
+    FinishJob(job_id, charge,
+              Status::Cancelled("cancelled by client request"));
   }
-  if (notify) done_cv_.NotifyAll();
-  return reply;
+  done_cv_.NotifyAll();
+  return CancelReply{CancelOutcome::kCancelledWhileQueued};
 }
 
-Status Server::AwaitJob(uint64_t job_id, Phase* phase, Status* failure) {
-  MutexLock lock(&mu_);
-  auto it = jobs_.find(job_id);
-  if (it == jobs_.end()) {
-    return Status::NotFound(Format(
-        "unknown job %llu", static_cast<unsigned long long>(job_id)));
-  }
-  while (it->second == Phase::kQueued || it->second == Phase::kRunning) {
-    if (stopping_ && !drain_) {
-      return Status::FailedPrecondition("server stopped before completion");
+Status Server::AwaitJob(uint64_t job_id) {
+  {
+    MutexLock lock(&mu_);
+    auto it = jobs_.find(job_id);
+    while (it != jobs_.end() && it->second.phase != Phase::kFailed) {
+      if (stopping_ && !drain_) {
+        return Status::FailedPrecondition("server stopped before completion");
+      }
+      done_cv_.Wait(&mu_);
+      it = jobs_.find(job_id);
     }
-    done_cv_.Wait(&mu_);
-    it = jobs_.find(job_id);
-    CVCP_CHECK(it != jobs_.end());
+    if (it != jobs_.end()) return it->second.failure;
   }
-  *phase = it->second;
-  if (it->second == Phase::kFailed) *failure = failures_.at(job_id);
-  return Status::OK();
+  // Not (or no longer) in the table: completed, or never admitted. A job
+  // publishes its record before it leaves the table, so the result store
+  // is asked without holding mu_.
+  if (results_.Contains(job_id)) return Status::OK();
+  return Status::NotFound(
+      Format("unknown job %llu", static_cast<unsigned long long>(job_id)));
 }
 
-bool Server::PopJob(QueuedJob* job) {
+bool Server::PopJob(QueuedJob* job, CancelToken* cancel) {
   MutexLock lock(&mu_);
   while (queue_.empty() && !stopping_) queue_cv_.Wait(&mu_);
   if (queue_.empty()) return false;  // stopping with nothing left (or !drain)
   *job = std::move(queue_.front());
   queue_.pop_front();
-  jobs_[job->job_id] = Phase::kRunning;
+  Job& entry = jobs_.at(job->job_id);
+  entry.phase = Phase::kRunning;
+  *cancel = entry.cancel->token();
   ++running_;
   return true;
 }
 
 void Server::ExecutorLoop() {
   QueuedJob job;
-  while (PopJob(&job)) RunOneJob(job);
+  CancelToken cancel;
+  while (PopJob(&job, &cancel)) {
+    Status status = RunOneJob(job, cancel);
+    {
+      MutexLock lock(&mu_);
+      FinishJob(job.job_id, job.charge, std::move(status));
+    }
+    // Woken after the unlock, so waiters do not wake into a held mutex.
+    done_cv_.NotifyAll();
+  }
 }
 
 void Server::WatchdogLoop() {
@@ -407,25 +392,20 @@ void Server::WatchdogLoop() {
     // their tokens self-expire at cell boundaries.
     const int64_t now = internal::SteadyNowNs();
     int64_t next = kNoDeadline;
-    bool notify = false;
+    bool expired = false;
     for (auto it = queue_.begin(); it != queue_.end();) {
-      const int64_t deadline = it->cancel->DeadlineNs();
+      const int64_t deadline = jobs_.at(it->job_id).cancel->DeadlineNs();
       if (deadline == kNoDeadline || deadline > now) {
         next = std::min(next, deadline);
         ++it;
         continue;
       }
-      jobs_[it->job_id] = Phase::kFailed;
-      failures_[it->job_id] =
-          Status::DeadlineExceeded("deadline expired while queued");
-      ++failed_;
-      ++deadline_exceeded_;
-      inflight_bytes_ -= it->charge;
-      cancel_sources_.erase(it->job_id);
+      FinishJob(it->job_id, it->charge,
+                Status::DeadlineExceeded("deadline expired while queued"));
       it = queue_.erase(it);
-      notify = true;
+      expired = true;
     }
-    if (notify) done_cv_.NotifyAll();
+    if (expired) done_cv_.NotifyAll();
     // Sleep until that deadline. With none queued there is nothing to
     // time: admitting a job with a deadline (or Stop) notifies us.
     if (next == kNoDeadline) {
@@ -438,58 +418,44 @@ void Server::WatchdogLoop() {
   }
 }
 
-void Server::RunOneJob(const QueuedJob& job) {
+Status Server::RunOneJob(const QueuedJob& job, const CancelToken& cancel) {
   if (config_.before_job_hook) config_.before_job_hook(job.spec);
+  CVCP_ASSIGN_OR_RETURN(const Dataset* data, resolver_.Resolve(job.spec));
+  JobContext context;
+  context.cache = cache_pool_->For(data->points());
+  context.exec.threads = config_.threads;
+  // The engine checks the job's token before any work and at every
+  // (param, fold) cell boundary thereafter.
+  context.exec.cancel = cancel;
+  CVCP_ASSIGN_OR_RETURN(CvcpReport report, RunJob(*data, job.spec, context));
+  StoredResult record;
+  record.job_id = job.job_id;
+  record.version = job.version;
+  record.spec_hash = job.spec_hash;
+  record.spec_bytes = EncodeJobSpec(job.spec);
+  record.report_bytes = EncodeCvcpReport(report);
+  // Publish before the job leaves the table: a waiter woken by done_cv_
+  // must find the record, and a crash after this line leaves a complete
+  // file.
+  return results_.Put(record);
+}
 
-  Status failure;
-  bool ok = false;
-  Result<const Dataset*> data = resolver_.Resolve(job.spec);
-  if (!data.ok()) {
-    failure = data.status();
+void Server::FinishJob(uint64_t job_id, uint64_t charge, Status status) {
+  auto it = jobs_.find(job_id);
+  CVCP_CHECK(it != jobs_.end());
+  inflight_bytes_ -= charge;
+  if (it->second.phase == Phase::kRunning) --running_;
+  if (status.ok()) {
+    ++completed_;
+    jobs_.erase(it);
   } else {
-    JobContext context;
-    context.cache = cache_pool_->For((*data)->points());
-    context.exec.threads = config_.threads;
-    // Thread the job's cancel token into the engine: RunJob checks it
-    // before any work (a cancelled-while-queued pop fails immediately)
-    // and at every (param, fold) cell boundary thereafter.
-    if (job.cancel) context.exec.cancel = job.cancel->token();
-    Result<CvcpReport> report = RunJob(**data, job.spec, context);
-    if (!report.ok()) {
-      failure = report.status();
-    } else {
-      StoredResult record;
-      record.job_id = job.job_id;
-      record.version = job.version;
-      record.spec_hash = job.spec_hash;
-      record.spec_bytes = EncodeJobSpec(job.spec);
-      record.report_bytes = EncodeCvcpReport(report.value());
-      // Publish before marking done: a waiter woken by done_cv_ must find
-      // the record, and a crash after this line leaves a complete file.
-      failure = results_.Put(record);
-      ok = failure.ok();
-    }
+    ++failed_;
+    if (status.code() == StatusCode::kCancelled) ++cancelled_;
+    if (status.code() == StatusCode::kDeadlineExceeded) ++deadline_exceeded_;
+    it->second.phase = Phase::kFailed;
+    it->second.failure = std::move(status);
+    it->second.cancel.reset();
   }
-
-  {
-    MutexLock lock(&mu_);
-    inflight_bytes_ -= job.charge;
-    --running_;
-    cancel_sources_.erase(job.job_id);
-    if (ok) {
-      jobs_[job.job_id] = Phase::kDone;
-      ++completed_;
-    } else {
-      if (failure.code() == StatusCode::kCancelled) ++cancelled_;
-      if (failure.code() == StatusCode::kDeadlineExceeded) {
-        ++deadline_exceeded_;
-      }
-      jobs_[job.job_id] = Phase::kFailed;
-      failures_[job.job_id] = std::move(failure);
-      ++failed_;
-    }
-  }
-  done_cv_.NotifyAll();
 }
 
 StatsReply Server::Stats() const {
@@ -506,7 +472,6 @@ StatsReply Server::Stats() const {
     stats.inflight_bytes = inflight_bytes_;
     stats.cancelled = cancelled_;
     stats.deadline_exceeded = deadline_exceeded_;
-    stats.temps_swept = artifact_temps_swept_;
   }
   const DatasetCache::Stats cache = cache_pool_->AggregateStats();
   stats.distance_builds = cache.distance_builds;
@@ -519,6 +484,7 @@ StatsReply Server::Stats() const {
     const ArtifactStore::Stats disk = artifacts_->stats();
     stats.disk_hits = disk.disk_hits;
     stats.disk_misses = disk.disk_misses;
+    stats.temps_swept = disk.temps_swept;
   }
   const ResultStore::Stats results = results_.stats();
   stats.results_recovered = results.recovered;

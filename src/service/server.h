@@ -30,7 +30,7 @@
 /// pinned by tests/service_determinism_test.cc.
 ///
 /// Durability: completed jobs are published through the ResultStore's
-/// atomic tmp+rename before the job is marked done, so a crash leaves
+/// atomic tmp+rename before they leave the job table, so a crash leaves
 /// only complete CRC-sealed records; `Stop(/*drain=*/false)` abandons the
 /// queue exactly like a kill would, and a successor server over the same
 /// directories recovers every completed record
@@ -115,17 +115,26 @@ class Server {
   StatsReply Stats() const;
 
  private:
-  enum class Phase { kQueued, kRunning, kDone, kFailed };
+  enum class Phase { kQueued, kRunning, kFailed };
 
+  /// A live or failed job. A completed job has no entry: once its record
+  /// is published, the result store alone holds it.
+  struct Job {
+    Phase phase = Phase::kQueued;
+    Status failure;  ///< why it failed (kFailed only)
+    /// Created at admission with the deadline armed; its token is
+    /// threaded into the job's ExecutionContext. Dropped once the job
+    /// reaches a terminal state.
+    std::shared_ptr<CancelSource> cancel;
+  };
+
+  /// What an executor needs to run one job.
   struct QueuedJob {
     uint64_t job_id = 0;
     uint32_t version = 0;
     uint64_t spec_hash = 0;
     uint64_t charge = 0;  ///< EstimateJobBytes, discharged at completion
     JobSpec spec;
-    /// Per-job cancel state, created at admission (deadline already
-    /// armed). Its token is threaded into the job's ExecutionContext.
-    std::shared_ptr<CancelSource> cancel;
   };
 
   void AcceptLoop();
@@ -144,16 +153,27 @@ class Server {
   /// and stops at the next cell boundary; a finished one is left alone.
   Result<CancelReply> HandleCancel(uint64_t job_id);
 
-  /// Blocks until `job_id` leaves the queue/running states. OK with the
-  /// final phase in `*phase` (and the failure in `*failure` when
-  /// kFailed); kNotFound for ids this server never admitted or recovered.
-  Status AwaitJob(uint64_t job_id, Phase* phase, Status* failure);
+  /// Blocks until `job_id` leaves the queued and running phases. OK once
+  /// its record is published, the job's failure if it failed, kNotFound
+  /// for ids neither in the table nor in the result store.
+  Status AwaitJob(uint64_t job_id);
 
-  /// Pops the next job; false when the server is stopping and (in
-  /// non-drain mode, or with an empty queue) there is nothing left to do.
-  bool PopJob(QueuedJob* job);
+  /// Pops the next job and its cancel token; false when the server is
+  /// stopping and (in non-drain mode, or with an empty queue) there is
+  /// nothing left to do.
+  bool PopJob(QueuedJob* job, CancelToken* cancel);
 
-  void RunOneJob(const QueuedJob& job);
+  /// Runs `job` and publishes its record; the job's terminal status.
+  Status RunOneJob(const QueuedJob& job, const CancelToken& cancel);
+
+  /// The one transition to a terminal state. Discharges the in-flight
+  /// charge and drops the cancel source; an OK `status` (record
+  /// published) counts the job completed and removes it from the table,
+  /// any other marks it kFailed and counts it failed, and also cancelled
+  /// or deadline-exceeded by its code. The caller then wakes done_cv_,
+  /// after unlocking mu_ where it can.
+  void FinishJob(uint64_t job_id, uint64_t charge, Status status)
+      REQUIRES(mu_);
 
   ServerConfig config_;
   ResultStore results_;
@@ -172,13 +192,8 @@ class Server {
   bool stopping_ GUARDED_BY(mu_) = false;
   bool drain_ GUARDED_BY(mu_) = false;
   std::deque<QueuedJob> queue_ GUARDED_BY(mu_);
-  /// Every job id this server knows: admitted this life, or recovered.
-  std::map<uint64_t, Phase> jobs_ GUARDED_BY(mu_);
-  std::map<uint64_t, Status> failures_ GUARDED_BY(mu_);
-  /// Live (queued or running) jobs' cancel sources, for HandleCancel and
-  /// the watchdog; erased when the job reaches a terminal phase.
-  std::map<uint64_t, std::shared_ptr<CancelSource>> cancel_sources_
-      GUARDED_BY(mu_);
+  /// Live (queued or running) and failed jobs of this server's life.
+  std::map<uint64_t, Job> jobs_ GUARDED_BY(mu_);
   uint64_t inflight_bytes_ GUARDED_BY(mu_) = 0;
   uint64_t running_ GUARDED_BY(mu_) = 0;
   uint64_t accepted_ GUARDED_BY(mu_) = 0;
@@ -188,7 +203,6 @@ class Server {
   uint64_t failed_ GUARDED_BY(mu_) = 0;
   uint64_t cancelled_ GUARDED_BY(mu_) = 0;
   uint64_t deadline_exceeded_ GUARDED_BY(mu_) = 0;
-  uint64_t artifact_temps_swept_ GUARDED_BY(mu_) = 0;
   CondVar queue_cv_;  ///< signaled on push and on stop
   CondVar done_cv_;   ///< signaled on every job completion/failure
   CondVar watchdog_cv_;  ///< dedicated: a queue push must never wake the

@@ -24,7 +24,8 @@ TEST(MakeSupervisionFoldsTest, DispatchesByKind) {
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
   ASSERT_TRUE(labeled.ok());
   Supervision by_labels = Supervision::FromLabels(data, labeled.value());
-  auto folds_l = MakeSupervisionFolds(data, by_labels, {.n_folds = 4}, &rng);
+  auto folds_l = MakeSupervisionFolds(data, by_labels,
+                                      {.n_folds = 4, .exec = {}}, &rng);
   ASSERT_TRUE(folds_l.ok());
   EXPECT_EQ(folds_l->size(), 4u);
   EXPECT_FALSE((*folds_l)[0].train_labels.empty());
@@ -34,7 +35,8 @@ TEST(MakeSupervisionFoldsTest, DispatchesByKind) {
   ASSERT_TRUE(pool.ok());
   Supervision by_constraints = Supervision::FromConstraints(pool.value());
   auto folds_c =
-      MakeSupervisionFolds(data, by_constraints, {.n_folds = 4}, &rng);
+      MakeSupervisionFolds(data, by_constraints, {.n_folds = 4, .exec = {}},
+                           &rng);
   ASSERT_TRUE(folds_c.ok());
   EXPECT_EQ(folds_c->size(), 4u);
   EXPECT_TRUE((*folds_c)[0].train_labels.empty());
@@ -46,7 +48,8 @@ TEST(ScoreGridOnFoldsTest, GoodParamScoresHighOnEasyData) {
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
   ASSERT_TRUE(labeled.ok());
   Supervision supervision = Supervision::FromLabels(data, labeled.value());
-  auto folds = MakeSupervisionFolds(data, supervision, {.n_folds = 5}, &rng);
+  auto folds = MakeSupervisionFolds(data, supervision,
+                                    {.n_folds = 5, .exec = {}}, &rng);
   ASSERT_TRUE(folds.ok());
 
   MpckMeansClusterer clusterer;
@@ -65,7 +68,8 @@ TEST(ScoreGridOnFoldsTest, BadParamScoresLower) {
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
   ASSERT_TRUE(labeled.ok());
   Supervision supervision = Supervision::FromLabels(data, labeled.value());
-  auto folds = MakeSupervisionFolds(data, supervision, {.n_folds = 5}, &rng);
+  auto folds = MakeSupervisionFolds(data, supervision,
+                                    {.n_folds = 5, .exec = {}}, &rng);
   ASSERT_TRUE(folds.ok());
 
   MpckMeansClusterer clusterer;
@@ -85,7 +89,8 @@ TEST(ScoreGridOnFoldsTest, DeterministicGivenSameRngSeed) {
   auto labeled = SampleLabeledObjects(data, 0.2, &rng);
   ASSERT_TRUE(labeled.ok());
   Supervision supervision = Supervision::FromLabels(data, labeled.value());
-  auto folds = MakeSupervisionFolds(data, supervision, {.n_folds = 3}, &rng);
+  auto folds = MakeSupervisionFolds(data, supervision,
+                                    {.n_folds = 3, .exec = {}}, &rng);
   ASSERT_TRUE(folds.ok());
   MpckMeansClusterer clusterer;
   Rng a(7), b(7);
@@ -104,7 +109,8 @@ TEST(ScoreGridOnFoldsTest, MatchesPerParamScoringForEveryThreadCount) {
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
   ASSERT_TRUE(labeled.ok());
   Supervision supervision = Supervision::FromLabels(data, labeled.value());
-  auto folds = MakeSupervisionFolds(data, supervision, {.n_folds = 4}, &rng);
+  auto folds = MakeSupervisionFolds(data, supervision,
+                                    {.n_folds = 4, .exec = {}}, &rng);
   ASSERT_TRUE(folds.ok());
   MpckMeansClusterer clusterer;
   const std::vector<int> grid = {2, 3, 5};

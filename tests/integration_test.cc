@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -104,6 +105,12 @@ struct SweepParam {
   }
 };
 
+// Names the parameter in test ids; without it GoogleTest prints the raw
+// struct bytes, padding included.
+void PrintTo(const SweepParam& param, std::ostream* os) {
+  *os << param.Name();
+}
+
 class CvcpSweepTest : public ::testing::TestWithParam<SweepParam> {
  protected:
   static std::unique_ptr<SemiSupervisedClusterer> MakeClusterer(Algo algo) {
@@ -187,7 +194,8 @@ TEST_P(FoldSoundnessTest, TrainClosureNeverImpliesTestConstraint) {
   auto sampled = SampleConstraints(pool.value(), 0.6, &rng);
   ASSERT_TRUE(sampled.ok());
   Supervision supervision = Supervision::FromConstraints(sampled.value());
-  auto folds = MakeSupervisionFolds(data, supervision, {.n_folds = 5}, &rng);
+  auto folds = MakeSupervisionFolds(data, supervision,
+                                    {.n_folds = 5, .exec = {}}, &rng);
   ASSERT_TRUE(folds.ok());
   for (const FoldSplit& fold : *folds) {
     auto train_closure = TransitiveClosure(fold.train_constraints);

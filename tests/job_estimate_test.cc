@@ -49,7 +49,7 @@ TEST(ServiceJobEstimateTest, ChargeEqualsEstimateAndDischargesToZero) {
   ASSERT_TRUE(client.ok());
   auto submitted = client->Submit(SmallJobSpec());
   ASSERT_TRUE(submitted.ok());
-  gate.AwaitParked(1);
+  ASSERT_TRUE(gate.AwaitParked(1));
 
   // While the job is parked, the in-flight account holds exactly its
   // estimated charge (iris = 150 points, grid {3,6,9}).

@@ -59,7 +59,7 @@ TEST(ServiceAdmissionTest, FullQueueRejectsImmediatelyWithBackpressure) {
   // The parked job occupies the only executor; the queue is then filled
   // to exactly its capacity.
   ASSERT_TRUE(client->Submit(ParkedSpec()).ok());
-  gate.AwaitParked(1);
+  ASSERT_TRUE(gate.AwaitParked(1));
   std::vector<uint64_t> queued_ids;
   for (size_t i = 0; i < kCapacity; ++i) {
     auto submitted = client->Submit(SeededSpec(100 + i));
@@ -113,7 +113,7 @@ TEST(ServiceAdmissionTest, MemoryBudgetRejectsAndReadmitsAfterDischarge) {
 
   auto parked = client->Submit(ParkedSpec());
   ASSERT_TRUE(parked.ok());
-  gate.AwaitParked(1);
+  ASSERT_TRUE(gate.AwaitParked(1));
 
   // The second job's charge would exceed the budget while the first
   // still holds its own: rejected, classified, counted.
@@ -153,7 +153,7 @@ TEST(ServiceAdmissionTest, SlowJobDoesNotStarveSmallJobsWhenBatching) {
   // The "slow" job parks one lane indefinitely.
   auto slow = client->Submit(ParkedSpec());
   ASSERT_TRUE(slow.ok());
-  gate.AwaitParked(1);
+  ASSERT_TRUE(gate.AwaitParked(1));
 
   // The small job must complete on the other lane while the slow one is
   // still parked — this Wait returning before Release() *is* the

@@ -77,7 +77,7 @@ TEST(ServiceCancelTest, CancelQueuedJobNeverRunsAndLeavesNoRecord) {
   // A occupies the only executor (parked in the gate); B stays queued.
   auto a = client->Submit(SmallJobSpec());
   ASSERT_TRUE(a.ok());
-  gate.AwaitParked(1);
+  ASSERT_TRUE(gate.AwaitParked(1));
   JobSpec spec_b = SmallJobSpec();
   spec_b.cvcp_seed = 11;
   auto b = client->Submit(spec_b);
@@ -119,6 +119,39 @@ TEST(ServiceCancelTest, CancelUnknownJobIsNotFound) {
   ASSERT_TRUE(client.ok());
   auto cancel = client->Cancel(999);
   EXPECT_EQ(cancel.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(cancel.status().message(), "unknown job 999");
+  auto waited = client->Wait(999);
+  EXPECT_EQ(waited.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(waited.status().message(), "unknown job 999");
+  server.Stop(/*drain=*/true);
+}
+
+TEST(ServiceCancelTest, CancelCompletedJobIsAlreadyFinished) {
+  ServiceScratch scratch = MakeServiceScratch();
+  ServerConfig config = ScratchServerConfig(scratch);
+  config.threads = 1;
+  Server server(config);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect(scratch.socket);
+  ASSERT_TRUE(client.ok());
+  auto submitted = client->Submit(SmallJobSpec());
+  ASSERT_TRUE(submitted.ok());
+  auto report = client->Wait(submitted->job_id);
+  ASSERT_TRUE(report.ok());
+
+  auto cancel = client->Cancel(submitted->job_id);
+  ASSERT_TRUE(cancel.ok());
+  EXPECT_EQ(cancel->outcome, CancelOutcome::kAlreadyFinished);
+  // The late cancel touches nothing: the job still waits and fetches to
+  // its stored bytes, and no counter moved.
+  auto again = client->Wait(submitted->job_id);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->report_bytes, report->report_bytes);
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->completed, 1u);
+  EXPECT_EQ(stats->failed, 0u);
+  EXPECT_EQ(stats->cancelled, 0u);
   server.Stop(/*drain=*/true);
 }
 
@@ -141,7 +174,8 @@ TEST(ServiceCancelTest,
 
     auto submitted = client->Submit(spec);
     ASSERT_TRUE(submitted.ok());
-    gate.AwaitParked(1);  // the job is running (parked pre-engine)
+    // The job is running (parked pre-engine).
+    ASSERT_TRUE(gate.AwaitParked(1));
 
     auto cancel = client->Cancel(submitted->job_id);
     ASSERT_TRUE(cancel.ok());
@@ -154,6 +188,12 @@ TEST(ServiceCancelTest,
         << "threads=" << threads;
     EXPECT_EQ(client->Fetch(submitted->job_id).status().code(),
               StatusCode::kNotFound);
+    auto stats = client->Stats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->failed, 1u);
+    EXPECT_EQ(stats->cancelled, 1u);
+    EXPECT_EQ(stats->running, 0u);
+    EXPECT_EQ(stats->inflight_bytes, 0u);
 
     // The rerun — same spec, same server, caches warmed by whatever the
     // cancelled attempt did — must be bit-identical to a direct run that
@@ -184,7 +224,7 @@ TEST(ServiceCancelTest, QueuedDeadlineFailedByWatchdogWithoutRunning) {
   // A is still parked — B can never have run.
   auto a = client->Submit(SmallJobSpec());
   ASSERT_TRUE(a.ok());
-  gate.AwaitParked(1);
+  ASSERT_TRUE(gate.AwaitParked(1));
   JobSpec spec_b = SmallJobSpec();
   spec_b.cvcp_seed = 22;
   spec_b.deadline_ms = 1;
@@ -222,7 +262,7 @@ TEST(ServiceCancelTest, WatchdogWakesForAnEarlierDeadlineQueuedLater) {
 
   auto a = client->Submit(SmallJobSpec());
   ASSERT_TRUE(a.ok());
-  gate.AwaitParked(1);
+  ASSERT_TRUE(gate.AwaitParked(1));
   JobSpec spec_b = SmallJobSpec();
   spec_b.cvcp_seed = 31;
   spec_b.deadline_ms = 60000;
@@ -260,14 +300,18 @@ TEST(ServiceCancelTest, RunningDeadlineObservedAtCellBoundary) {
   auto client = Client::Connect(scratch.socket);
   ASSERT_TRUE(client.ok());
 
+  // The deadline is long enough for the idle executor to pick the job up
+  // before the watchdog could fail it in the queue.
   JobSpec spec = SmallJobSpec();
-  spec.deadline_ms = 1;
+  spec.deadline_ms = 300;
   auto submitted = client->Submit(spec);
   ASSERT_TRUE(submitted.ok());
-  gate.AwaitParked(1);
-  // The deadline (armed at admission) expires while the job is parked
-  // pre-engine; on release the first cell-boundary check fires it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(gate.AwaitParked(1));
+  // The deadline (armed at admission, before the park) expires while the
+  // job is parked pre-engine; on release the first cell-boundary check
+  // fires it.
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(spec.deadline_ms + 50));
   gate.Release();
 
   auto waited = client->Wait(submitted->job_id);
@@ -275,6 +319,12 @@ TEST(ServiceCancelTest, RunningDeadlineObservedAtCellBoundary) {
   EXPECT_EQ(waited.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(client->Fetch(submitted->job_id).status().code(),
             StatusCode::kNotFound);
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->failed, 1u);
+  EXPECT_EQ(stats->deadline_exceeded, 1u);
+  EXPECT_EQ(stats->running, 0u);
+  EXPECT_EQ(stats->inflight_bytes, 0u);
   server.Stop(/*drain=*/true);
 }
 
@@ -295,7 +345,7 @@ TEST(ServiceCancelTest, SubmitWithRetryRidesOutBackpressure) {
   // saturated and a plain submit must bounce with kResourceExhausted.
   auto a = client->Submit(SmallJobSpec());
   ASSERT_TRUE(a.ok());
-  gate.AwaitParked(1);
+  ASSERT_TRUE(gate.AwaitParked(1));
   JobSpec spec_b = SmallJobSpec();
   spec_b.cvcp_seed = 33;
   auto b = client->Submit(spec_b);

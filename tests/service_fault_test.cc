@@ -14,6 +14,7 @@
 // seam (no sleeps): the test decides exactly when the parked job may run.
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,7 +109,7 @@ TEST(ServiceFaultTest, KillMidQueueCompletedRecordsSurviveAbandonedRerun) {
     auto b = client->Submit(spec_b);
     ASSERT_TRUE(b.ok());
     id_b = b->job_id;
-    gate.AwaitParked(1);
+    ASSERT_TRUE(gate.AwaitParked(1));
     auto c = client->Submit(spec_c);
     ASSERT_TRUE(c.ok());
     id_c = c->job_id;
@@ -191,6 +192,55 @@ TEST(ServiceFaultTest, VersionChainsContinueAcrossRestart) {
     EXPECT_EQ((*versions)[0], first_id);
     server.Stop(/*drain=*/true);
   }
+}
+
+// A recovered id is a finished job in the successor's life: Wait returns
+// its stored bytes and Cancel finds it already finished.
+TEST(ServiceFaultTest, RecoveredJobWaitsAndCancelsAsFinished) {
+  ServiceScratch scratch = MakeServiceScratch();
+  uint64_t job_id = 0;
+  std::string stored;
+  {
+    Server server(ScratchServerConfig(scratch));
+    ASSERT_TRUE(server.Start().ok());
+    auto client = Client::Connect(scratch.socket);
+    ASSERT_TRUE(client.ok());
+    auto submitted = client->Submit(SmallJobSpec());
+    ASSERT_TRUE(submitted.ok());
+    job_id = submitted->job_id;
+    auto reply = client->Wait(job_id);
+    ASSERT_TRUE(reply.ok());
+    stored = reply->report_bytes;
+    server.Stop(/*drain=*/true);
+  }
+  Server server(ScratchServerConfig(scratch));
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect(scratch.socket);
+  ASSERT_TRUE(client.ok());
+  auto waited = client->Wait(job_id);
+  ASSERT_TRUE(waited.ok()) << waited.status().ToString();
+  EXPECT_EQ(waited->job_id, job_id);
+  EXPECT_EQ(waited->report_bytes, stored);
+  auto cancel = client->Cancel(job_id);
+  ASSERT_TRUE(cancel.ok());
+  EXPECT_EQ(cancel->outcome, CancelOutcome::kAlreadyFinished);
+  server.Stop(/*drain=*/true);
+}
+
+// Start sweeps the tmp files a crash stranded between write and rename,
+// in the results directory and in the artifact store, and reports both.
+TEST(ServiceFaultTest, StartSweepsStrandedTempsInBothStores) {
+  ServiceScratch scratch = MakeServiceScratch();
+  for (const std::string& dir : {scratch.results, scratch.store}) {
+    ASSERT_TRUE(std::filesystem::create_directories(dir));
+    std::FILE* f = std::fopen((dir + "/stranded.tmp.1.0").c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fclose(f);
+  }
+  Server server(ScratchServerConfig(scratch));
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(server.Stats().temps_swept, 2u);
+  server.Stop(/*drain=*/true);
 }
 
 TEST(ServiceFaultTest, TruncatedAndBitFlippedRecordsAreClassified) {

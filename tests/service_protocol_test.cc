@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/job.h"
 
 namespace cvcp {
@@ -183,6 +184,92 @@ TEST(ServiceProtocolTest, EveryMessageKindRoundTrips) {
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded->outcome, outcome);
   }
+}
+
+// Every StatsReply counter set to a distinct value whose top and bottom
+// bytes both carry the counter's 1-based wire position.
+StatsReply DistinctStats() {
+  uint64_t position = 0;
+  const auto next = [&position] {
+    ++position;
+    return (position << 56) | position;
+  };
+  StatsReply stats;
+  stats.queue_depth = next();
+  stats.running = next();
+  stats.accepted = next();
+  stats.rejected_queue_full = next();
+  stats.rejected_memory = next();
+  stats.completed = next();
+  stats.failed = next();
+  stats.inflight_bytes = next();
+  stats.distance_builds = next();
+  stats.distance_loads = next();
+  stats.distance_hits = next();
+  stats.model_builds = next();
+  stats.model_loads = next();
+  stats.model_hits = next();
+  stats.disk_hits = next();
+  stats.disk_misses = next();
+  stats.results_recovered = next();
+  stats.results_corrupt = next();
+  stats.results_stored = next();
+  stats.cancelled = next();
+  stats.deadline_exceeded = next();
+  stats.temps_swept = next();
+  return stats;
+}
+
+TEST(ServiceProtocolTest, StatsReplyRoundTripsEveryCounter) {
+  const StatsReply stats = DistinctStats();
+  auto decoded = DecodeStatsReply(EncodeStatsReply(stats));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->queue_depth, stats.queue_depth);
+  EXPECT_EQ(decoded->running, stats.running);
+  EXPECT_EQ(decoded->accepted, stats.accepted);
+  EXPECT_EQ(decoded->rejected_queue_full, stats.rejected_queue_full);
+  EXPECT_EQ(decoded->rejected_memory, stats.rejected_memory);
+  EXPECT_EQ(decoded->completed, stats.completed);
+  EXPECT_EQ(decoded->failed, stats.failed);
+  EXPECT_EQ(decoded->inflight_bytes, stats.inflight_bytes);
+  EXPECT_EQ(decoded->distance_builds, stats.distance_builds);
+  EXPECT_EQ(decoded->distance_loads, stats.distance_loads);
+  EXPECT_EQ(decoded->distance_hits, stats.distance_hits);
+  EXPECT_EQ(decoded->model_builds, stats.model_builds);
+  EXPECT_EQ(decoded->model_loads, stats.model_loads);
+  EXPECT_EQ(decoded->model_hits, stats.model_hits);
+  EXPECT_EQ(decoded->disk_hits, stats.disk_hits);
+  EXPECT_EQ(decoded->disk_misses, stats.disk_misses);
+  EXPECT_EQ(decoded->results_recovered, stats.results_recovered);
+  EXPECT_EQ(decoded->results_corrupt, stats.results_corrupt);
+  EXPECT_EQ(decoded->results_stored, stats.results_stored);
+  EXPECT_EQ(decoded->cancelled, stats.cancelled);
+  EXPECT_EQ(decoded->deadline_exceeded, stats.deadline_exceeded);
+  EXPECT_EQ(decoded->temps_swept, stats.temps_swept);
+}
+
+// The counters' wire order is part of the protocol: one fixed reply's
+// encoding is pinned byte for byte (block header, the array record's
+// header, the 22 counters two to a line, the CRC).
+TEST(ServiceProtocolTest, StatsReplyBytesArePinned) {
+  const std::string bytes = EncodeStatsReply(DistinctStats());
+  std::string hex;
+  for (unsigned char byte : bytes) hex += Format("%02x", byte);
+  EXPECT_EQ(hex,
+            "43564350424c4b310100000009005643"
+            "01000000b0000000"
+            "01000000000000010200000000000002"
+            "03000000000000030400000000000004"
+            "05000000000000050600000000000006"
+            "07000000000000070800000000000008"
+            "09000000000000090a0000000000000a"
+            "0b0000000000000b0c0000000000000c"
+            "0d0000000000000d0e0000000000000e"
+            "0f0000000000000f1000000000000010"
+            "11000000000000111200000000000012"
+            "13000000000000131400000000000014"
+            "15000000000000151600000000000016"
+            "3752c839");
 }
 
 TEST(ServiceProtocolTest, CancelAndDeadlineStatusCodesCrossTheWire) {

@@ -11,6 +11,7 @@
 
 #include <stdlib.h>
 
+#include <chrono>
 #include <string>
 
 #include "common/check.h"
@@ -62,7 +63,9 @@ inline ServerConfig ScratchServerConfig(const ServiceScratch& scratch) {
 
 /// Parks threads until released. Jobs whose hook calls Enter() block on
 /// the gate; the test observes how many are parked, does its asserts,
-/// and releases them — all condition-variable-driven, no timing.
+/// and releases them — all condition-variable-driven. The one bound is
+/// AwaitParked's, so a job that never parks fails the test instead of
+/// hanging it.
 class Gate {
  public:
   /// Called from the server's before_job_hook: registers as parked,
@@ -74,10 +77,21 @@ class Gate {
     while (!released_) cv_.Wait(&mu_);
   }
 
-  /// Blocks until at least `count` threads are parked in Enter().
-  void AwaitParked(int count) {
+  /// Blocks until at least `count` threads are parked in Enter(); false
+  /// if they have not within a minute. The gate then opens, so a late
+  /// arrival cannot park an executor that the server's teardown joins.
+  [[nodiscard]] bool AwaitParked(int count) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::minutes(1);
     MutexLock lock(&mu_);
-    while (parked_ < count) cv_.Wait(&mu_);
+    while (parked_ < count) {
+      if (!cv_.WaitUntil(&mu_, deadline) && parked_ < count) {
+        released_ = true;
+        cv_.NotifyAll();
+        return false;
+      }
+    }
+    return true;
   }
 
   void Release() {

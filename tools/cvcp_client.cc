@@ -306,38 +306,10 @@ int RunStats(const Options& options) {
   if (!client.ok()) return Fail(client.status());
   Result<StatsReply> stats = client->Stats();
   if (!stats.ok()) return Fail(stats.status());
-  const StatsReply& s = stats.value();
-  std::printf(
-      "queue_depth %llu\nrunning %llu\naccepted %llu\n"
-      "rejected_queue_full %llu\nrejected_memory %llu\ncompleted %llu\n"
-      "failed %llu\ninflight_bytes %llu\ndistance_builds %llu\n"
-      "distance_loads %llu\ndistance_hits %llu\nmodel_builds %llu\n"
-      "model_loads %llu\nmodel_hits %llu\ndisk_hits %llu\n"
-      "disk_misses %llu\nresults_recovered %llu\nresults_corrupt %llu\n"
-      "results_stored %llu\ncancelled %llu\ndeadline_exceeded %llu\n"
-      "temps_swept %llu\n",
-      static_cast<unsigned long long>(s.queue_depth),
-      static_cast<unsigned long long>(s.running),
-      static_cast<unsigned long long>(s.accepted),
-      static_cast<unsigned long long>(s.rejected_queue_full),
-      static_cast<unsigned long long>(s.rejected_memory),
-      static_cast<unsigned long long>(s.completed),
-      static_cast<unsigned long long>(s.failed),
-      static_cast<unsigned long long>(s.inflight_bytes),
-      static_cast<unsigned long long>(s.distance_builds),
-      static_cast<unsigned long long>(s.distance_loads),
-      static_cast<unsigned long long>(s.distance_hits),
-      static_cast<unsigned long long>(s.model_builds),
-      static_cast<unsigned long long>(s.model_loads),
-      static_cast<unsigned long long>(s.model_hits),
-      static_cast<unsigned long long>(s.disk_hits),
-      static_cast<unsigned long long>(s.disk_misses),
-      static_cast<unsigned long long>(s.results_recovered),
-      static_cast<unsigned long long>(s.results_corrupt),
-      static_cast<unsigned long long>(s.results_stored),
-      static_cast<unsigned long long>(s.cancelled),
-      static_cast<unsigned long long>(s.deadline_exceeded),
-      static_cast<unsigned long long>(s.temps_swept));
+  for (const StatsField& field : kStatsFields) {
+    std::printf("%s %llu\n", field.name,
+                static_cast<unsigned long long>(stats.value().*field.member));
+  }
   return 0;
 }
 

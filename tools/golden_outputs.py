@@ -42,8 +42,8 @@ BENCH_ARGS = ["--trials", "2", "--aloi", "2"]
 BENCH_THREADS = (1, 4)
 BANNER_LINES = 4
 # Benches outside the paper and ablation set: bench_micro measures wall
-# time and bench_service runs a server.
-NOT_GOLDEN_BENCHES = {"bench_micro", "bench_service"}
+# time.
+NOT_GOLDEN_BENCHES = {"bench_micro"}
 
 CLIENT_SPECS = {
     "iris_constraints_fosc": [
