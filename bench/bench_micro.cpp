@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the core primitives: constraint
 // closure, fold splitting, OPTICS, k-means, MPCKMeans iterations, FOSC
-// extraction, distance kernels and the constraint F-measure. These track
-// the cost model behind the paper-scale benches. Before the
-// google-benchmark suites run, main() prints the scaling tables for the
-// parallel execution engine: CVCP serial-vs-parallel (cells run
-// longest-first by the size estimate), the trial-level fan-out on a wide
+// extraction, distance kernels and the constraint F-measure: the
+// primitives behind the paper-scale benches. Before the google-benchmark
+// suites run, main() prints the scaling tables for the parallel execution
+// engine: CVCP serial-vs-parallel (cells run in canonical grid-by-fold
+// order at every width), the trial-level fan-out on a wide
 // outer loop, and the per-dataset compute cache on the FOSC scenario
 // (serial vs parallel and store-cold vs store-warm, with build/hit counts
 // and per-stage wall time) — plus the distance-matrix build table (a
@@ -288,7 +288,7 @@ void PrintCvcpScalingTable(int max_threads) {
       "(MPCKMeans, %d-fold x %zu-value grid, n=%zu, up to %d threads) "
       "===\n",
       config.cv.n_folds, config.param_grid.size(), data.size(), max_threads);
-  std::printf("%-16s %8s %12s %10s %10s %s\n", "cost model", "threads",
+  std::printf("%-16s %8s %12s %10s %10s %s\n", "mode", "threads",
               "wall_ms", "speedup", "efficiency", "matches serial");
 
   double serial_ms = 0.0;
@@ -328,7 +328,7 @@ void PrintCvcpScalingTable(int max_threads) {
     }
   };
   for (int threads : thread_counts) {
-    run_row(threads == 1 ? "(serial)" : "size estimate", threads);
+    run_row(threads == 1 ? "(serial)" : "parallel", threads);
   }
   std::printf("\n");
 }

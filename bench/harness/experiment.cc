@@ -2,10 +2,9 @@
 
 #include <cmath>
 #include <limits>
-
 #include <optional>
+#include <utility>
 
-#include "cluster/silhouette.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -125,45 +124,21 @@ TrialResult RunTrial(const Dataset& data,
   // 3. Full-supervision clustering at every grid value; external Overall F
   //    on the non-involved objects; silhouette if requested. All selectors
   //    are evaluated on these same candidate clusterings.
-  const std::vector<bool> exclude = supervision.InvolvementMask(data.size());
   Rng sweep_rng = rng.Fork(3);
-  out.external_scores.assign(spec.grid.size(), kNaN);
-  out.silhouettes.assign(spec.grid.size(), kNaN);
-  // Grid values are independent full-dataset runs; fan them out on the
-  // same engine as the CVCP cells. RNGs are pre-forked in grid order and
-  // each iteration writes only its own slots, so results are identical to
-  // the serial sweep; the first error in grid order wins.
-  std::vector<Rng> run_rngs;
-  run_rngs.reserve(spec.grid.size());
-  for (size_t gi = 0; gi < spec.grid.size(); ++gi) {
-    run_rngs.push_back(sweep_rng.Fork(gi));
+  auto sweep = SweepGrid(data, supervision, clusterer, spec.grid, &sweep_rng,
+                         ClusterContext{&cache, spec.exec},
+                         spec.with_silhouette);
+  if (!sweep.ok()) {
+    out.error = sweep.status().ToString();
+    return out;
   }
-  std::vector<Status> sweep_errors(spec.grid.size());
-  FirstErrorTracker first_error(spec.grid.size());
-  ParallelFor(spec.exec, spec.grid.size(), [&](size_t gi) {
-    if (first_error.ShouldSkip(gi)) return;
-    Rng run_rng = run_rngs[gi];
-    auto clustering =
-        clusterer.Cluster(data, supervision, spec.grid[gi], &run_rng,
-                          ClusterContext{&cache, spec.exec});
-    if (!clustering.ok()) {
-      sweep_errors[gi] = clustering.status();
-      first_error.Record(gi);
-      return;
-    }
-    out.external_scores[gi] =
-        OverallFMeasure(data.labels(), clustering.value(), &exclude);
-    if (spec.with_silhouette) {
-      out.silhouettes[gi] = SilhouetteCoefficient(
-          *cache.Distances(Metric::kEuclidean, spec.exec), clustering.value());
-    }
-  });
-  for (const Status& status : sweep_errors) {
-    if (!status.ok()) {
-      out.error = status.ToString();
-      return out;
-    }
+  const std::vector<bool> exclude = supervision.InvolvementMask(data.size());
+  out.external_scores.reserve(spec.grid.size());
+  for (const Clustering& clustering : sweep->clusterings) {
+    out.external_scores.push_back(
+        OverallFMeasure(data.labels(), clustering, &exclude));
   }
+  out.silhouettes = std::move(sweep->silhouettes);
 
   // 4. Derived quantities.
   out.correlation =

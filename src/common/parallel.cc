@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <thread>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -107,6 +108,24 @@ void ParallelFor(const ExecutionContext& exec, size_t n,
   MutexLock lock(&state.error_mu);
   if (!state.error && caller_error) state.error = caller_error;
   if (state.error) std::rethrow_exception(state.error);
+}
+
+Status ParallelForFirstError(const ExecutionContext& exec, size_t n,
+                             const std::function<Status(size_t)>& fn) {
+  std::vector<Status> status(n);  // each index writes only its own slot
+  std::atomic<size_t> first{n};   // lowest failing index; n = none yet
+  ParallelFor(exec, n, [&](size_t i) {
+    if (i > first.load(std::memory_order_relaxed)) return;
+    status[i] = fn(i);
+    if (status[i].ok()) return;
+    size_t lowest = first.load(std::memory_order_relaxed);
+    while (i < lowest && !first.compare_exchange_weak(
+                             lowest, i, std::memory_order_relaxed)) {
+    }
+  });
+  // ParallelFor has joined every lane, so the slots are all visible.
+  const size_t lowest = first.load(std::memory_order_relaxed);
+  return lowest < n ? status[lowest] : Status::OK();
 }
 
 }  // namespace cvcp

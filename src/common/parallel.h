@@ -20,12 +20,12 @@
 /// bit-identical for every thread count, every nesting width, and every
 /// execution order — parallelism changes wall time, never results.
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 
 #include "common/cancel.h"
 #include "common/kernel_policy.h"
+#include "common/status.h"
 
 namespace cvcp {
 
@@ -100,42 +100,23 @@ NestedBudget PlanBudget(const ExecutionContext& exec, size_t outer_size);
 /// consuming results. Exceptions: the serial
 /// path stops at the first throwing iteration; the pool path runs every
 /// iteration and rethrows one of the thrown exceptions (which one is
-/// scheduling-dependent) — fallible bodies should report through
-/// per-index result slots (as ScoreGridOnFolds does) rather than throw.
+/// scheduling-dependent) — fallible bodies should return a Status through
+/// ParallelForFirstError rather than throw.
 void ParallelFor(const ExecutionContext& exec, size_t n,
                  const std::function<void(size_t)>& fn);
 
-/// Tracks the lowest failing index of a ParallelFor fan-out whose
-/// reduction is first-error-wins. Correct for *any* execution order (the
-/// cost-sorted scheduler runs cells out of ascending order): only indices
-/// *above* the lowest recorded failure are ever skipped, so every index
-/// below it still runs and may record a lower failure; failures are
-/// deterministic per index, so the minimum settles on exactly the index
-/// the serial stop-at-first-error loop would have reported — the serial
-/// error semantics, minus the wasted work above the failure.
-class FirstErrorTracker {
- public:
-  /// `n` = iteration count; "no failure yet" is represented as n.
-  explicit FirstErrorTracker(size_t n) : first_{n} {}
-
-  /// True when `i` is above the lowest recorded failure and its work can
-  /// be skipped.
-  bool ShouldSkip(size_t i) const {
-    return i > first_.load(std::memory_order_relaxed);
-  }
-
-  /// Records a failure at `i` (atomic minimum).
-  void Record(size_t i) {
-    size_t lowest = first_.load(std::memory_order_relaxed);
-    while (i < lowest &&
-           !first_.compare_exchange_weak(lowest, i,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<size_t> first_;
-};
+/// Runs the fallible `fn(i)` for every i in [0, n) on ParallelFor's lanes
+/// and returns the status of the lowest failing index, or OK. That is what
+/// a serial loop that stops at its first error returns, at every width and
+/// in every claim order: no index above a recorded failure starts, but
+/// every index below it still runs and may record a lower one, so for
+/// failures that depend only on the index the minimum settles on the
+/// serial loop's error. Each index's work must write only its own result
+/// slot. A fired `exec.cancel` stops lanes claiming, exactly as in
+/// ParallelFor, so callers with a live token Check() it after the call,
+/// ahead of the returned status.
+Status ParallelForFirstError(const ExecutionContext& exec, size_t n,
+                             const std::function<Status(size_t)>& fn);
 
 }  // namespace cvcp
 

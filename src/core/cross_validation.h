@@ -10,14 +10,13 @@
 /// compares parameters on identical splits.
 ///
 /// Execution model: every (param, fold) cell is an independent clustering
-/// job with a pre-forked RNG, so the grid×fold sweep is materialized as a
-/// job list and fanned out across the shared thread pool
-/// (ScoreGridOnFolds). Parallel cells *execute* longest-first by a
-/// size-based cost estimate (EstimateCellCost) to shrink the parallel
-/// tail, but scores are always reduced in (grid-order, fold-order)
-/// sequence and the first error in that order wins, which keeps results —
-/// including error semantics — bit-identical to the serial loop no matter
-/// how cells are scheduled.
+/// job whose RNG is forked from (param, fold) alone, so ScoreGridOnFolds
+/// fans the grid×fold cells out across the shared thread pool
+/// (ParallelForFirstError, common/parallel.h) in canonical (grid-order,
+/// fold-order) sequence at every width. Each cell writes only its own
+/// score and the first error in that order wins, so results — error
+/// semantics included — are bit-identical to the serial loop at every
+/// thread count.
 
 #include <cstdint>
 #include <vector>
@@ -37,23 +36,13 @@ namespace cvcp {
 inline constexpr uint64_t kFoldStreamId = 0xF01D5ULL;
 inline constexpr uint64_t kScoreStreamId = 0x5C0BEULL;
 
-/// A-priori cost proxy for one (param, fold) cell, used to run parallel
-/// cells longest-first so no expensive cell starts late and stretches the
-/// tail of the fan-out: (training supervision size + 1) × (|param| + 1).
-/// Both factors grow the clustering work monotonically for every
-/// algorithm in the tree (more constraints/labels to satisfy; larger k /
-/// MinPts neighborhood), which is all longest-first ordering needs —
-/// relative, not absolute, accuracy. Only wall time depends on it;
-/// reports are bit-identical for any execution order.
-double EstimateCellCost(int param, size_t train_size);
-
 /// Cross-validation configuration.
 struct CvConfig {
   int n_folds = 10;
   /// Scenario I only: stratify folds by class label.
   bool stratified = false;
-  /// Parallelism for the grid×fold job fan-out (results are identical for
-  /// any thread count; threads = 1 forces the serial code path).
+  /// Parallelism for the grid×fold cell fan-out (results are identical for
+  /// any thread count; threads = 1 runs the cells in a plain loop).
   ExecutionContext exec;
 };
 
@@ -72,22 +61,19 @@ struct CvScore {
   int valid_folds = 0;
 };
 
-/// Scores every grid value on prebuilt folds through the job-based
-/// scheduler: all (param, fold) cells are materialized up front, each
-/// cell's RNG is pre-forked exactly as the serial loop forks it, the
-/// cells run on the shared pool (`exec`) longest-first by
-/// EstimateCellCost, and fold scores are reduced in (grid-order,
-/// fold-order) sequence with first-error-wins Status propagation.
-/// Returned scores are bit-identical to scoring each param serially, for
-/// every thread count and execution order. The clusterer sees only each
-/// fold's training supervision (labels when Scenario I provided them,
-/// else constraints), derived once before the fan-out and shared
-/// read-only by the fold's cells; the test fold's constraints only ever
-/// meet the finished partition. Cell RNGs are forked per (param, fold),
-/// so scores are reproducible and fold order is immaterial. When `cache`
-/// is non-null every cell clusters through it, so the
-/// supervision-independent stages — distance matrix, OPTICS models — are
-/// built once and shared across the G×F cells (core/dataset_cache.h).
+/// Scores every grid value on prebuilt folds. Every (param, fold) cell
+/// runs through one ParallelForFirstError fan-out on the shared pool
+/// (`exec`), in (grid-order, fold-order) sequence at every width; each
+/// cell's RNG is forked by (param, fold), and the first error in cell
+/// order wins. Returned scores are bit-identical to scoring each param
+/// serially, for every thread count. The clusterer sees only each fold's
+/// training supervision (labels when Scenario I provided them, else
+/// constraints), built once before the fan-out from what the fold holds
+/// and shared read-only by the fold's cells; the test fold's constraints
+/// only ever meet the finished partition. When `cache` is non-null every
+/// cell clusters through it, so the supervision-independent stages —
+/// distance matrix, OPTICS models — are built once and shared across the
+/// G×F cells (core/dataset_cache.h).
 Result<std::vector<CvScore>> ScoreGridOnFolds(
     const Dataset& data, const std::vector<FoldSplit>& folds,
     SupervisionKind kind, const SemiSupervisedClusterer& clusterer,

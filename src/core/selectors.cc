@@ -3,11 +3,45 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "cluster/silhouette.h"
 #include "core/dataset_cache.h"
 
 namespace cvcp {
+
+Result<GridSweep> SweepGrid(const Dataset& data,
+                            const Supervision& supervision,
+                            const SemiSupervisedClusterer& clusterer,
+                            std::span<const int> param_grid, Rng* rng,
+                            const ClusterContext& context,
+                            bool with_silhouettes) {
+  std::optional<DatasetCache> own;
+  ClusterContext run_context = context;
+  if (run_context.cache == nullptr) {
+    run_context.cache = &own.emplace(data.points());
+  }
+  GridSweep sweep;
+  sweep.clusterings.resize(param_grid.size());
+  sweep.silhouettes.assign(param_grid.size(),
+                           std::numeric_limits<double>::quiet_NaN());
+  CVCP_RETURN_IF_ERROR(ParallelForFirstError(
+      context.exec, param_grid.size(), [&](size_t gi) -> Status {
+        Rng run_rng = rng->Fork(gi);
+        CVCP_ASSIGN_OR_RETURN(sweep.clusterings[gi],
+                              clusterer.Cluster(data, supervision,
+                                                param_grid[gi], &run_rng,
+                                                run_context));
+        if (with_silhouettes) {
+          sweep.silhouettes[gi] = SilhouetteCoefficient(
+              *run_context.cache->Distances(Metric::kEuclidean,
+                                            run_context.exec),
+              sweep.clusterings[gi]);
+        }
+        return Status::OK();
+      }));
+  return sweep;
+}
 
 Result<SilhouetteSelection> SelectBySilhouette(
     const Dataset& data, const Supervision& supervision,
@@ -17,39 +51,20 @@ Result<SilhouetteSelection> SelectBySilhouette(
     return Status::InvalidArgument(
         "silhouette selection needs a non-empty parameter grid");
   }
-  std::optional<DatasetCache> own;
-  ClusterContext run_context = context;
-  if (run_context.cache == nullptr) {
-    run_context.cache = &own.emplace(data.points());
-  }
-  SilhouetteSelection sel;
-  sel.silhouettes.reserve(param_grid.size());
-  bool have_best = false;
-  for (size_t gi = 0; gi < param_grid.size(); ++gi) {
-    const int param = param_grid[gi];
-    // Fork by grid *index*, not value: duplicate grid entries must get
-    // independent streams, negative params must not wrap through the
-    // uint64_t cast, and the harness's full-supervision sweep forks by
-    // index — same rng, same position, same clustering in both.
-    Rng run_rng = rng->Fork(gi);
-    CVCP_ASSIGN_OR_RETURN(
-        Clustering clustering,
-        clusterer.Cluster(data, supervision, param, &run_rng, run_context));
-    const double sil = SilhouetteCoefficient(
-        *run_context.cache->Distances(Metric::kEuclidean, run_context.exec),
-        clustering);
-    sel.silhouettes.push_back(sil);
-    if (!std::isnan(sil) && (!have_best || sil > sel.best_silhouette)) {
-      sel.best_silhouette = sil;
-      sel.best_param = param;
-      sel.best_clustering = std::move(clustering);
-      have_best = true;
-    }
-  }
-  if (!have_best) {
+  CVCP_ASSIGN_OR_RETURN(GridSweep sweep,
+                        SweepGrid(data, supervision, clusterer, param_grid,
+                                  rng, context, /*with_silhouettes=*/true));
+  const int oracle = OracleIndex(sweep.silhouettes);
+  if (oracle < 0) {
     return Status::FailedPrecondition(
         "silhouette undefined for every grid value");
   }
+  const size_t best = static_cast<size_t>(oracle);
+  SilhouetteSelection sel;
+  sel.best_param = param_grid[best];
+  sel.best_silhouette = sweep.silhouettes[best];
+  sel.best_clustering = std::move(sweep.clusterings[best]);
+  sel.silhouettes = std::move(sweep.silhouettes);
   return sel;
 }
 

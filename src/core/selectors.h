@@ -2,7 +2,8 @@
 #define CVCP_CORE_SELECTORS_H_
 
 /// \file
-/// The paper's comparison selectors (§4.3): the Silhouette-coefficient
+/// The full-supervision sweep every selector is judged on (§4.1), and the
+/// paper's comparison selectors (§4.3): the Silhouette-coefficient
 /// baseline for centroid algorithms, and the "expected quality" of a
 /// uniformly random guess over the grid. An oracle selector (argmax of the
 /// external measure) is included as an upper bound for the benches.
@@ -17,6 +18,29 @@
 
 namespace cvcp {
 
+/// The clusterings of a full-supervision sweep, one per grid value.
+struct GridSweep {
+  std::vector<Clustering> clusterings;
+  /// Per-grid-value silhouettes: NaN where undefined (e.g. a single
+  /// cluster), and everywhere unless the sweep was asked for them.
+  std::vector<double> silhouettes;
+};
+
+/// Clusters all of `data` with the full supervision at every grid value
+/// (§4.1). Run `gi` uses `rng->Fork(gi)` — by grid *index*, so duplicate
+/// entries get independent streams and negative params never wrap — and
+/// clusters through `context.cache` (one private to this call when it
+/// carries none). The runs fan out under `context.exec` through
+/// ParallelForFirstError, so the sweep is byte-identical at every width and
+/// the first error in grid order wins. With `with_silhouettes`, each run's
+/// silhouette is read from the cache's distance matrix.
+Result<GridSweep> SweepGrid(const Dataset& data,
+                            const Supervision& supervision,
+                            const SemiSupervisedClusterer& clusterer,
+                            std::span<const int> param_grid, Rng* rng,
+                            const ClusterContext& context,
+                            bool with_silhouettes);
+
 /// Outcome of silhouette-based model selection.
 struct SilhouetteSelection {
   int best_param = 0;
@@ -27,16 +51,10 @@ struct SilhouetteSelection {
   Clustering best_clustering;
 };
 
-/// Runs the clusterer with full supervision at every grid value and picks
-/// the clustering with the highest silhouette coefficient. Each run's RNG
-/// is forked from `rng` by grid *index* — the same scheme as the bench
-/// harness's full-supervision sweep, so both entry points produce the same
-/// clustering at the same grid position. Every run clusters through
-/// `context`'s DatasetCache — one private to this call when it carries
-/// none — and the silhouettes read that cache's Euclidean distance
-/// matrix; the selection is byte-identical either way. Errors with
-/// kInvalidArgument for an empty grid and kFailedPrecondition if every
-/// silhouette is undefined.
+/// Sweeps the grid with SweepGrid and picks the first clustering with the
+/// highest silhouette coefficient; the first error in grid order wins.
+/// Errors with kInvalidArgument for an empty grid and kFailedPrecondition
+/// if every silhouette is undefined.
 Result<SilhouetteSelection> SelectBySilhouette(
     const Dataset& data, const Supervision& supervision,
     const SemiSupervisedClusterer& clusterer, std::span<const int> param_grid,

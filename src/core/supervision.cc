@@ -38,6 +38,15 @@ Supervision Supervision::FromLabelArray(std::vector<int> sparse_labels) {
   return s;
 }
 
+Supervision Supervision::FromLabelFold(const FoldSplit& fold) {
+  Supervision s;
+  s.kind_ = SupervisionKind::kLabels;
+  s.constraints_ = fold.train_constraints;
+  s.sparse_labels_ = fold.train_labels;
+  s.involved_objects_ = fold.train_objects;
+  return s;
+}
+
 Supervision Supervision::FromConstraints(ConstraintSet constraints) {
   Supervision s;
   s.kind_ = SupervisionKind::kConstraints;

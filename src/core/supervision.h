@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "constraints/constraint_set.h"
+#include "constraints/folds.h"
 
 namespace cvcp {
 
@@ -32,9 +33,14 @@ class Supervision {
   static Supervision FromLabels(const Dataset& data,
                                 std::vector<size_t> labeled_objects);
 
-  /// Scenario I from a sparse label array (-1 = unlabeled), e.g. a CV
-  /// fold's training labels.
+  /// Scenario I from a sparse label array (-1 = unlabeled).
   static Supervision FromLabelArray(std::vector<int> sparse_labels);
+
+  /// Scenario I from a label fold's training side (MakeLabelFolds): equal
+  /// to FromLabelArray(fold.train_labels), but it reuses the training
+  /// objects and constraints the fold already holds instead of deriving
+  /// the O(L^2) constraint list again.
+  static Supervision FromLabelFold(const FoldSplit& fold);
 
   /// Scenario II.
   static Supervision FromConstraints(ConstraintSet constraints);

@@ -85,17 +85,19 @@ Status ResultStore::Recover() {
       continue;
     }
     Result<StoredResult> record = DecodeStoredResult(std::move(bytes).value());
-    if (!record.ok()) {
+    // A record filed under another id's name would be served for the
+    // wrong job; it is damage like any other.
+    if (!record.ok() ||
+        fs::path(path).filename() != RecordFilename(record->job_id)) {
       corrupt_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     MutexLock lock(&mu_);
-    StoredResult& stored = records_[record->job_id];
-    stored = std::move(record).value();
-    chains_[stored.spec_hash][stored.version] = stored.job_id;
-    if (stored.job_id >= next_job_id_) next_job_id_ = stored.job_id + 1;
-    uint32_t& next = next_version_[stored.spec_hash];
-    if (stored.version >= next) next = stored.version + 1;
+    job_ids_.insert(record->job_id);
+    chains_[record->spec_hash][record->version] = record->job_id;
+    if (record->job_id >= next_job_id_) next_job_id_ = record->job_id + 1;
+    uint32_t& next = next_version_[record->spec_hash];
+    if (record->version >= next) next = record->version + 1;
     recovered_.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::OK();
@@ -116,7 +118,7 @@ uint32_t ResultStore::AllocateVersion(uint64_t spec_hash) {
 Status ResultStore::Put(const StoredResult& record) {
   {
     MutexLock lock(&mu_);
-    if (records_.contains(record.job_id)) {
+    if (job_ids_.contains(record.job_id)) {
       return Status::FailedPrecondition(
           Format("job %llu already stored",
                  static_cast<unsigned long long>(record.job_id)));
@@ -128,7 +130,7 @@ Status ResultStore::Put(const StoredResult& record) {
                                        bytes, seq));
   {
     MutexLock lock(&mu_);
-    records_[record.job_id] = record;
+    job_ids_.insert(record.job_id);
     chains_[record.spec_hash][record.version] = record.job_id;
   }
   stored_.fetch_add(1, std::memory_order_relaxed);
@@ -136,14 +138,26 @@ Status ResultStore::Put(const StoredResult& record) {
 }
 
 Result<StoredResult> ResultStore::Get(uint64_t job_id) const {
-  MutexLock lock(&mu_);
-  auto it = records_.find(job_id);
-  if (it == records_.end()) {
+  if (!Contains(job_id)) {
     return Status::NotFound(
         Format("no stored result for job %llu",
                static_cast<unsigned long long>(job_id)));
   }
-  return it->second;
+  // Indexed records are immutable, so the file is read outside the lock.
+  CVCP_ASSIGN_OR_RETURN(
+      std::string bytes,
+      ReadFileToString(
+          (std::filesystem::path(directory_) / RecordFilename(job_id))
+              .string()));
+  CVCP_ASSIGN_OR_RETURN(StoredResult record,
+                        DecodeStoredResult(std::move(bytes)));
+  if (record.job_id != job_id) {
+    return Status::Corruption(
+        Format("record file of job %llu holds job %llu",
+               static_cast<unsigned long long>(job_id),
+               static_cast<unsigned long long>(record.job_id)));
+  }
+  return record;
 }
 
 std::vector<uint64_t> ResultStore::Versions(uint64_t spec_hash) const {
@@ -158,7 +172,7 @@ std::vector<uint64_t> ResultStore::Versions(uint64_t spec_hash) const {
 
 bool ResultStore::Contains(uint64_t job_id) const {
   MutexLock lock(&mu_);
-  return records_.contains(job_id);
+  return job_ids_.contains(job_id);
 }
 
 ResultStore::Stats ResultStore::stats() const {

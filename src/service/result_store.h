@@ -19,12 +19,17 @@
 /// immutable once published; re-fetching any prior version by job id
 /// returns the exact bytes that were stored.
 ///
+/// Memory holds only the index (job ids, version chains, counters): `Get`
+/// reads the record's file, so the store's footprint does not grow with
+/// the bytes of completed jobs.
+///
 /// Thread-safe; IO happens outside the lock (records are immutable and
 /// names are unique, so writers never conflict).
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -66,12 +71,13 @@ class ResultStore {
 
   const std::string& directory() const { return directory_; }
 
-  /// Scans the directory and indexes every valid record; damaged files
-  /// are counted under `results_corrupt` and skipped. Orphaned `*.tmp.*`
-  /// files — writes a crash interrupted before their rename — are removed
-  /// and counted under `temps_swept` (safe here: Recover runs before any
-  /// writer exists). Seeds the job-id counter and the per-hash version
-  /// chains. Call once before serving.
+  /// Scans the directory and indexes every valid record; damaged files,
+  /// and files whose name is not their record's id, are counted under
+  /// `results_corrupt` and skipped. Orphaned `*.tmp.*` files — writes a
+  /// crash interrupted before their rename — are removed and counted
+  /// under `temps_swept` (safe here: Recover runs before any writer
+  /// exists). Seeds the job-id counter and the per-hash version chains.
+  /// Call once before serving.
   Status Recover();
 
   /// Allocates the next job id (recovered max + 1, monotonic).
@@ -89,7 +95,9 @@ class ResultStore {
   /// write-once).
   Status Put(const StoredResult& record);
 
-  /// The stored record for `job_id`; kNotFound for unknown ids.
+  /// The stored record for `job_id`, read from its file; kNotFound for
+  /// unknown ids, and kCorruption when the file no longer decodes to a
+  /// record of `job_id`.
   Result<StoredResult> Get(uint64_t job_id) const;
 
   /// Job ids of the stored versions of `spec_hash`, in version order
@@ -113,7 +121,7 @@ class ResultStore {
 
   mutable Mutex mu_;
   uint64_t next_job_id_ GUARDED_BY(mu_) = 1;
-  std::map<uint64_t, StoredResult> records_ GUARDED_BY(mu_);
+  std::set<uint64_t> job_ids_ GUARDED_BY(mu_);  ///< stored records
   /// spec_hash -> (version -> job_id), version-sorted by map order.
   std::map<uint64_t, std::map<uint32_t, uint64_t>> chains_ GUARDED_BY(mu_);
   std::map<uint64_t, uint32_t> next_version_ GUARDED_BY(mu_);

@@ -1,6 +1,7 @@
 #include "service/server.h"
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -44,13 +45,22 @@ Status Server::Start() {
   }
   std::memcpy(addr.sun_path, config_.socket_path.c_str(),
               config_.socket_path.size() + 1);
+  // A stale socket from a dead server is replaced; any other file at the
+  // path is refused and left as it is.
+  struct stat st {};
+  if (::lstat(config_.socket_path.c_str(), &st) == 0) {
+    if (!S_ISSOCK(st.st_mode)) {
+      return Status::FailedPrecondition(Format(
+          "%s exists and is not a socket", config_.socket_path.c_str()));
+    }
+    ::unlink(config_.socket_path.c_str());
+  }
 
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     return Status::Internal(
         Format("socket() failed: %s", std::strerror(errno)));
   }
-  ::unlink(config_.socket_path.c_str());  // stale socket from a dead server
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
     const Status status = Status::Internal(Format(
@@ -119,7 +129,12 @@ void Server::Stop(bool drain) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  ::unlink(config_.socket_path.c_str());
+  // Only ever our own socket: a file put at the path since Start stays.
+  struct stat st {};
+  if (::lstat(config_.socket_path.c_str(), &st) == 0 &&
+      S_ISSOCK(st.st_mode)) {
+    ::unlink(config_.socket_path.c_str());
+  }
 }
 
 void Server::AcceptLoop() {

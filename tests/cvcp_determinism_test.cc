@@ -7,12 +7,14 @@
 
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "constraints/oracle.h"
 #include "core/cvcp.h"
 #include "data/generators.h"
+#include "tests/failing_clusterer.h"
 
 namespace cvcp {
 namespace {
@@ -59,8 +61,7 @@ struct ConstraintFixture {
 
 uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 
-/// Asserts two reports are byte-identical in every deterministic field
-/// (cell timings are wall-clock and legitimately differ).
+/// Asserts two reports are byte-identical in every field.
 void ExpectReportsIdentical(const CvcpReport& a, const CvcpReport& b,
                             int threads) {
   EXPECT_EQ(a.best_param, b.best_param) << "threads " << threads;
@@ -80,17 +81,18 @@ void ExpectReportsIdentical(const CvcpReport& a, const CvcpReport& b,
 
 template <typename Fixture>
 void CheckThreadCountInvariance(const Fixture& fixture,
-                                const CvcpConfig& base_config) {
+                                const CvcpConfig& base_config,
+                                uint64_t seed = 303) {
   CvcpConfig config = base_config;
   config.cv.exec = ExecutionContext::Serial();
-  Rng serial_rng(303);
+  Rng serial_rng(seed);
   auto serial = RunCvcp(fixture.data, fixture.supervision, fixture.clusterer,
                         config, &serial_rng);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 3, 4, 8}) {
     config.cv.exec.threads = threads;
-    Rng rng(303);
+    Rng rng(seed);
     auto parallel = RunCvcp(fixture.data, fixture.supervision,
                             fixture.clusterer, config, &rng);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
@@ -114,36 +116,16 @@ TEST(CvcpDeterminismTest, ScenarioTwoConstraintsFoscBitIdentical) {
   CheckThreadCountInvariance(fixture, config);
 }
 
-// Parallel runs execute cells longest-first by EstimateCellCost, which
-// permutes the order cells *run* in; the reduction stays in (grid-order,
-// fold-order), so the report must be byte-identical to the serial one at
-// every width, on both supervision scenarios.
-template <typename Fixture>
-void CheckCostModelInvariance(const Fixture& fixture,
-                              const CvcpConfig& base_config) {
-  CvcpConfig config = base_config;
-  config.cv.exec = ExecutionContext::Serial();
-  Rng serial_rng(707);
-  auto serial = RunCvcp(fixture.data, fixture.supervision, fixture.clusterer,
-                        config, &serial_rng);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-  for (int threads : {2, 3, 4, 8}) {
-    config.cv.exec.threads = threads;
-    Rng rng(707);
-    auto parallel = RunCvcp(fixture.data, fixture.supervision,
-                            fixture.clusterer, config, &rng);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectReportsIdentical(*serial, *parallel, threads);
-  }
-}
-
+// The same two scenarios under a second seed. The names date from when
+// parallel runs started cells longest-first by an estimated cost; cells
+// now start in canonical order, and the report must still be
+// byte-identical to the serial one at every width.
 TEST(CvcpDeterminismTest, CostSortedLabelsMpckMeansBitIdentical) {
   LabelFixture fixture;
   CvcpConfig config;
   config.cv.n_folds = 5;
   config.param_grid = {2, 3, 4, 5, 6, 7, 8};
-  CheckCostModelInvariance(fixture, config);
+  CheckThreadCountInvariance(fixture, config, 707);
 }
 
 TEST(CvcpDeterminismTest, CostSortedConstraintsFoscBitIdentical) {
@@ -151,15 +133,36 @@ TEST(CvcpDeterminismTest, CostSortedConstraintsFoscBitIdentical) {
   CvcpConfig config;
   config.cv.n_folds = 4;
   config.param_grid = {3, 6, 9, 12};
-  CheckCostModelInvariance(fixture, config);
+  CheckThreadCountInvariance(fixture, config, 707);
 }
 
-TEST(CostModelTest, EstimateGrowsWithParamAndTrainingSize) {
-  EXPECT_GT(EstimateCellCost(5, 100), EstimateCellCost(2, 100));
-  EXPECT_GT(EstimateCellCost(5, 100), EstimateCellCost(5, 10));
-  // Negative params cost by magnitude, and the estimate is never zero.
-  EXPECT_EQ(EstimateCellCost(-5, 100), EstimateCellCost(5, 100));
-  EXPECT_GT(EstimateCellCost(0, 0), 0.0);
+// First error wins: cells fail at two grid values, and RunCvcp must
+// return the error of the lower one — what a serial loop that stops at
+// its first failing cell returns — at every width.
+Result<CvcpReport> RunFailingCvcp(std::vector<int> failing_k, int threads) {
+  LabelFixture fixture;
+  FailAtKClusterer clusterer(std::move(failing_k));
+  CvcpConfig config;
+  config.cv.n_folds = 5;
+  config.cv.exec.threads = threads;
+  config.param_grid = {2, 3, 4, 5, 6, 7, 8};
+  Rng rng(404);
+  return RunCvcp(fixture.data, fixture.supervision, clusterer, config, &rng);
+}
+
+TEST(CvcpDeterminismTest, FirstFailingGridValueWinsAtEveryWidth) {
+  for (int threads : {1, 2, 3, 8}) {
+    auto both = RunFailingCvcp({4, 6}, threads);
+    EXPECT_EQ(both.status().code(), StatusCode::kInternal)
+        << "threads " << threads;
+    EXPECT_EQ(both.status().message(), FailAtKClusterer::Message(4))
+        << "threads " << threads;
+    auto upper = RunFailingCvcp({6}, threads);
+    EXPECT_EQ(upper.status().code(), StatusCode::kInternal)
+        << "threads " << threads;
+    EXPECT_EQ(upper.status().message(), FailAtKClusterer::Message(6))
+        << "threads " << threads;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the per-dataset compute cache: lazy builds, memo hits,
-// error memoization, per-metric separation, the prewarm's tier order and
-// store-backed matrix drop, and safety under concurrent access (the
+// models keyed by MinPts, out-of-range MinPts failing before any build,
+// the prewarm's tier order and store-backed matrix drop, geometry shared
+// across a pool's front-ends, and safety under concurrent access (the
 // concurrency tests double as TSan targets). The cache never blocks —
 // first-touch races duplicate the build and the first publisher wins —
 // so the concurrency assertions are on convergence (everyone ends up

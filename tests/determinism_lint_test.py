@@ -179,6 +179,19 @@ class FixtureCase(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("reduction-allowlist", rules)
 
+    def test_unannotated_first_error_reduction_fires(self):
+        write(self.root, os.path.join("src", "core", "reduce.cc"),
+              "Status Sum(const ExecutionContext& exec) {\n"
+              "  double total = 0.0;\n"
+              "  return ParallelForFirstError(exec, 100,"
+              " [&](size_t i) -> Status {\n"
+              "    total += static_cast<double>(i);\n"
+              "    return Status::OK();\n"
+              "  });\n}\n")
+        code, rules, _ = self.rules_fired()
+        self.assertEqual(code, 1)
+        self.assertIn("reduction-allowlist", rules)
+
     def test_lambda_local_accumulator_does_not_fire(self):
         write(self.root, os.path.join("src", "core", "slots.cc"),
               "void Fill(const ExecutionContext& exec,"

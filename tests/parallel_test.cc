@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "common/thread_pool.h"
 
 namespace cvcp {
@@ -62,30 +63,44 @@ TEST(PlanBudgetTest, NestedSerialBudgetStaysSerialEverywhere) {
   EXPECT_EQ(plan.inner.threads, 1);
 }
 
-TEST(FirstErrorTrackerTest, TracksTheMinimumFailingIndex) {
-  FirstErrorTracker tracker(100);
-  EXPECT_FALSE(tracker.ShouldSkip(99));  // no failure yet
-  tracker.Record(40);
-  EXPECT_TRUE(tracker.ShouldSkip(41));
-  EXPECT_FALSE(tracker.ShouldSkip(40));  // the failure itself
-  EXPECT_FALSE(tracker.ShouldSkip(10));  // below: already claimed, runs
-  tracker.Record(70);  // higher failure never raises the minimum
-  EXPECT_TRUE(tracker.ShouldSkip(41));
-  tracker.Record(5);
-  EXPECT_TRUE(tracker.ShouldSkip(6));
-  EXPECT_FALSE(tracker.ShouldSkip(5));
+TEST(ParallelForFirstErrorTest, LowestFailureWinsAtEveryWidth) {
+  for (int threads : {1, 2, 8}) {
+    ExecutionContext exec;
+    exec.threads = threads;
+    const Status status = ParallelForFirstError(exec, 100, [](size_t i) {
+      return i % 7 == 3 ? Status::Internal(Format("index %zu", i))
+                        : Status::OK();
+    });
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << "threads " << threads;
+    EXPECT_EQ(status.message(), "index 3") << "threads " << threads;
+  }
 }
 
-TEST(FirstErrorTrackerTest, SkipsNothingUnderConcurrentRecords) {
-  // Records from many pool tasks must settle on the global minimum.
-  FirstErrorTracker tracker(1000);
-  ExecutionContext exec;
-  exec.threads = 8;
-  ParallelFor(exec, 1000, [&](size_t i) {
-    if (i % 7 == 3) tracker.Record(i);
-  });
-  EXPECT_FALSE(tracker.ShouldSkip(3));
-  EXPECT_TRUE(tracker.ShouldSkip(4));
+TEST(ParallelForFirstErrorTest, SerialStartsNoIndexAboveTheFailure) {
+  std::vector<int> visits(10, 0);
+  const Status status = ParallelForFirstError(
+      ExecutionContext::Serial(), visits.size(), [&](size_t i) {
+        ++visits[i];
+        return i == 4 ? Status::Internal("index 4") : Status::OK();
+      });
+  EXPECT_EQ(status.message(), "index 4");
+  EXPECT_EQ(visits, (std::vector<int>{1, 1, 1, 1, 1, 0, 0, 0, 0, 0}));
+}
+
+TEST(ParallelForFirstErrorTest, OkRunsEveryIndexExactlyOnce) {
+  for (int threads : {1, 2, 8}) {
+    ExecutionContext exec;
+    exec.threads = threads;
+    std::vector<int> visits(100, 0);
+    const Status status =
+        ParallelForFirstError(exec, visits.size(), [&](size_t i) {
+          ++visits[i];
+          return Status::OK();
+        });
+    EXPECT_TRUE(status.ok()) << "threads " << threads;
+    EXPECT_EQ(visits, std::vector<int>(visits.size(), 1))
+        << "threads " << threads;
+  }
 }
 
 TEST(ThreadPoolTest, RunsManyTasksToCompletion) {

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "data/generators.h"
+#include "tests/failing_clusterer.h"
 #include "tests/geometry_oracle.h"
 
 namespace cvcp {
@@ -75,6 +76,64 @@ TEST(SelectBySilhouetteTest, ForksByGridIndexMatchingTheHarnessSweep) {
     EXPECT_EQ(std::bit_cast<uint64_t>(sil),
               std::bit_cast<uint64_t>(sel->silhouettes[gi]))
         << "grid index " << gi;
+  }
+}
+
+TEST(SelectBySilhouetteTest, FirstFailingGridValueWinsAtEveryWidth) {
+  Rng data_rng(6);
+  Dataset data = MakeBlobs("blobs", 3, 25, 2, 30.0, 1.0, &data_rng);
+  Supervision supervision = Supervision::FromConstraints(ConstraintSet{});
+  FailAtKClusterer clusterer({4, 6});
+  std::vector<int> grid = {2, 3, 4, 5, 6, 7, 8};
+  for (int threads : {1, 2, 8}) {
+    ClusterContext context;
+    context.exec.threads = threads;
+    Rng rng(7);
+    auto sel =
+        SelectBySilhouette(data, supervision, clusterer, grid, &rng, context);
+    EXPECT_EQ(sel.status().code(), StatusCode::kInternal)
+        << "threads " << threads;
+    EXPECT_EQ(sel.status().message(), FailAtKClusterer::Message(4))
+        << "threads " << threads;
+  }
+}
+
+// The full-supervision sweep fans out under the context's width; the
+// clusterings and silhouettes must not depend on it, and silhouettes stay
+// NaN unless asked for.
+TEST(SweepGridTest, ByteIdenticalAtEveryWidth) {
+  Rng data_rng(8);
+  Dataset data = MakeBlobs("blobs", 3, 25, 2, 30.0, 1.0, &data_rng);
+  Supervision supervision = Supervision::FromConstraints(ConstraintSet{});
+  KMeansClusterer clusterer;
+  std::vector<int> grid = {2, 3, 4, 3, 5};
+  Rng serial_rng(9);
+  auto serial = SweepGrid(data, supervision, clusterer, grid, &serial_rng,
+                          ClusterContext{}, /*with_silhouettes=*/true);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(serial->clusterings.size(), grid.size());
+  for (int threads : {2, 8}) {
+    for (bool with_silhouettes : {true, false}) {
+      ClusterContext context;
+      context.exec.threads = threads;
+      Rng rng(9);
+      auto sweep = SweepGrid(data, supervision, clusterer, grid, &rng,
+                             context, with_silhouettes);
+      ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+      ASSERT_EQ(sweep->silhouettes.size(), grid.size());
+      for (size_t gi = 0; gi < grid.size(); ++gi) {
+        EXPECT_EQ(sweep->clusterings[gi].assignment(),
+                  serial->clusterings[gi].assignment())
+            << "grid index " << gi << ", threads " << threads;
+        if (with_silhouettes) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(sweep->silhouettes[gi]),
+                    std::bit_cast<uint64_t>(serial->silhouettes[gi]))
+              << "grid index " << gi << ", threads " << threads;
+        } else {
+          EXPECT_TRUE(std::isnan(sweep->silhouettes[gi]));
+        }
+      }
+    }
   }
 }
 

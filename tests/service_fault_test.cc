@@ -13,7 +13,12 @@
 // All choreography is condition-variable-driven through the Gate test
 // seam (no sleeps): the test decides exactly when the parked job may run.
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -391,6 +396,100 @@ TEST(ServiceFaultTest, ResultStorePutIsWriteOnce) {
   const Status again = store.Put(record);
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.code(), StatusCode::kFailedPrecondition);
+}
+
+// Get reads the record file, so a file that now holds another job's
+// (valid) record must not be served under the id it was asked for.
+TEST(ServiceFaultTest, ResultStoreGetRejectsARecordOfAnotherId) {
+  ServiceScratch scratch = MakeServiceScratch();
+  ResultStore store(scratch.results);
+  ASSERT_TRUE(store.Recover().ok());
+  StoredResult first = FixtureRecord();
+  first.job_id = store.AllocateJobId();
+  first.version = store.AllocateVersion(first.spec_hash);
+  StoredResult second = FixtureRecord();
+  second.job_id = store.AllocateJobId();
+  second.version = store.AllocateVersion(second.spec_hash);
+  ASSERT_TRUE(store.Put(first).ok());
+  ASSERT_TRUE(store.Put(second).ok());
+
+  auto second_bytes =
+      ReadFileToString(RecordPath(scratch.results, second.job_id));
+  ASSERT_TRUE(second_bytes.ok());
+  std::FILE* f =
+      std::fopen(RecordPath(scratch.results, first.job_id).c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(second_bytes->data(), 1, second_bytes->size(), f),
+            second_bytes->size());
+  std::fclose(f);
+
+  auto fetched = store.Get(first.job_id);
+  ASSERT_FALSE(fetched.ok());
+  EXPECT_EQ(fetched.status().code(), StatusCode::kCorruption);
+  auto intact = store.Get(second.job_id);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  EXPECT_EQ(intact->report_bytes, second.report_bytes);
+}
+
+TEST(ServiceFaultTest, RecoverCountsARecordFiledUnderAnotherIdAsCorrupt) {
+  ServiceScratch scratch = MakeServiceScratch();
+  StoredResult record = FixtureRecord();  // job 7
+  ASSERT_TRUE(WriteFileAtomic(scratch.results, "job-0000000000000009.cvcp",
+                              EncodeStoredResult(record), /*temp_seq=*/0)
+                  .ok());
+  ResultStore store(scratch.results);
+  ASSERT_TRUE(store.Recover().ok());
+  EXPECT_EQ(store.stats().recovered, 0u);
+  EXPECT_EQ(store.stats().corrupt, 1u);
+  EXPECT_FALSE(store.Contains(7));
+  EXPECT_FALSE(store.Contains(9));
+  EXPECT_EQ(store.Get(7).status().code(), StatusCode::kNotFound);
+}
+
+// A mistyped --socket must never destroy the file it names: Start refuses
+// an existing path that is not a socket and leaves it as it was.
+TEST(ServiceFaultTest, StartRefusesASocketPathThatIsNotASocket) {
+  ServiceScratch scratch = MakeServiceScratch();
+  const std::string notes = "notes the operator wants to keep\n";
+  ASSERT_TRUE(WriteFileAtomic(scratch.base, "sock", notes, /*temp_seq=*/0)
+                  .ok());
+  {
+    Server server(ScratchServerConfig(scratch));
+    const Status started = server.Start();
+    ASSERT_FALSE(started.ok());
+    EXPECT_EQ(started.code(), StatusCode::kFailedPrecondition);
+    auto kept = ReadFileToString(scratch.socket);
+    ASSERT_TRUE(kept.ok());
+    EXPECT_EQ(kept.value(), notes);
+  }
+  auto kept = ReadFileToString(scratch.socket);
+  ASSERT_TRUE(kept.ok()) << "the server's teardown removed the file";
+  EXPECT_EQ(kept.value(), notes);
+}
+
+// A socket left behind by a server that died without Stop is still
+// cleared, so a restart over the same path binds.
+TEST(ServiceFaultTest, StartReplacesAStaleSocket) {
+  ServiceScratch scratch = MakeServiceScratch();
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(scratch.socket.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, scratch.socket.c_str(),
+              scratch.socket.size() + 1);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ::close(fd);  // the socket file stays, as after a crash
+  ASSERT_TRUE(std::filesystem::is_socket(scratch.socket));
+
+  Server server(ScratchServerConfig(scratch));
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect(scratch.socket);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  server.Stop(/*drain=*/true);
+  EXPECT_FALSE(std::filesystem::exists(scratch.socket));
 }
 
 }  // namespace

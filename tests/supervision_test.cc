@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/rng.h"
+#include "constraints/folds.h"
+#include "constraints/oracle.h"
 #include "data/generators.h"
 #include "data/iris.h"
 
@@ -73,6 +78,39 @@ TEST(SupervisionTest, RepeatedLabeledObjectCountsOnce) {
   EXPECT_EQ(s.involved_objects(), (std::vector<size_t>{1, 4}));
   ASSERT_EQ(s.constraints().size(), 1u);
   EXPECT_EQ(s.constraints().Lookup(1, 4), ConstraintType::kMustLink);
+}
+
+// Cross-validation builds each label fold's training supervision from the
+// fold itself; it must equal the one derived from the fold's label array,
+// constraint order included (FOSC and MPCK read constraints in order).
+TEST(SupervisionTest, FromLabelFoldMatchesFromLabelArray) {
+  const Dataset data = MakeIris();
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    for (bool stratified : {false, true}) {
+      Rng rng(seed);
+      auto labeled = SampleLabeledObjects(data, 0.3, &rng);
+      ASSERT_TRUE(labeled.ok());
+      const Supervision full = Supervision::FromLabels(data, *labeled);
+      FoldConfig config;
+      config.n_folds = 5;
+      config.stratified = stratified;
+      auto folds = MakeLabelFolds(full.involved_objects(),
+                                  full.sparse_labels(), data.size(), config,
+                                  &rng);
+      ASSERT_TRUE(folds.ok());
+      for (const FoldSplit& fold : *folds) {
+        const Supervision built = Supervision::FromLabelFold(fold);
+        const Supervision derived =
+            Supervision::FromLabelArray(fold.train_labels);
+        EXPECT_EQ(built.kind(), derived.kind());
+        EXPECT_TRUE(std::ranges::equal(built.constraints().all(),
+                                       derived.constraints().all()))
+            << "seed " << seed << ", stratified " << stratified;
+        EXPECT_EQ(built.sparse_labels(), derived.sparse_labels());
+        EXPECT_EQ(built.involved_objects(), derived.involved_objects());
+      }
+    }
+  }
 }
 
 }  // namespace

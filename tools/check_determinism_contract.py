@@ -33,7 +33,8 @@ Rules (ids are stable; see --list-rules):
                         seeding / default-constructed mt19937 outside
                         src/common/rng.* — all randomness must flow
                         through the seeded, forkable cvcp::Rng
-  reduction-allowlist   every inline-lambda ParallelFor body that
+  reduction-allowlist   every inline-lambda ParallelFor (or
+                        ParallelForFirstError) body that
                         mutates shared state with a reduction marker
                         (+=, -=, *=, /=, fetch_add, fetch_sub,
                         push_back, emplace_back) must carry a
@@ -322,17 +323,18 @@ def check_source_file(root, rel, allow_tags, used_tags, findings):
                     f"container '{m.group(1)}': iteration order is "
                     "unspecified and float addition is not associative"))
 
-    # reduction-allowlist: inline-lambda ParallelFor bodies with
-    # reduction markers need a registered tag. Named-callable sites are
+    # reduction-allowlist: inline-lambda ParallelFor and
+    # ParallelForFirstError bodies with reduction markers need a
+    # registered tag. Named-callable sites are
     # out of scanning reach (documented limitation) — the callable's own
     # body is still covered by the rules above when it lives in a
     # scanned file.
     if rel != os.path.join("src", "common", "parallel.cc") and not in_tools:
-        for m in re.finditer(r"\bParallelFor\s*\(", text):
+        for m in re.finditer(r"\bParallelFor(?:FirstError)?\s*\(", text):
             call_end = match_braces(text, m.end() - 1)
             call_text = text[m.start():call_end]
-            lam = re.search(r"\[[^\]]*\]\s*\([^)]*\)\s*(?:mutable\s*)?\{",
-                            call_text)
+            lam = re.search(r"\[[^\]]*\]\s*\([^)]*\)\s*(?:mutable\s*)?"
+                            r"(?:->\s*[\w:<>]+\s*)?\{", call_text)
             if not lam:
                 continue
             lam_open = m.start() + lam.end() - 1
