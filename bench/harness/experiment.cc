@@ -236,9 +236,11 @@ AloiAggregate RunAloiExperiment(const std::vector<Dataset>& collection,
   AloiAggregate out;
   // Collection members are independent cells; same discipline as the trial
   // fan-out: seeds pre-forked by dataset index, per-dataset result slots,
-  // reduction in dataset order. The trial loop inside each cell shares the
-  // same budget (nested ParallelFor lanes queue on the one shared pool and
-  // waiting lanes help execute them, so the pool is never oversubscribed).
+  // reduction in dataset order. Each cell's trial loop gets PlanBudget's
+  // inner share, so the pool is never oversubscribed. With at least as
+  // many datasets as threads that share is one thread: a cell's trials
+  // and CVCP cells run serially on its lane and queue nothing, so at the
+  // tail the lanes that run out of datasets idle instead of helping.
   Rng master(seed);
   std::vector<uint64_t> dataset_seeds;
   dataset_seeds.reserve(collection.size());

@@ -112,48 +112,56 @@ Matrix KMeansPlusPlusInit(const Matrix& points, int k, Rng* rng) {
   return centroids;
 }
 
-void KMeansPlusPlusFill(const Matrix& points, size_t filled, Matrix* centroids,
-                        Rng* rng) {
+void SquaredDistanceColumn(const Matrix& points, const double* c, double* out,
+                           size_t stride) {
+  const DistanceKernels& kernels = GetDistanceKernels();
   const size_t n = points.rows();
   const size_t d = points.cols();
-  const size_t k = centroids->rows();
-  CVCP_CHECK_EQ(centroids->cols(), d);
-  CVCP_CHECK_LE(filled, k);
-  if (filled == k) return;
-  if (filled == 0) {
-    centroids->SetRow(0, points.Row(rng->Index(n)));
-    filled = 1;
-  }
-
-  // min_d2[i] = std::min(min_d2[i], |c - x_i|^2) for every point, four
-  // contiguous rows per kernel call. A batched pair keeps the single-pair
-  // order of operations, and c - x and x - c differ only in sign, so each
-  // entry has the bits of SquaredEuclideanDistance(x_i, c).
-  const DistanceKernels& kernels = GetDistanceKernels();
   const double* x = points.data().data();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    double batch[4];
+    kernels.squared_euclidean_x4(c, x + i * d, d, d, batch);
+    for (size_t j = 0; j < 4; ++j) out[(i + j) * stride] = batch[j];
+  }
+  for (; i < n; ++i) {
+    out[i * stride] = kernels.squared_euclidean(c, x + i * d, d);
+  }
+}
+
+size_t KMeansPlusPlusFill(const Matrix& points, size_t filled,
+                          Matrix* centroids, Rng* rng, double* d2) {
+  const size_t n = points.rows();
+  const size_t k = centroids->rows();
+  CVCP_CHECK_EQ(centroids->cols(), points.cols());
+  CVCP_CHECK_LE(filled, k);
+  if (filled == k) return k;
+
+  // Row h's column lives in d2 (stride k) when the caller keeps them,
+  // else in one scratch column; min_d2 folds each in as it is measured.
+  std::vector<double> scratch(d2 == nullptr ? n : 0);
+  const size_t stride = d2 == nullptr ? 1 : k;
   std::vector<double> min_d2(n, std::numeric_limits<double>::infinity());
-  auto lower_min_d2 = [&](const double* c) {
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      double out[4];
-      kernels.squared_euclidean_x4(c, x + i * d, d, d, out);
-      for (size_t j = 0; j < 4; ++j) {
-        min_d2[i + j] = std::min(min_d2[i + j], out[j]);
-      }
+  auto lower_min_d2 = [&](size_t h, bool measure) {
+    double* column = d2 == nullptr ? scratch.data() : d2 + h;
+    if (measure) {
+      SquaredDistanceColumn(points, centroids->Row(h).data(), column, stride);
     }
-    for (; i < n; ++i) {
-      min_d2[i] =
-          std::min(min_d2[i], kernels.squared_euclidean(c, x + i * d, d));
+    for (size_t i = 0; i < n; ++i) {
+      min_d2[i] = std::min(min_d2[i], column[i * stride]);
     }
   };
-  for (size_t h = 0; h < filled; ++h) lower_min_d2(centroids->Row(h).data());
+  for (size_t h = 0; h < filled; ++h) lower_min_d2(h, d2 == nullptr);
 
   for (; filled < k; ++filled) {
     double total = 0.0;
-    for (double v : min_d2) total += v;
+    if (filled > 0) {
+      for (double v : min_d2) total += v;
+    }
     size_t chosen;
     if (total <= 0.0) {
-      chosen = rng->Index(n);  // all points coincide with placed rows
+      // No row placed yet, or every point coincides with a placed row.
+      chosen = rng->Index(n);
     } else {
       double r = rng->NextDouble() * total;
       chosen = n - 1;
@@ -167,8 +175,9 @@ void KMeansPlusPlusFill(const Matrix& points, size_t filled, Matrix* centroids,
     }
     centroids->SetRow(filled, points.Row(chosen));
     // The last row's distances would never be read.
-    if (filled + 1 < k) lower_min_d2(points.Row(chosen).data());
+    if (filled + 1 < k) lower_min_d2(filled, true);
   }
+  return k - 1;
 }
 
 Result<KMeansResult> RunKMeans(const Matrix& points,

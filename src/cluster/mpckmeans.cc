@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 
 #include "cluster/kmeans.h"
@@ -13,30 +14,54 @@
 
 namespace cvcp {
 
+struct MpckSetup {
+  /// A constraint seen from one endpoint: the other object and the
+  /// constraint's index, which is its row in the pair memo.
+  struct Partner {
+    size_t other;
+    size_t constraint;
+  };
+
+  /// Constraint adjacency in flat (CSR) arrays. Object i's must-link
+  /// partners are must[must_begin[i] .. must_begin[i + 1]), in constraint
+  /// order; cannot-links likewise. `end_a`/`end_b` are each constraint's
+  /// endpoints.
+  struct Adjacency {
+    std::vector<size_t> must_begin;
+    std::vector<Partner> must;
+    std::vector<size_t> cannot_begin;
+    std::vector<Partner> cannot;
+    std::vector<size_t> end_a;
+    std::vector<size_t> end_b;
+  };
+
+  const Matrix* points = nullptr;
+  /// The constraint-index check. When it failed nothing below is built.
+  Status index_status;
+  std::vector<const double*> rows;  ///< row i of the points
+  Adjacency adj;
+  std::vector<double> sq_range;  ///< d, SquaredRanges
+  /// Each constraint pair's unit-weight squared distance, in constraint
+  /// order.
+  std::vector<double> pair_unit;
+  /// The must-link closure's status (kInconsistentConstraints when the
+  /// set contradicts itself). When it failed no neighborhood is built.
+  Status closure_status;
+  /// The must-link neighborhoods' means, largest neighborhood first
+  /// (neighborhoods x d), and each mean's SquaredDistanceColumn: row h
+  /// holds every object's unit-weight squared distance to mean h
+  /// (neighborhoods x n).
+  Matrix hood_means;
+  Matrix hood_columns;
+};
+
 namespace {
 
 constexpr double kMinWeight = 1e-9;
 constexpr double kMaxWeight = 1e9;
 
-/// A constraint seen from one endpoint: the other object and the
-/// constraint's index, which is its row in the pair memo.
-struct Partner {
-  size_t other;
-  size_t constraint;
-};
-
-/// Constraint adjacency in flat (CSR) arrays. Object i's must-link
-/// partners are must[must_begin[i] .. must_begin[i + 1]), in constraint
-/// order; cannot-links likewise. `end_a`/`end_b` are each constraint's
-/// endpoints.
-struct Adjacency {
-  std::vector<size_t> must_begin;
-  std::vector<Partner> must;
-  std::vector<size_t> cannot_begin;
-  std::vector<Partner> cannot;
-  std::vector<size_t> end_a;
-  std::vector<size_t> end_b;
-};
+using Partner = MpckSetup::Partner;
+using Adjacency = MpckSetup::Adjacency;
 
 Adjacency BuildAdjacency(const ConstraintSet& constraints, size_t n) {
   const std::span<const Constraint> all = constraints.all();
@@ -118,21 +143,26 @@ std::vector<double> SquaredRanges(std::span<const double* const> rows,
 /// kSingleDiagonal the weights are pooled, so any change re-estimates
 /// every weight row; under kNone they never change.
 ///
-/// Versions start at 1 and stamps at 0, so fresh stamps are stale. Every
+/// Versions start at 1 and stamps at 0, so fresh stamps are stale, except
+/// for the entries iteration 0 starts from (Seed and the constructor):
+/// the seeding's columns and every pair's unit-weight distance. Every
 /// value is the same kernel on the same inputs as an uncached call, so
 /// results keep their bits.
 class MpckState {
  public:
-  MpckState(const Matrix& points, const ConstraintSet& constraints,
-            const MpckMeansConfig& config, const DistanceKernels& kernels)
-      : points_(points),
+  MpckState(const MpckSetup& setup, const MpckMeansConfig& config,
+            const DistanceKernels& kernels)
+      : setup_(setup),
+        points_(*setup.points),
         config_(config),
         kernels_(kernels),
         row_ops_(GetRowKernels()),
-        n_(points.rows()),
-        d_(points.cols()),
+        n_(points_.rows()),
+        d_(points_.cols()),
         k_(static_cast<size_t>(config.k)),
-        adj_(BuildAdjacency(constraints, n_)),
+        adj_(setup.adj),
+        sq_range_(setup.sq_range),
+        all_rows_(setup.rows),
         centroids_(k_, d_),
         weights_(k_, d_, 1.0),
         log_det_(k_, 0.0),
@@ -144,9 +174,8 @@ class MpckState {
         object_dist_(n_ * k_),
         object_stamp_(k_ * n_, 0),
         pair_dist_(adj_.end_a.size() * k_),
-        must_row_stamp_(adj_.end_a.size(), 0),
-        cannot_stamp_(adj_.end_a.size() * k_, 0),
-        all_rows_(n_),
+        must_row_stamp_(adj_.end_a.size(), 1),
+        cannot_stamp_(adj_.end_a.size() * k_, 1),
         member_begin_(k_ + 1),
         member_rows_(n_),
         member_ids_(n_),
@@ -157,17 +186,38 @@ class MpckState {
         pooled_(d_),
         counts_(k_),
         cost_(k_) {
-    for (size_t i = 0; i < n_; ++i) all_rows_[i] = points_.Row(i).data();
     for (size_t h = 0; h < k_; ++h) denom_rows_[h] = denom_.Row(h).data();
-    sq_range_ = SquaredRanges(all_rows_, d_, row_ops_);
     for (size_t h = 0; h < k_; ++h) max_sep_[h] = MaxSeparation(h);
+    // Weights are exactly 1.0 until the first M-step rewrites them, and
+    // the weighted kernel's term is w * (d * d), which at w = 1.0 is the
+    // unweighted d * d in the same lanes and reduction tree. So each
+    // pair's unit-weight distance is its entry under every cluster's
+    // metric, fresh at weight version 1 and weights epoch 1 (the stamps
+    // above).
+    for (size_t c = 0; c < setup_.pair_unit.size(); ++c) {
+      std::fill_n(&pair_dist_[c * k_], k_, setup_.pair_unit[c]);
+    }
   }
 
-  /// Installs the initial centroids. Every cluster starts marked changed:
-  /// the first M-step re-estimates them all.
-  void SetCentroids(Matrix init) {
-    centroids_ = std::move(init);
-    for (uint32_t& v : version_) ++v;
+  /// Seeds the centroids: the means of the `placed` largest must-link
+  /// neighborhoods, topped up by k-means++ D^2 sampling. Every cluster
+  /// starts marked changed, so the first M-step re-estimates them all.
+  /// Iteration 0 starts from the distances the seeding holds: each
+  /// neighborhood's column from the setup and each column the sampling
+  /// measured become fresh object_dist_ entries. At unit weights they
+  /// have the bits FillColumn would compute (see the constructor), and
+  /// (c - x)^2 equals (x - c)^2.
+  void Seed(size_t placed, Rng* rng) {
+    for (size_t h = 0; h < placed; ++h) {
+      centroids_.SetRow(h, setup_.hood_means.Row(h));
+      const std::span<const double> column = setup_.hood_columns.Row(h);
+      for (size_t i = 0; i < n_; ++i) object_dist_[i * k_ + h] = column[i];
+    }
+    const size_t measured = KMeansPlusPlusFill(points_, placed, &centroids_,
+                                               rng, object_dist_.data());
+    for (size_t h = 0; h < measured; ++h) {
+      std::fill_n(&object_stamp_[h * n_], n_, version_[h]);
+    }
   }
 
   /// Greedy ICM assignment pass in the given order. Returns #changes.
@@ -475,12 +525,15 @@ class MpckState {
     return s;
   }
 
+  const MpckSetup& setup_;
   const Matrix& points_;
   const MpckMeansConfig& config_;
   const DistanceKernels& kernels_;
   const RowKernels& row_ops_;
   size_t n_, d_, k_;
-  Adjacency adj_;
+  const Adjacency& adj_;
+  const std::vector<double>& sq_range_;
+  const std::vector<const double*>& all_rows_;  ///< row i of the points
   Matrix centroids_;
   Matrix weights_;
   std::vector<double> log_det_;
@@ -500,10 +553,6 @@ class MpckState {
   std::vector<uint32_t> must_row_stamp_;
   std::vector<uint32_t> cannot_stamp_;
 
-  std::vector<double> sq_range_;
-
-  std::vector<const double*> all_rows_;  ///< row i of the points
-
   // Objects grouped by cluster, rebuilt at each M-step.
   std::vector<size_t> member_begin_;  ///< k + 1 offsets
   std::vector<const double*> member_rows_;
@@ -519,66 +568,86 @@ class MpckState {
   std::vector<double> cost_;               ///< k, one object's costs
 };
 
-/// Neighborhood-based initialization: centroids of the lambda largest
-/// must-link neighborhoods, topped up by D^2-weighted sampling.
-Result<Matrix> NeighborhoodInit(const Matrix& points,
-                                const ConstraintSet& constraints, int k,
-                                Rng* rng) {
-  CVCP_ASSIGN_OR_RETURN(ConstraintComponents comps,
-                        BuildConstraintComponents(constraints));
-  // Only multi-object components are informative neighborhoods.
-  std::vector<const std::vector<size_t>*> hoods;
-  for (const auto& members : comps.components) {
-    if (members.size() >= 2) hoods.push_back(&members);
-  }
-  std::sort(hoods.begin(), hoods.end(),
-            [](const auto* a, const auto* b) { return a->size() > b->size(); });
-
-  const size_t uk = static_cast<size_t>(k);
-  Matrix centroids(uk, points.cols());
-  const size_t filled = std::min(uk, hoods.size());
-  for (size_t h = 0; h < filled; ++h) {
-    std::vector<double> mean = points.ColumnMeans(*hoods[h]);
-    centroids.SetRow(h, mean);
-  }
-  // Top up with D^2 sampling relative to the centroids placed so far.
-  KMeansPlusPlusFill(points, filled, &centroids, rng);
-  return centroids;
-}
-
-}  // namespace
-
-Result<MpckMeansResult> RunMpckMeans(const Matrix& points,
-                                     const ConstraintSet& constraints,
-                                     const MpckMeansConfig& config, Rng* rng) {
+Status ValidateConfig(const MpckMeansConfig& config, size_t n) {
   if (config.k < 1) {
     return Status::InvalidArgument(Format("k must be >= 1, got %d", config.k));
   }
-  if (static_cast<size_t>(config.k) > points.rows()) {
+  if (static_cast<size_t>(config.k) > n) {
     return Status::InvalidArgument(
-        Format("k=%d exceeds number of points (%zu)", config.k,
-               points.rows()));
+        Format("k=%d exceeds number of points (%zu)", config.k, n));
   }
   if (config.max_iters < 1) {
     return Status::InvalidArgument("max_iters must be >= 1");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+std::shared_ptr<const MpckSetup> PrepareMpckMeans(
+    const Matrix& points, const ConstraintSet& constraints) {
+  auto setup = std::make_shared<MpckSetup>();
+  setup->points = &points;
+  const size_t n = points.rows();
+  const size_t d = points.cols();
   for (const Constraint& c : constraints.all()) {
-    if (c.a >= points.rows() || c.b >= points.rows()) {
-      return Status::InvalidArgument(
+    if (c.a >= n || c.b >= n) {
+      setup->index_status = Status::InvalidArgument(
           Format("constraint %s references object beyond dataset size %zu",
-                 ConstraintToString(c).c_str(), points.rows()));
+                 ConstraintToString(c).c_str(), n));
+      return setup;
     }
+  }
+  setup->rows.resize(n);
+  for (size_t i = 0; i < n; ++i) setup->rows[i] = points.Row(i).data();
+  setup->adj = BuildAdjacency(constraints, n);
+  setup->sq_range = SquaredRanges(setup->rows, d, GetRowKernels());
+  const DistanceKernels& kernels = GetDistanceKernels();
+  const Adjacency& adj = setup->adj;
+  setup->pair_unit.resize(adj.end_a.size());
+  for (size_t c = 0; c < adj.end_a.size(); ++c) {
+    setup->pair_unit[c] = kernels.squared_euclidean(
+        setup->rows[adj.end_a[c]], setup->rows[adj.end_b[c]], d);
+  }
+
+  Result<ConstraintComponents> comps = BuildConstraintComponents(constraints);
+  if (!comps.ok()) {
+    setup->closure_status = comps.status();
+    return setup;
+  }
+  // Only multi-object components are informative neighborhoods.
+  std::vector<const std::vector<size_t>*> hoods;
+  for (const auto& members : comps->components) {
+    if (members.size() >= 2) hoods.push_back(&members);
+  }
+  std::sort(hoods.begin(), hoods.end(),
+            [](const auto* a, const auto* b) { return a->size() > b->size(); });
+  setup->hood_means = Matrix(hoods.size(), d);
+  setup->hood_columns = Matrix(hoods.size(), n);
+  for (size_t h = 0; h < hoods.size(); ++h) {
+    setup->hood_means.SetRow(h, points.ColumnMeans(*hoods[h]));
+    SquaredDistanceColumn(points, setup->hood_means.Row(h).data(),
+                          setup->hood_columns.MutableRow(h).data());
+  }
+  return setup;
+}
+
+Result<MpckMeansResult> RunMpckMeans(const MpckSetup& setup,
+                                     const MpckMeansConfig& config, Rng* rng) {
+  CVCP_RETURN_IF_ERROR(ValidateConfig(config, setup.points->rows()));
+  CVCP_RETURN_IF_ERROR(setup.index_status);
+  // Initialization: centroids of the lambda largest must-link
+  // neighborhoods, topped up by D^2-weighted sampling; k-means++ alone
+  // without neighborhood init.
+  size_t placed = 0;
+  if (config.neighborhood_init) {
+    CVCP_RETURN_IF_ERROR(setup.closure_status);
+    placed = std::min(static_cast<size_t>(config.k), setup.hood_means.rows());
   }
 
   // One kernel-table lookup per run, shared by every iteration.
-  MpckState state(points, constraints, config, GetDistanceKernels());
-  if (config.neighborhood_init) {
-    CVCP_ASSIGN_OR_RETURN(Matrix init,
-                          NeighborhoodInit(points, constraints, config.k, rng));
-    state.SetCentroids(std::move(init));
-  } else {
-    state.SetCentroids(KMeansPlusPlusInit(points, config.k, rng));
-  }
+  MpckState state(setup, config, GetDistanceKernels());
+  state.Seed(placed, rng);
 
   double prev_obj = std::numeric_limits<double>::infinity();
   double obj = prev_obj;
@@ -609,6 +678,12 @@ Result<MpckMeansResult> RunMpckMeans(const Matrix& points,
   result.iterations = iter;
   result.converged = converged;
   return result;
+}
+
+Result<MpckMeansResult> RunMpckMeans(const Matrix& points,
+                                     const ConstraintSet& constraints,
+                                     const MpckMeansConfig& config, Rng* rng) {
+  return RunMpckMeans(*PrepareMpckMeans(points, constraints), config, rng);
 }
 
 }  // namespace cvcp

@@ -19,7 +19,14 @@
 /// diagonal case. Initialization seeds centroids from the must-link
 /// neighborhood closure (lambda largest neighborhoods), topped up with
 /// D^2-weighted sampling when there are fewer neighborhoods than k.
+///
+/// What depends on (points, constraints) alone is prepared once as an
+/// `MpckSetup` and read by every run from it, so a grid over k prepares
+/// each supervision once; iteration 0 starts from the distances the setup
+/// and the seeding already hold (docs/architecture.md, "MPCKMeans
+/// iteration").
 
+#include <memory>
 #include <vector>
 
 #include "cluster/clustering.h"
@@ -68,10 +75,33 @@ struct MpckMeansResult {
   bool converged;
 };
 
-/// Runs MPCKMeans on `points` with the given (train) constraints.
-/// Errors with kInvalidArgument on malformed config or constraint indices
-/// out of range; propagates kInconsistentConstraints from the must-link
-/// closure used for initialization.
+/// What MPCKMeans derives from (points, constraints) alone, whatever k,
+/// metric mode or seed a run uses: the constraint-index check, the
+/// constraint adjacency, the per-dimension squared ranges, the must-link
+/// closure's status and neighborhoods (largest first) with their means,
+/// each mean's unit-weight squared distance to every object, and each
+/// constraint pair's unit-weight squared distance. A CVCP grid clusters
+/// one supervision once per k, so one setup serves the whole grid
+/// (`SupervisionMemo`, core/clusterer.h). Immutable once prepared, so any
+/// number of runs may read it concurrently. It borrows `points`, and must
+/// not outlive them.
+struct MpckSetup;
+
+/// Prepares the setup of (points, constraints). Never fails: an index
+/// error or an inconsistent closure is recorded and returned by the runs
+/// that reach it.
+std::shared_ptr<const MpckSetup> PrepareMpckMeans(
+    const Matrix& points, const ConstraintSet& constraints);
+
+/// Runs MPCKMeans from a prepared setup. Errors, in this order:
+/// kInvalidArgument on malformed config, then kInvalidArgument on
+/// constraint indices out of range, then — only with `neighborhood_init`
+/// — the must-link closure's kInconsistentConstraints. A run returns the
+/// bits, iterations and Rng draws of a run that prepares its own setup.
+Result<MpckMeansResult> RunMpckMeans(const MpckSetup& setup,
+                                     const MpckMeansConfig& config, Rng* rng);
+
+/// Prepares the setup of (points, constraints) and runs MPCKMeans from it.
 Result<MpckMeansResult> RunMpckMeans(const Matrix& points,
                                      const ConstraintSet& constraints,
                                      const MpckMeansConfig& config, Rng* rng);

@@ -77,12 +77,15 @@ struct NestedBudget {
 /// gets min(outer_size, budget) lanes and each lane's nested work gets
 /// ceil(budget / lanes) threads, so outer lanes × inner width ≈ budget
 /// (at most budget + lanes − 1 after rounding; the pool's fixed thread
-/// count is the hard physical cap). Help-while-waiting absorbs the
-/// imbalance: a lane that finishes early starts executing other lanes'
-/// queued inner cells, so the whole budget stays busy until the last
-/// cell of the last lane. Both returned contexts have concrete (resolved)
-/// thread counts, and results are identical for every width — the planner
-/// only moves wall time around.
+/// count is the hard physical cap). Help-while-waiting absorbs imbalance
+/// only when the inner width is above 1 (outer_size < budget): lanes then
+/// queue inner cells that a lane done with its own work can run. When
+/// outer_size >= budget the inner width is 1, so each iteration's nested
+/// work runs as ParallelFor's plain serial loop and queues nothing; once
+/// fewer iterations remain than lanes, the finished lanes have nothing to
+/// help with and idle until the last iteration ends. Both returned
+/// contexts have concrete (resolved) thread counts, and results are
+/// identical for every width — the planner only moves wall time around.
 NestedBudget PlanBudget(const ExecutionContext& exec, size_t outer_size);
 
 /// Runs `fn(i)` for every i in [0, n). With a resolved thread count of 1

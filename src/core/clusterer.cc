@@ -1,10 +1,25 @@
 #include "core/clusterer.h"
 
 #include <optional>
+#include <utility>
 
+#include "common/check.h"
 #include "core/dataset_cache.h"
 
 namespace cvcp {
+
+std::shared_ptr<const MpckSetup> SupervisionMemo::Mpck() {
+  {
+    MutexLock lock(&mu_);
+    if (mpck_ != nullptr) return mpck_;
+  }
+  // Prepared outside the lock; the first publisher wins.
+  std::shared_ptr<const MpckSetup> built =
+      PrepareMpckMeans(points_, constraints_);
+  MutexLock lock(&mu_);
+  if (mpck_ == nullptr) mpck_ = std::move(built);
+  return mpck_;
+}
 
 void SemiSupervisedClusterer::PrewarmCache(const Dataset& data,
                                            std::span<const int> param_grid,
@@ -51,12 +66,20 @@ Result<Clustering> FoscOpticsDendClusterer::DoCluster(
 
 Result<Clustering> MpckMeansClusterer::DoCluster(
     const Dataset& data, const Supervision& supervision, int param, Rng* rng,
-    const ClusterContext& /*context*/) const {
+    const ClusterContext& context) const {
   MpckMeansConfig config = base_;
   config.k = param;
-  CVCP_ASSIGN_OR_RETURN(
-      MpckMeansResult result,
-      RunMpckMeans(data.points(), supervision.constraints(), config, rng));
+  // The setup comes from the supervision's memo — one private to this
+  // call when none is shared — so a grid prepares it once per supervision
+  // instead of once per k.
+  std::optional<SupervisionMemo> own;
+  SupervisionMemo* memo = context.supervision;
+  if (memo == nullptr) {
+    memo = &own.emplace(data.points(), supervision.constraints());
+  }
+  CVCP_CHECK(memo->Serves(data.points(), supervision.constraints()));
+  CVCP_ASSIGN_OR_RETURN(MpckMeansResult result,
+                        RunMpckMeans(*memo->Mpck(), config, rng));
   return result.clustering;
 }
 

@@ -13,7 +13,10 @@
 /// ordering, and dendrogram) reuse those stages across the grid×fold×trial
 /// sweep through the cache instead of recomputing them per cell. Without
 /// one, such an algorithm builds a cache private to the call; results are
-/// byte-identical either way.
+/// byte-identical either way. The context may also carry a
+/// `SupervisionMemo`, which holds what an algorithm derives from one
+/// supervision alone (MPCKMeans' setup) for every grid value that
+/// clusters with it.
 
 #include <memory>
 #include <span>
@@ -25,9 +28,12 @@
 #include "cluster/kmeans.h"
 #include "cluster/mpckmeans.h"
 #include "common/dataset.h"
+#include "common/mutex.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
+#include "constraints/constraint_set.h"
 #include "core/supervision.h"
 
 namespace cvcp {
@@ -35,7 +41,47 @@ namespace cvcp {
 class DatasetCache;       // core/dataset_cache.h
 struct FoscOpticsModel;   // core/dataset_cache.h
 
+/// What a clusterer derives from one (points, constraints) pair alone,
+/// memoized for every grid value that clusters with that supervision:
+/// today MPCKMeans' setup (cluster/mpckmeans.h), which a CVCP grid would
+/// otherwise rebuild once per k. `ScoreGridOnFolds` keeps one memo per
+/// fold beside the fold's training supervision, and `SweepGrid` one per
+/// sweep; both die with the call. Unlike `DatasetCache`, which holds only
+/// supervision-independent geometry, a memo serves exactly the pair it
+/// was made for, by identity: a run must pass the same `points` and
+/// `constraints` objects (checked).
+///
+/// Concurrency follows `DatasetCache`'s rule: a caller that finds the
+/// slot empty builds outside the lock, the first publisher wins and
+/// racing losers adopt its copy. Nothing waits on a build, so nested
+/// help-while-waiting fan-outs cannot deadlock on it. The builds are
+/// deterministic, so which copy wins is unobservable.
+class SupervisionMemo {
+ public:
+  /// Borrows both; the memo must not outlive either.
+  SupervisionMemo(const Matrix& points, const ConstraintSet& constraints)
+      : points_(points), constraints_(constraints) {}
+  SupervisionMemo(const SupervisionMemo&) = delete;
+  SupervisionMemo& operator=(const SupervisionMemo&) = delete;
+
+  /// True when this memo was made for exactly these objects.
+  bool Serves(const Matrix& points, const ConstraintSet& constraints) const {
+    return &points == &points_ && &constraints == &constraints_;
+  }
+
+  /// The MPCKMeans setup of the pair, prepared on first use.
+  std::shared_ptr<const MpckSetup> Mpck() EXCLUDES(mu_);
+
+ private:
+  const Matrix& points_;
+  const ConstraintSet& constraints_;
+  Mutex mu_;
+  std::shared_ptr<const MpckSetup> mpck_ GUARDED_BY(mu_);
+};
+
 /// Per-run context threaded through `SemiSupervisedClusterer::Cluster`.
+/// Aggregate-initialized by position (`ClusterContext{cache, exec}`), so
+/// new members go last and carry a default.
 struct ClusterContext {
   /// Cache of supervision-independent per-dataset structures (distance
   /// matrix, OPTICS models). nullptr = a cache private to the call;
@@ -44,6 +90,12 @@ struct ClusterContext {
   /// Thread budget for one-off shared builds behind the cache (e.g. the
   /// first distance-matrix build). Serial by default.
   ExecutionContext exec = ExecutionContext::Serial();
+  /// Memo of what the clusterer derives from this run's (points,
+  /// constraints) alone, shared by the grid values that cluster with the
+  /// same supervision. nullptr = a memo private to the call; results are
+  /// byte-identical either way. A non-null memo must serve the run's
+  /// dataset points and supervision constraints (SupervisionMemo::Serves).
+  SupervisionMemo* supervision = nullptr;
 };
 
 /// A semi-supervised clustering algorithm with one integer hyperparameter.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
 
 #include "core/fmeasure.h"
@@ -32,13 +33,18 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
   CVCP_RETURN_IF_ERROR(exec.cancel.Check());
 
   // Training supervision, built once per fold and shared read-only by the
-  // fold's cells.
+  // fold's cells, each with the memo of what a clusterer derives from it
+  // alone, shared by the fold's grid values.
   std::vector<Supervision> train;
   train.reserve(n_folds);
   for (const FoldSplit& fold : folds) {
     train.push_back(kind == SupervisionKind::kLabels
                         ? Supervision::FromLabelFold(fold)
                         : Supervision::FromConstraints(fold.train_constraints));
+  }
+  std::deque<SupervisionMemo> memos;  // a memo holds a mutex: never moved
+  for (const Supervision& fold_train : train) {
+    memos.emplace_back(data.points(), fold_train.constraints());
   }
 
   // Cell c is (grid value c / F, fold c % F), in canonical order at every
@@ -60,7 +66,7 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
         CVCP_ASSIGN_OR_RETURN(
             Clustering clustering,
             clusterer.Cluster(data, train[f], param, &cell_rng,
-                              ClusterContext{cache, exec}));
+                              ClusterContext{cache, exec, &memos[f]}));
         cell_scores[c] = EvaluateConstraintClassification(
                              clustering, folds[f].test_constraints)
                              .average;

@@ -69,7 +69,9 @@ struct CvScore {
 /// serially, for every thread count. The clusterer sees only each fold's
 /// training supervision (labels when Scenario I provided them, else
 /// constraints), built once before the fan-out from what the fold holds
-/// and shared read-only by the fold's cells; the test fold's constraints
+/// and shared read-only by the fold's cells, each fold with one
+/// `SupervisionMemo` its cells share (MPCKMeans prepares its setup once
+/// per fold instead of once per k); the test fold's constraints
 /// only ever meet the finished partition. When `cache` is non-null every
 /// cell clusters through it, so the supervision-independent stages —
 /// distance matrix, OPTICS models — are built once and shared across the

@@ -17,9 +17,16 @@ Result<GridSweep> SweepGrid(const Dataset& data,
                             const ClusterContext& context,
                             bool with_silhouettes) {
   std::optional<DatasetCache> own;
+  std::optional<SupervisionMemo> own_memo;
   ClusterContext run_context = context;
   if (run_context.cache == nullptr) {
     run_context.cache = &own.emplace(data.points());
+  }
+  // One memo for the sweep: every grid value clusters with the same
+  // supervision.
+  if (run_context.supervision == nullptr) {
+    run_context.supervision =
+        &own_memo.emplace(data.points(), supervision.constraints());
   }
   GridSweep sweep;
   sweep.clusterings.resize(param_grid.size());

@@ -29,8 +29,9 @@ struct GridSweep {
 /// Clusters all of `data` with the full supervision at every grid value
 /// (§4.1). Run `gi` uses `rng->Fork(gi)` — by grid *index*, so duplicate
 /// entries get independent streams and negative params never wrap — and
-/// clusters through `context.cache` (one private to this call when it
-/// carries none). The runs fan out under `context.exec` through
+/// clusters through `context.cache` and `context.supervision` (each one
+/// private to this call when it carries none, so the grid shares one
+/// supervision memo). The runs fan out under `context.exec` through
 /// ParallelForFirstError, so the sweep is byte-identical at every width and
 /// the first error in grid order wins. With `with_silhouettes`, each run's
 /// silhouette is read from the cache's distance matrix.

@@ -210,6 +210,46 @@ TEST(KMeansPlusPlusTest, FillKeepsPlacedRowsAndStopsWhenFull) {
   }
 }
 
+TEST(KMeansPlusPlusTest, FillReadsPlacedColumnsAndHandsBackItsOwn) {
+  // With a d2 block the fill reads the placed rows' columns instead of
+  // measuring them, so a block holding their SquaredDistanceColumn
+  // entries gives the rows and draws of a fill without one; on return
+  // every measured column holds SquaredEuclideanDistance's bits.
+  Rng data_rng(6);
+  Dataset data = MakeBlobs("kpp", 3, 11, 13, 5.0, 1.0, &data_rng);
+  const Matrix& points = data.points();
+  const size_t n = points.rows();
+  for (size_t placed : {0u, 1u, 2u, 4u}) {
+    for (size_t k : {1u, 2u, 4u, 7u}) {
+      if (placed > k) continue;
+      Matrix seeded(k, points.cols());
+      for (size_t h = 0; h < placed; ++h) {
+        seeded.SetRow(h, points.Row(3 * h + 1));
+      }
+      Matrix plain = seeded;
+      std::vector<double> d2(n * k, -1.0);
+      for (size_t h = 0; h < placed; ++h) {
+        SquaredDistanceColumn(points, seeded.Row(h).data(), d2.data() + h, k);
+      }
+      Rng a(7 + k), b(7 + k);
+      const size_t held = KMeansPlusPlusFill(points, placed, &seeded, &a,
+                                             d2.data());
+      KMeansPlusPlusFill(points, placed, &plain, &b);
+      EXPECT_TRUE(SameBits(seeded, plain)) << placed << " " << k;
+      EXPECT_EQ(a.NextUint64(), b.NextUint64());
+      EXPECT_EQ(held, placed == k ? k : k - 1);
+      for (size_t h = 0; h < held; ++h) {
+        for (size_t i = 0; i < n; ++i) {
+          const double want =
+              SquaredEuclideanDistance(points.Row(i), seeded.Row(h));
+          EXPECT_EQ(std::memcmp(&d2[i * k + h], &want, sizeof(double)), 0)
+              << "placed " << placed << " k " << k << " row " << h;
+        }
+      }
+    }
+  }
+}
+
 TEST(KMeansTest, MultipleRestartsNeverWorse) {
   Rng data_rng(9);
   Dataset data = MakeBlobs("blobs", 5, 20, 2, 8.0, 1.2, &data_rng);

@@ -1,18 +1,23 @@
 // Differential oracle suite for MPCKMeans. RunMpckMeans memoizes each
 // distance under per-cluster versions, re-estimates only the clusters
 // whose member set changed, batches distances through the weighted
-// x4/rows kernels and assigns in one pass over each object's partners;
-// OracleRunMpckMeans (tests/mpck_oracle.h) is the implementation it
-// replaced. Rng-driven instances assert bit equality of
-// the assignment, centroids, metric weights, objective, iteration count,
+// x4/rows kernels, assigns in one pass over each object's partners, and
+// runs from a setup prepared once per (points, constraints) pair whose
+// distances iteration 0 starts from; OracleRunMpckMeans
+// (tests/mpck_oracle.h) is the implementation it replaced, which builds
+// everything per run. Rng-driven instances assert bit equality of the
+// assignment, centroids, metric weights, objective, iteration count,
 // `converged` and the caller's Rng stream, and equal statuses for
-// rejected inputs.
+// rejected inputs. Every family also runs a whole k grid from one
+// prepared setup, as the engine's grid loops do, and pins each k against
+// the oracle run from the same seed.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +48,29 @@ void ExpectSameBits(const Matrix& got, const Matrix& want,
   }
 }
 
+/// Pins a library run against the oracle run from the same seed: every
+/// output, and the Rng streams the two runs leave behind.
+void ExpectSameResult(const Result<MpckMeansResult>& fast, Rng* fast_rng,
+                      const Result<MpckMeansResult>& oracle, Rng* oracle_rng,
+                      const std::string& label) {
+  EXPECT_EQ(fast_rng->NextUint64(), oracle_rng->NextUint64())
+      << label << ": Rng stream";
+  EXPECT_EQ(fast.ok(), oracle.ok()) << label;
+  if (!fast.ok() || !oracle.ok()) {
+    EXPECT_EQ(fast.status().code(), oracle.status().code()) << label;
+    EXPECT_EQ(fast.status().message(), oracle.status().message()) << label;
+    return;
+  }
+  const MpckMeansResult& f = fast.value();
+  const MpckMeansResult& o = oracle.value();
+  EXPECT_EQ(f.clustering.assignment(), o.clustering.assignment()) << label;
+  ExpectSameBits(f.centroids, o.centroids, label + ": centroids");
+  ExpectSameBits(f.metric_weights, o.metric_weights, label + ": weights");
+  EXPECT_EQ(Bits(f.objective), Bits(o.objective)) << label << ": objective";
+  EXPECT_EQ(f.iterations, o.iterations) << label;
+  EXPECT_EQ(f.converged, o.converged) << label;
+}
+
 /// Runs both implementations from the same seed and pins every output.
 /// Returns the library result for callers that check more.
 Result<MpckMeansResult> ExpectSameRun(const Matrix& points,
@@ -56,22 +84,7 @@ Result<MpckMeansResult> ExpectSameRun(const Matrix& points,
       RunMpckMeans(points, constraints, config, &fast_rng);
   Result<MpckMeansResult> oracle = mpck_oracle::OracleRunMpckMeans(
       points, constraints, config, &oracle_rng);
-  EXPECT_EQ(fast_rng.NextUint64(), oracle_rng.NextUint64())
-      << label << ": Rng stream";
-  EXPECT_EQ(fast.ok(), oracle.ok()) << label;
-  if (!fast.ok() || !oracle.ok()) {
-    EXPECT_EQ(fast.status().code(), oracle.status().code()) << label;
-    EXPECT_EQ(fast.status().message(), oracle.status().message()) << label;
-    return fast;
-  }
-  const MpckMeansResult& f = fast.value();
-  const MpckMeansResult& o = oracle.value();
-  EXPECT_EQ(f.clustering.assignment(), o.clustering.assignment()) << label;
-  ExpectSameBits(f.centroids, o.centroids, label + ": centroids");
-  ExpectSameBits(f.metric_weights, o.metric_weights, label + ": weights");
-  EXPECT_EQ(Bits(f.objective), Bits(o.objective)) << label << ": objective";
-  EXPECT_EQ(f.iterations, o.iterations) << label;
-  EXPECT_EQ(f.converged, o.converged) << label;
+  ExpectSameResult(fast, &fast_rng, oracle, &oracle_rng, label);
   return fast;
 }
 
@@ -79,6 +92,40 @@ std::string Describe(const MpckMeansConfig& config, size_t d) {
   return Format("k=%d d=%zu mode=%d init=%d", config.k, d,
                 static_cast<int>(config.metric_mode),
                 config.neighborhood_init ? 1 : 0);
+}
+
+/// Runs every k of `ks`, in that order, from one prepared setup — as a
+/// CVCP grid does with one fold's supervision — and pins each against
+/// the oracle run from the same seed (`seed + k`). `config.k` is ignored.
+/// Returns how many runs succeeded.
+size_t ExpectSameGrid(const Matrix& points, const ConstraintSet& constraints,
+                      MpckMeansConfig config, const std::vector<int>& ks,
+                      uint64_t seed, const std::string& label) {
+  const std::shared_ptr<const MpckSetup> setup =
+      PrepareMpckMeans(points, constraints);
+  size_t ok = 0;
+  for (int k : ks) {
+    config.k = k;
+    const uint64_t run_seed = seed + static_cast<uint64_t>(k);
+    Rng fast_rng(run_seed);
+    Rng oracle_rng(run_seed);
+    const Result<MpckMeansResult> fast =
+        RunMpckMeans(*setup, config, &fast_rng);
+    const Result<MpckMeansResult> oracle = mpck_oracle::OracleRunMpckMeans(
+        points, constraints, config, &oracle_rng);
+    ExpectSameResult(fast, &fast_rng, oracle, &oracle_rng,
+                     label + " grid " + Describe(config, points.cols()) +
+                         Format(" max_iters=%d", config.max_iters));
+    if (fast.ok()) ++ok;
+  }
+  return ok;
+}
+
+/// lo, lo + 1, ..., hi.
+std::vector<int> KRange(int lo, int hi) {
+  std::vector<int> ks;
+  for (int k = lo; k <= hi; ++k) ks.push_back(k);
+  return ks;
 }
 
 /// n x d Gaussian blobs around `centers` random centres; the columns in
@@ -135,12 +182,22 @@ ConstraintSet LabelConstraints(const Dataset& data, double fraction,
 TEST(MpckOracleTest, AloiLabelConstraintsBitEqual) {
   Rng rng(0xA101);
   int case_index = 0;
+  int grid_index = 0;
   for (size_t set = 0; set < 2; ++set) {
     const Dataset data = MakeAloiK5Like(20140324, set);
     ASSERT_EQ(data.points().rows(), 125u);
     ASSERT_EQ(data.points().cols(), 144u);
     for (double fraction : {0.05, 0.10, 0.20}) {
       const ConstraintSet constraints = LabelConstraints(data, fraction, &rng);
+      // The paper's k grid from one setup, as one CVCP fold runs it.
+      MpckMeansConfig grid_config;
+      grid_config.metric_mode = kModes[grid_index % 3];
+      grid_config.neighborhood_init = grid_index < 3;
+      ++grid_index;
+      EXPECT_EQ(ExpectSameGrid(data.points(), constraints, grid_config,
+                               KRange(2, 10), 0xB101 + grid_index,
+                               Format("set=%zu level=%.2f", set, fraction)),
+                9u);
       for (int k = 2; k <= 10; ++k, ++case_index) {
         MpckMeansConfig config;
         config.k = k;
@@ -179,6 +236,16 @@ TEST(MpckOracleTest, EveryModeAndInitOnAloiShape) {
           ASSERT_TRUE(fast.ok());
           EXPECT_LE(fast.value().iterations, max_iters);
         }
+        // The grid cut after the first pass pins the state iteration 0
+        // leaves from the seeding's distances.
+        MpckMeansConfig grid_config;
+        grid_config.metric_mode = mode;
+        grid_config.neighborhood_init = init;
+        grid_config.max_iters = max_iters;
+        grid_config.tol = 0.0;
+        EXPECT_EQ(ExpectSameGrid(data.points(), constraints, grid_config,
+                                 KRange(2, 10), seed, "every mode"),
+                  9u);
       }
     }
   }
@@ -203,6 +270,14 @@ TEST(MpckOracleTest, NonUnitConstraintWeightsOnAloiShape) {
                       Format("must=%.1f cannot=%.1f ", must, cannot) +
                           Describe(config, 144));
       }
+    }
+    for (MetricMode mode : kModes) {
+      MpckMeansConfig grid_config;
+      grid_config.metric_mode = mode;
+      grid_config.must_link_weight = must;
+      grid_config.cannot_link_weight = cannot;
+      ExpectSameGrid(data.points(), constraints, grid_config, {2, 6, 10},
+                     0xB103, Format("must=%.1f cannot=%.1f", must, cannot));
     }
   }
 }
@@ -245,6 +320,13 @@ TEST(MpckOracleTest, ViolatedConstraintsReachTheObjective) {
       }
       EXPECT_GT(must_violated, 0u) << Describe(config, d);
       EXPECT_GT(cannot_violated, 0u) << Describe(config, d);
+      for (bool init : {false, true}) {
+        MpckMeansConfig grid_config = config;
+        grid_config.neighborhood_init = init;
+        EXPECT_EQ(ExpectSameGrid(points, constraints, grid_config,
+                                 KRange(1, 4), 0xB104, "violated"),
+                  4u);
+      }
     }
   }
 }
@@ -318,6 +400,13 @@ TEST(MpckOracleTest, OneBoundaryObjectMovesBetweenMSteps) {
     }
     EXPECT_EQ(passes[0][b], a) << Describe(config, 3);
     EXPECT_EQ(passes[1][b], bb) << Describe(config, 3);
+    for (int max_iters : {1, 2, 50}) {
+      MpckMeansConfig grid_config = config;
+      grid_config.max_iters = max_iters;
+      EXPECT_EQ(ExpectSameGrid(points, constraints, grid_config, KRange(1, 5),
+                               seed, "boundary"),
+                5u);
+    }
   }
 }
 
@@ -340,6 +429,8 @@ TEST(MpckOracleTest, RandomConstraintSetsEveryLaneTail) {
         config.cannot_link_weight = rng.NextDouble() < 0.5 ? 1.0 : 0.3;
         ExpectSameRun(points, constraints, config, rng.NextUint64(),
                       Describe(config, d));
+        ExpectSameGrid(points, constraints, config, {1, 2, 3, 5, 8}, 0xB106 + d,
+                       "random");
       }
     }
   }
@@ -366,6 +457,34 @@ TEST(MpckOracleTest, InconsistentConstraintsMatchInEitherInit) {
       EXPECT_EQ(fast.ok(), !init);
     }
   }
+  // One setup records the closure's failure and still serves runs that
+  // never read it: every k fails with neighborhood init, none without.
+  const std::shared_ptr<const MpckSetup> setup =
+      PrepareMpckMeans(points, constraints);
+  for (MetricMode mode : kModes) {
+    for (bool init : {true, false, true}) {
+      MpckMeansConfig config;
+      config.metric_mode = mode;
+      config.neighborhood_init = init;
+      for (int k = 1; k <= 6; ++k) {
+        config.k = k;
+        Rng fast_rng(0xB107 + k);
+        Rng oracle_rng(0xB107 + k);
+        const Result<MpckMeansResult> fast =
+            RunMpckMeans(*setup, config, &fast_rng);
+        ExpectSameResult(fast, &fast_rng,
+                         mpck_oracle::OracleRunMpckMeans(points, constraints,
+                                                         config, &oracle_rng),
+                         &oracle_rng, "shared setup " + Describe(config, 9));
+        if (init) {
+          EXPECT_EQ(fast.status().code(),
+                    StatusCode::kInconsistentConstraints);
+        } else {
+          EXPECT_TRUE(fast.ok()) << Describe(config, 9);
+        }
+      }
+    }
+  }
 }
 
 TEST(MpckOracleTest, ZeroVarianceDimensionsHitTheWeightClamp) {
@@ -389,6 +508,9 @@ TEST(MpckOracleTest, ZeroVarianceDimensionsHitTheWeightClamp) {
         clamped = clamped || w == 1e9;
       }
       EXPECT_TRUE(clamped) << Describe(config, d);
+      EXPECT_EQ(ExpectSameGrid(points, constraints, config, KRange(1, 5),
+                               0xB108, "zero variance"),
+                5u);
     }
   }
 }
@@ -412,6 +534,9 @@ TEST(MpckOracleTest, EmptyClusterIsReseeded) {
       config.neighborhood_init = init;
       ExpectSameRun(points, ConstraintSet(), config, rng.NextUint64(),
                     Describe(config, 6));
+      EXPECT_EQ(ExpectSameGrid(points, ConstraintSet(), config, KRange(1, 6),
+                               0xB109, "empty cluster"),
+                6u);
     }
   }
 }
@@ -461,6 +586,13 @@ TEST(MpckOracleTest, EmptyClusterReseededOnConsecutiveMSteps) {
       EXPECT_EQ(std::count(labels.begin(), labels.end(), 2), 0)
           << Describe(config, 2);
     }
+    for (int max_iters : {1, 3, 50}) {
+      MpckMeansConfig grid_config = config;
+      grid_config.max_iters = max_iters;
+      EXPECT_EQ(ExpectSameGrid(points, constraints, grid_config, KRange(1, 6),
+                               seed, "consecutive re-seeds"),
+                6u);
+    }
   }
 }
 
@@ -476,8 +608,14 @@ TEST(MpckOracleTest, KEqualsN) {
         config.k = static_cast<int>(n);
         config.metric_mode = mode;
         config.neighborhood_init = init;
-        ExpectSameRun(points, constraints, config, rng.NextUint64(),
-                      Describe(config, d));
+        const uint64_t seed = rng.NextUint64();
+        const Result<MpckMeansResult> fast = ExpectSameRun(
+            points, constraints, config, seed, Describe(config, d));
+        // k = 1 .. n from one setup; a random set may be inconsistent,
+        // and then every neighborhood-init run fails alike.
+        EXPECT_EQ(ExpectSameGrid(points, constraints, config,
+                                 KRange(1, static_cast<int>(n)), seed, "k=n"),
+                  fast.ok() ? n : 0u);
       }
     }
   }
@@ -505,6 +643,118 @@ TEST(MpckOracleTest, RejectedInputsReturnEqualStatuses) {
   Result<MpckMeansResult> fast = ExpectSameRun(
       points, out_of_range, MpckMeansConfig(), rng.NextUint64(), "range");
   EXPECT_EQ(fast.status().code(), StatusCode::kInvalidArgument);
+
+  // From one setup per constraint set: a config error wins over the
+  // index error, which wins over everything a valid config would do.
+  MpckMeansConfig valid;
+  MpckMeansConfig no_init;
+  no_init.neighborhood_init = false;
+  for (const ConstraintSet* constraints : {&in_range, &out_of_range}) {
+    const std::shared_ptr<const MpckSetup> setup =
+        PrepareMpckMeans(points, *constraints);
+    for (const MpckMeansConfig& config :
+         {zero_k, too_many, no_iters, valid, no_init}) {
+      const uint64_t seed = rng.NextUint64();
+      Rng fast_rng(seed);
+      Rng oracle_rng(seed);
+      const Result<MpckMeansResult> shared =
+          RunMpckMeans(*setup, config, &fast_rng);
+      ExpectSameResult(shared, &fast_rng,
+                       mpck_oracle::OracleRunMpckMeans(points, *constraints,
+                                                       config, &oracle_rng),
+                       &oracle_rng, "shared setup " + Describe(config, 4));
+      const bool config_error =
+          config.k < 1 || config.k > 10 || config.max_iters < 1;
+      const bool range_error =
+          shared.status().message().find("beyond dataset size") !=
+          std::string::npos;
+      EXPECT_EQ(range_error, !config_error && constraints == &out_of_range)
+          << shared.status().message();
+      EXPECT_EQ(shared.ok(), !config_error && constraints == &in_range)
+          << shared.status().message();
+    }
+  }
+}
+
+TEST(MpckOracleTest, FirstPassTiePinsTheSeededColumnBits) {
+  // Object T = (2, 0) is exactly as far (4) from the neighborhood mean
+  // (0, 0) as from P = (4, 0), which D^2 sampling draws with probability
+  // 16/22 as the second centroid. P's column is the last one seeded, so
+  // the first pass measures it, while the mean's column comes from the
+  // setup; the pass breaks the tie toward the lower cluster index. One
+  // ulp more in the installed column flips T, so runs that draw P pin
+  // its bits.
+  const Matrix points = Matrix::FromRows(
+      {{-1, 0}, {1, 0}, {0, 0}, {0, 0}, {0, 0}, {4, 0}, {2, 0}});
+  ConstraintSet constraints;
+  ASSERT_TRUE(constraints.AddMustLink(0, 1).ok());
+  int ties = 0;
+  for (MetricMode mode : kModes) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      MpckMeansConfig config;
+      config.metric_mode = mode;
+      config.tol = 0.0;
+      for (int max_iters : {1, 50}) {
+        config.max_iters = max_iters;
+        EXPECT_EQ(ExpectSameGrid(points, constraints, config, {1, 2, 3},
+                                 seed, "tie"),
+                  3u);
+      }
+      config.k = 2;
+      config.max_iters = 1;
+      Rng rng(seed + 2);  // ExpectSameGrid's seed for k = 2
+      const Result<MpckMeansResult> first =
+          RunMpckMeans(points, constraints, config, &rng);
+      ASSERT_TRUE(first.ok());
+      const std::vector<int>& labels = first.value().clustering.assignment();
+      if (labels[6] == labels[0] && labels[5] != labels[0]) ++ties;
+    }
+  }
+  EXPECT_GT(ties, 0);
+}
+
+TEST(MpckOracleTest, SharedSetupCoversEverySeedingShape) {
+  // Three must-link neighborhoods (sizes 4, 3, 2) plus cannot-links, a
+  // set with cannot-links only, and no constraints at all; every k from
+  // 1 to n, in ascending and in descending order from one setup each. So
+  // k <= 3 takes every centroid from a neighborhood (no D^2 pass), k > 3
+  // tops up with D^2 sampling, and the sets without must-links seed
+  // wholly by D^2, under every metric mode and both initializations.
+  Rng rng(0xA10B);
+  const size_t n = 20;
+  const Matrix points = RandomPoints(n, 11, 4, &rng);
+  ConstraintSet hoods;
+  for (const auto& [a, b] : std::vector<std::pair<size_t, size_t>>{
+           {0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {7, 8}}) {
+    ASSERT_TRUE(hoods.AddMustLink(a, b).ok());
+  }
+  ASSERT_TRUE(hoods.AddCannotLink(0, 4).ok());
+  ASSERT_TRUE(hoods.AddCannotLink(6, 9).ok());
+  ASSERT_TRUE(hoods.AddCannotLink(10, 11).ok());
+  ConstraintSet cannot_only;
+  for (size_t i = 0; i + 3 < n; i += 3) {
+    ASSERT_TRUE(cannot_only.AddCannotLink(i, i + 3).ok());
+  }
+  ConstraintSet none;
+  const std::vector<int> up = KRange(1, static_cast<int>(n));
+  const std::vector<int> down(up.rbegin(), up.rend());
+  for (const ConstraintSet* constraints : {&hoods, &cannot_only, &none}) {
+    const ConstraintSet& set = *constraints;
+    for (MetricMode mode : kModes) {
+      for (bool init : {true, false}) {
+        MpckMeansConfig config;
+        config.metric_mode = mode;
+        config.neighborhood_init = init;
+        for (int max_iters : {1, 50}) {
+          config.max_iters = max_iters;
+          const std::string label = Format("constraints=%zu", set.size());
+          EXPECT_EQ(ExpectSameGrid(points, set, config, up, 0xB10B, label), n);
+          EXPECT_EQ(ExpectSameGrid(points, set, config, down, 0xB10B, label),
+                    n);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

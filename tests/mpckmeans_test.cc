@@ -3,15 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <latch>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/clusterer.h"
 #include "core/fmeasure.h"
+#include "core/supervision.h"
 #include "data/generators.h"
 #include "eval/external_measures.h"
+#include "tests/mpck_oracle.h"
 
 namespace cvcp {
 namespace {
@@ -260,6 +267,79 @@ TEST(MpckMeansTest, ParallelRunsOnSharedInputsMatchSerialRuns) {
         << i;
     EXPECT_EQ(parallel[i]->iterations, serial[i]->iterations) << i;
   }
+}
+
+TEST(MpckMeansTest, SupervisionMemoFirstTouchRaceMatchesOracle) {
+  // Several threads take one memo's setup at once, each for its own k:
+  // whichever thread's build is published first, every thread adopts the
+  // one published setup, and every run — direct, or through the
+  // clusterer — equals the oracle run from the same seed. Under TSan this
+  // also checks that concurrent runs only read the shared setup.
+  Rng data_rng(14);
+  Dataset data = MakeBlobs("blobs", 4, 30, 20, 8.0, 1.5, &data_rng);
+  std::vector<size_t> objects;
+  for (size_t i = 0; i < data.points().rows(); i += 5) objects.push_back(i);
+  const Supervision supervision = Supervision::FromConstraints(
+      ConstraintSet::FromLabels(data.labels(), objects));
+  const ConstraintSet& constraints = supervision.constraints();
+  SupervisionMemo memo(data.points(), constraints);
+  EXPECT_TRUE(memo.Serves(data.points(), constraints));
+  EXPECT_FALSE(memo.Serves(data.points(), ConstraintSet()));
+
+  constexpr size_t kThreads = 4;
+  auto config_for = [](size_t t) {
+    MpckMeansConfig config;
+    config.k = 2 + static_cast<int>(t);
+    config.metric_mode = t % 2 == 0 ? MetricMode::kPerClusterDiagonal
+                                     : MetricMode::kSingleDiagonal;
+    return config;
+  };
+  std::vector<std::shared_ptr<const MpckSetup>> taken(kThreads);
+  std::vector<Result<MpckMeansResult>> direct(kThreads,
+                                              Status::Internal("not run"));
+  std::vector<Result<Clustering>> clustered(kThreads,
+                                            Status::Internal("not run"));
+  std::latch start(static_cast<std::ptrdiff_t>(kThreads));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      taken[t] = memo.Mpck();
+      Rng rng(200 + t);
+      direct[t] = RunMpckMeans(*taken[t], config_for(t), &rng);
+      Rng cluster_rng(200 + t);
+      const MpckMeansClusterer clusterer(config_for(t));
+      clustered[t] =
+          clusterer.Cluster(data, supervision, config_for(t).k, &cluster_rng,
+                            ClusterContext{nullptr, ExecutionContext::Serial(),
+                                           &memo});
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(taken[t], taken[0]) << t;
+    Rng oracle_rng(200 + t);
+    const Result<MpckMeansResult> oracle = mpck_oracle::OracleRunMpckMeans(
+        data.points(), constraints, config_for(t), &oracle_rng);
+    ASSERT_TRUE(oracle.ok());
+    ASSERT_TRUE(direct[t].ok()) << t;
+    ASSERT_TRUE(clustered[t].ok()) << t;
+    EXPECT_EQ(direct[t]->clustering.assignment(),
+              oracle->clustering.assignment())
+        << t;
+    EXPECT_EQ(clustered[t]->assignment(), oracle->clustering.assignment())
+        << t;
+    EXPECT_TRUE(SameBits(direct[t]->centroids, oracle->centroids)) << t;
+    EXPECT_TRUE(SameBits(direct[t]->metric_weights, oracle->metric_weights))
+        << t;
+    EXPECT_EQ(std::bit_cast<uint64_t>(direct[t]->objective),
+              std::bit_cast<uint64_t>(oracle->objective))
+        << t;
+    EXPECT_EQ(direct[t]->iterations, oracle->iterations) << t;
+    EXPECT_EQ(direct[t]->converged, oracle->converged) << t;
+  }
+  EXPECT_EQ(memo.Mpck(), taken[0]);
 }
 
 }  // namespace

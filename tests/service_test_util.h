@@ -4,15 +4,18 @@
 // Shared fixtures for the Service* suites: a scratch directory tree with
 // a *short* socket path (AF_UNIX caps sun_path around 108 bytes, so the
 // gtest scratch dir — which nests deeply under some runners — is unsafe;
-// mkdtemp under /tmp is not), a small fast job spec, and a Gate that
-// parks executor threads deterministically through the server's
-// before_job_hook (no sleeps — the admission and fault tests control
-// exactly when a job may proceed).
+// mkdtemp under /tmp is not), removed when the test ends, a small fast
+// job spec, and a Gate that parks executor threads deterministically
+// through the server's before_job_hook (no sleeps — the admission and
+// fault tests control exactly when a job may proceed).
 
 #include <stdlib.h>
 
 #include <chrono>
+#include <filesystem>
 #include <string>
+#include <system_error>
+#include <utility>
 
 #include "common/check.h"
 #include "common/mutex.h"
@@ -22,24 +25,41 @@
 
 namespace cvcp {
 
+/// A fresh /tmp/cvcp_svc.XXXXXX tree (socket, results, store) that the
+/// scratch owns: its destructor removes the tree. Move-only, so no copy
+/// can remove it while a server still uses it; a test that restarts its
+/// server keeps one scratch for the whole test. Declare it before the
+/// server, so the server stops first.
 struct ServiceScratch {
+  ServiceScratch() {
+    char tmpl[] = "/tmp/cvcp_svc.XXXXXX";
+    const char* dir = ::mkdtemp(tmpl);
+    CVCP_CHECK(dir != nullptr);
+    base = dir;
+    socket = base + "/sock";
+    results = base + "/results";
+    store = base + "/store";
+  }
+  ServiceScratch(ServiceScratch&& other) noexcept
+      : base(std::exchange(other.base, std::string())),
+        socket(std::move(other.socket)),
+        results(std::move(other.results)),
+        store(std::move(other.store)) {}
+  ServiceScratch(const ServiceScratch&) = delete;
+  ServiceScratch& operator=(const ServiceScratch&) = delete;
+  ~ServiceScratch() {
+    if (base.empty()) return;  // moved from
+    std::error_code ignored;
+    std::filesystem::remove_all(base, ignored);
+  }
+
   std::string base;
   std::string socket;
   std::string results;
   std::string store;
 };
 
-inline ServiceScratch MakeServiceScratch() {
-  char tmpl[] = "/tmp/cvcp_svc.XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  CVCP_CHECK(dir != nullptr);
-  ServiceScratch scratch;
-  scratch.base = dir;
-  scratch.socket = scratch.base + "/sock";
-  scratch.results = scratch.base + "/results";
-  scratch.store = scratch.base + "/store";
-  return scratch;
-}
+inline ServiceScratch MakeServiceScratch() { return ServiceScratch(); }
 
 /// A small job that exercises the full pipeline in milliseconds: Iris,
 /// FOSC-OPTICSDend, Scenario II, a 3-value MinPts grid.
